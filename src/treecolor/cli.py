@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,9 +52,12 @@ from .errors import (
     ConfigurationError,
     TreecolorError,
 )
-from .graphs import gen_regular_graph, gen_tree_ball, parse_fixture, write_fixture
+from .graphs import Graph, gen_regular_graph, gen_tree_ball, parse_fixture, write_fixture
 from .process import (
     ColoringState,
+    CompletionReport,
+    ProperReport,
+    TidyReport,
     complete_remainder,
     read_coloring,
     run_phase1,
@@ -62,6 +66,8 @@ from .process import (
     write_coloring,
 )
 from .stats import (
+    ComponentStats,
+    RunStats,
     collect_run_stats,
     component_stats,
     red_scaling,
@@ -355,6 +361,8 @@ def cmd_integrate(args) -> int:
 
 def _resolve_steps(args, epsilon: float):
     """Step count plus the certificate, when one was both given and needed."""
+    if epsilon <= 0.0:
+        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     cert = None
     if args.cert:
         cert = load_certificate(args.cert)
@@ -385,30 +393,45 @@ def _build_graph(args):
     return gen_regular_graph(args.n, args.r, seed=graph_seed)
 
 
-def cmd_simulate(args) -> int:
-    if args.epsilon <= 0.0:
-        raise ConfigurationError(f"epsilon must be positive, got {args.epsilon}")
-    steps, cert = _resolve_steps(args, args.epsilon)
-    tuning = _tuning_for(args, epsilon=args.epsilon)
-    graph = _build_graph(args)
-    state = ColoringState(graph, PaletteConfig(args.r, args.p), seed=args.seed)
+class RunResult(NamedTuple):
+    """Every stage's output of one end-to-end run, plus the final state."""
 
-    reports, dists = run_phase1(state, tuning, steps, modified=args.modified)
-    stats = collect_run_stats(state, args.epsilon, reports, dists)
+    state: ColoringState
+    stats: RunStats
+    components: ComponentStats
+    completion: CompletionReport
+    tidy: TidyReport
+    proper: ProperReport
+
+
+def run_pipeline(graph: Graph, cfg: PaletteConfig, tuning: TuningParams,
+                 steps: int, seed: int, modified: bool) -> RunResult:
+    """Color `graph` end to end: phase 1, uncolored-component stats, phase 2,
+    tidy-up and an independent properness check.  The stages are looked up
+    in this module's globals, so wrapping them on `treecolor.cli` traces them."""
+    state = ColoringState(graph, cfg, seed=seed)
+    reports, dists = run_phase1(state, tuning, steps, modified=modified)
+    stats = collect_run_stats(state, tuning.epsilon, reports, dists)
     comp = component_stats(state)
     completion = complete_remainder(state)
     tidy = tidy_to_proper(state)
     proper = verify_proper(state)
+    return RunResult(state, stats, comp, completion, tidy, proper)
 
-    stats.component_histogram = comp.histogram
-    stats.violations = len(proper.violations) + len(proper.red_red)
-    stats.failure_counts = {
-        "completion": completion.failures,
-        "tidy": tidy.failures,
-    }
+
+def cmd_simulate(args) -> int:
+    steps, cert = _resolve_steps(args, args.epsilon)
+    tuning = _tuning_for(args, epsilon=args.epsilon)
+    graph = _build_graph(args)
+    state, stats, comp, completion, tidy, proper = run_pipeline(
+        graph, tuning.cfg, tuning, steps, args.seed, args.modified)
+
     counts = state.counts()
     extra_fields = {
-        # the stats block describes phase 1; these reflect the finished state
+        # the stats block describes phase 1; these describe the later stages
+        "component_histogram": {str(k): v for k, v in sorted(comp.histogram.items())},
+        "violations": len(proper.violations) + len(proper.red_red),
+        "failure_counts": {"completion": completion.failures, "tidy": tidy.failures},
         "final_uncolored_frac": counts["uncolored"] / graph.n,
         "final_red_frac": counts["red"] / graph.n,
         "final_extra_frac": counts["extra"] / graph.n,
@@ -447,25 +470,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(params: dict) -> dict:
+def _sweep_cell(cell: tuple) -> dict:
     """One (epsilon, seed) cell; runs in a worker process."""
-    cfg = PaletteConfig(params["r"], params["p"])
-    tuning = TuningParams(
-        cfg,
-        {VertexType(*k): v for k, v in params["weights"].items()},
-        params["epsilon"],
-    )
-    graph = gen_regular_graph(params["n"], params["r"], seed=params["graph_seed"])
-    state = ColoringState(graph, cfg, seed=params["seed"])
-    run_phase1(state, tuning, params["steps"], modified=params["modified"])
-    complete_remainder(state)
-    counts = state.counts()
+    tuning, n, seed, graph_seed, steps, modified = cell
+    graph = gen_regular_graph(n, tuning.cfg.r, seed=graph_seed)
+    result = run_pipeline(graph, tuning.cfg, tuning, steps, seed, modified)
     return {
-        "epsilon": params["epsilon"],
-        "seed": params["seed"],
-        "red_frac": counts["red"] / graph.n,
-        "uncolored": counts["uncolored"],
-        "steps": params["steps"],
+        "epsilon": tuning.epsilon,
+        "seed": seed,
+        "red_frac": result.tidy.red_before / n,
+        "steps": steps,
+        "bad_edges": result.proper.violations + result.proper.red_red,
     }
 
 
@@ -479,21 +494,13 @@ def cmd_sweep(args) -> int:
         ) from None
     if not epsilons or not seeds:
         raise ConfigurationError("need at least one epsilon and one seed")
-    cells = []
+    cells = []  # in (epsilon, seed) order, which the output keeps
     for eps in sorted(set(epsilons)):
-        if eps <= 0.0:
-            raise ConfigurationError(f"epsilon must be positive, got {eps}")
-        base = argparse.Namespace(**vars(args), epsilon=eps)
-        steps, _ = _resolve_steps(base, eps)
+        steps, _ = _resolve_steps(args, eps)
         tuning = _tuning_for(args, epsilon=eps)  # validates eps * max weight
         for seed in sorted(set(seeds)):
-            cells.append({
-                "r": args.r, "p": args.p, "epsilon": eps, "n": args.n,
-                "seed": seed,
-                "graph_seed": args.graph_seed if args.graph_seed is not None else seed,
-                "steps": steps, "modified": args.modified,
-                "weights": {(t.d, t.c): w for t, w in tuning.weights.items()},
-            })
+            graph_seed = args.graph_seed if args.graph_seed is not None else seed
+            cells.append((tuning, args.n, seed, graph_seed, steps, args.modified))
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     jobs = max(1, min(jobs, len(cells)))
     if jobs == 1:
@@ -501,7 +508,6 @@ def cmd_sweep(args) -> int:
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_cell, cells))
-    results.sort(key=lambda row: (row["epsilon"], row["seed"]))
 
     config = _config_echo(args, [
         "r", "p", "epsilons", "seeds", "n", "steps", "cert", "graph-seed",
@@ -537,7 +543,12 @@ def cmd_sweep(args) -> int:
             print("red scaling: degenerate (no reds observed)")
         else:
             print(f"red scaling: log-log slope {fit.slope:.4f}")
-    return EXIT_OK
+    improper = [row for row in results if row["bad_edges"]]
+    for row in improper:
+        print(f"cell epsilon={row['epsilon']!r} seed={row['seed']}: final coloring "
+              f"is NOT proper: {len(row['bad_edges'])} bad edges, "
+              f"e.g. {row['bad_edges'][:10]}")
+    return EXIT_FAILURE if improper else EXIT_OK
 
 
 def _verify_dump(args) -> int:
@@ -548,9 +559,9 @@ def _verify_dump(args) -> int:
             graph, _ = parse_fixture(fh.read())
     except OSError as exc:
         raise ConfigurationError(f"cannot read graph fixture: {exc}") from None
-    if graph.n != n:
+    if (graph.n, graph.r) != (n, r):
         raise ConfigurationError(
-            f"dump has {n} vertices but graph has {graph.n}"
+            f"dump has n={n}, r={r} but graph has n={graph.n}, r={graph.r}"
         )
     cu = colors[graph.edges_u]
     cv = colors[graph.edges_v]

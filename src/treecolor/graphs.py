@@ -177,6 +177,20 @@ def gen_tree_ball(r: int, radius: int) -> Graph:
     )
 
 
+def int_fields(source: str, line: str, tokens: list[str],
+               names: tuple[str, ...]) -> list[int]:
+    """Integer fields of one input line; a bad token is reported by its name."""
+    values = []
+    for name, token in zip(names, tokens):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ConfigurationError(
+                f"{source}: {name} must be an integer, got {token!r} in {line!r}"
+            ) from None
+    return values
+
+
 def parse_fixture(text: str) -> tuple[Graph, list[tuple[int, int]]]:
     """Parse the hand-built fixture format: first line "n r", one line per
     edge "u v", then optional "color v c" lines presetting palette colors."""
@@ -187,7 +201,7 @@ def parse_fixture(text: str) -> tuple[Graph, list[tuple[int, int]]]:
     head = lines[0].split()
     if len(head) != 2:
         raise ConfigurationError(f"fixture: bad header {lines[0]!r}")
-    n, r = int(head[0]), int(head[1])
+    n, r = int_fields("fixture", lines[0], head, ("n", "r"))
     if n <= 0 or r <= 0:
         raise ConfigurationError("fixture: n and r must be positive")
     eu: list[int] = []
@@ -199,14 +213,14 @@ def parse_fixture(text: str) -> tuple[Graph, list[tuple[int, int]]]:
         if parts[0] == "color":
             if len(parts) != 3:
                 raise ConfigurationError(f"fixture: bad color line {ln!r}")
-            v, c = int(parts[1]), int(parts[2])
+            v, c = int_fields("fixture", ln, parts[1:], ("color vertex", "color"))
             if not (0 <= v < n):
                 raise ConfigurationError(f"fixture: color vertex {v} out of range")
             presets.append((v, c))
             continue
         if len(parts) != 2:
             raise ConfigurationError(f"fixture: bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = int_fields("fixture", ln, parts, ("edge endpoint", "edge endpoint"))
         if not (0 <= u < n and 0 <= v < n):
             raise ConfigurationError(f"fixture: edge {u} {v} out of range")
         if u == v:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 DEFAULT_BUDGET = 10 ** 6
 
 COLORED = "colored"

@@ -21,8 +21,8 @@ import numpy as np
 
 from .dynamics import PaletteConfig, TuningParams, TypeDistribution, VertexType, type_space
 from .errors import ConfigurationError, InternalConsistencyError
-from .graphs import Graph
-from .listcolor import BUDGET, COLORED, DEFAULT_BUDGET, color_component, connected_components
+from .graphs import Graph, int_fields
+from .listcolor import COLORED, color_component, connected_components
 
 UNCOLORED = -1
 RED = -2
@@ -236,7 +236,6 @@ class ColoringState:
             )
         self.graph = graph
         self.cfg = cfg
-        self.seed = int(seed)
         self.rng = rng if rng is not None else ProcessRandomness(seed)
         if hasattr(self.rng, "n_hint"):
             self.rng.n_hint = graph.n
@@ -282,6 +281,8 @@ class ColoringState:
         return tuple(c for c in range(self.cfg.p) if not (mask >> c) & 1)
 
     def vertex_type(self, v: int) -> VertexType | None:
+        """Type (uncolored neighbors, available colors) of v, or None if
+        colored.  Red neighbors reduce the degree but never remove a color."""
         if self.color[v] != UNCOLORED:
             return None
         return VertexType(int(self.uncolored_deg[v]), int(self.avail_count[v]))
@@ -338,12 +339,6 @@ class ColoringState:
         bad = self._invariant_violation()
         if bad is not None:
             raise InternalConsistencyError(bad)
-
-
-def vertex_type_of(state: ColoringState, v: int) -> VertexType | None:
-    """Type (uncolored neighbors, available colors) of v, or None if colored.
-    Red neighbors reduce the degree but never remove a color."""
-    return state.vertex_type(v)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +597,7 @@ def _weight_table(cfg: PaletteConfig, tuning: TuningParams) -> np.ndarray:
     return table
 
 
-def greedy_step(state: ColoringState, tuning: TuningParams, rng=None) -> StepReport:
+def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
     """One macro-step: sample the active set from the step-start types, let
     actives draw random available colors, and run reaction rounds to a
     fixpoint.  Invariants are re-checked on exit."""
@@ -610,7 +605,7 @@ def greedy_step(state: ColoringState, tuning: TuningParams, rng=None) -> StepRep
         raise ConfigurationError("tuning and state configs differ")
     if tuning.epsilon is None:
         raise ConfigurationError("tuning has no activation rate epsilon")
-    rng = rng if rng is not None else state.rng
+    rng = state.rng
     i = state.step
     report = StepReport(step=i)
 
@@ -718,8 +713,7 @@ def _starvation_guards(state: ColoringState, sub: list[int]) -> list[int]:
                   if k >= int(state.avail_count[u]))
 
 
-def buffer_rounds(state: ColoringState, rng=None,
-                  budget: int = DEFAULT_BUDGET) -> BufferReport:
+def buffer_rounds(state: ColoringState) -> BufferReport:
     """Modified-mode relief: repeatedly list-color the uncolored vertices
     within distance 3 of red vertices until no red has any.  Components are
     committed in bulk and may force cascades at their boundaries, run as in
@@ -771,7 +765,7 @@ def buffer_rounds(state: ColoringState, rng=None,
                 # vertices so the solver keeps them viable.
                 sub = sub + _starvation_guards(state, sub)
                 lists = {v: state.available_colors(v) for v in sub}
-                status, assignment = color_component(state.graph, sub, lists, budget)
+                status, assignment = color_component(state.graph, sub, lists)
                 # Bulk commits are no-credit (touch=False): an outside vertex
                 # bordering one component twice is itself a cycle artifact.
                 for v in sub:
@@ -794,8 +788,7 @@ def buffer_rounds(state: ColoringState, rng=None,
     return report
 
 
-def complete_remainder(state: ColoringState, rng=None,
-                       budget: int = DEFAULT_BUDGET) -> CompletionReport:
+def complete_remainder(state: ColoringState) -> CompletionReport:
     """Phase 2: properly color every remaining uncolored component from its
     available lists.  Trees are solved greedily (never blocks with >= 2-color
     lists); cyclic components fall back to backtracking; failures turn the
@@ -807,7 +800,7 @@ def complete_remainder(state: ColoringState, rng=None,
     for comp in connected_components(state.graph, [int(v) for v in targets]):
         report.components += 1
         lists = {v: state.available_colors(v) for v in comp}
-        status, assignment = color_component(state.graph, comp, lists, budget)
+        status, assignment = color_component(state.graph, comp, lists)
         if status == COLORED:
             for v in comp:
                 state._apply_color(v, assignment[v])
@@ -823,8 +816,7 @@ def complete_remainder(state: ColoringState, rng=None,
     return report
 
 
-def tidy_to_proper(state: ColoringState, rng=None,
-                   budget: int = DEFAULT_BUDGET) -> TidyReport:
+def tidy_to_proper(state: ColoringState) -> TidyReport:
     """Erase the closed neighborhood of every red vertex and recolor it from
     restricted lists: previously non-red vertices may keep their old color or
     take the extra color; previously red vertices choose from the whole
@@ -859,7 +851,7 @@ def tidy_to_proper(state: ColoringState, rng=None,
             lists[v] = (prev[v], extra)
 
     for comp in connected_components(state.graph, sorted(region)):
-        status, assignment = color_component(state.graph, comp, lists, budget)
+        status, assignment = color_component(state.graph, comp, lists)
         if status == COLORED:
             for v in comp:
                 state.color[v] = assignment[v]
@@ -916,12 +908,7 @@ def read_coloring(path: str) -> tuple[int, int, int, np.ndarray]:
     head = lines[0].split()
     if len(head) != 3:
         raise ConfigurationError(f"coloring dump: bad header {lines[0]!r}")
-    try:
-        n, r, p = int(head[0]), int(head[1]), int(head[2])
-    except ValueError:
-        raise ConfigurationError(
-            f"coloring dump: bad header {lines[0]!r}"
-        ) from None
+    n, r, p = int_fields("coloring dump", lines[0], head, ("n", "r", "p"))
     if n < 0 or r < 0 or p < 2:
         raise ConfigurationError(f"coloring dump: bad header {lines[0]!r}")
     colors = np.full(n, UNCOLORED, dtype=np.int16)
@@ -933,10 +920,7 @@ def read_coloring(path: str) -> tuple[int, int, int, np.ndarray]:
         parts = ln.split()
         if len(parts) != 2:
             raise ConfigurationError(f"coloring dump: bad line {ln!r}")
-        try:
-            v, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ConfigurationError(f"coloring dump: bad line {ln!r}") from None
+        v, c = int_fields("coloring dump", ln, parts, ("vertex", "color"))
         if not (0 <= v < n):
             raise ConfigurationError(f"coloring dump: vertex {v} out of range")
         if not (0 <= c <= p):

@@ -62,9 +62,6 @@ class RunStats:
     cascade_sizes: list[list[int]]
     rounds_used: list[int]
     buffer_colored_per_round: list[int] = field(default_factory=list)
-    component_histogram: dict[int, int] | None = None
-    violations: int | None = None
-    failure_counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def steps(self) -> int:
@@ -368,12 +365,6 @@ def summary_json(stats: RunStats, extra_fields: dict | None = None) -> str:
         "final_extra_frac": stats.extra_fracs[-1],
         "total_cascades": sum(len(s) for s in stats.cascade_sizes),
         "buffer_colored_per_round": list(stats.buffer_colored_per_round),
-        "component_histogram": (
-            {str(k): v for k, v in sorted(stats.component_histogram.items())}
-            if stats.component_histogram is not None else None
-        ),
-        "violations": stats.violations,
-        "failure_counts": dict(sorted(stats.failure_counts.items())),
     }
     if extra_fields:
         body.update(extra_fields)

@@ -43,17 +43,14 @@ from treecolor import (
     size_biased_law,
     type_space,
 )
+from treecolor.cli import run_pipeline
 from treecolor.graphs import gen_regular_graph
 from treecolor.process import (
-    RED,
     UNCOLORED,
     ColoringState,
-    complete_remainder,
     greedy_step,
     run_phase1,
-    tidy_to_proper,
     trace_cascade,
-    verify_proper,
 )
 from treecolor.stats import (
     cascade_tail_fit,
@@ -308,9 +305,9 @@ def test_acceptance_10_red_scaling():
         steps = math.ceil(cert.r / eps)
         for seed in (3, 4, 5):
             g = gen_regular_graph(100_000, 4, seed=seed)
-            st = ColoringState(g, CFG43, seed=seed + 100)
-            run_phase1(st, default_tuning(CFG43, eps), steps)
-            pairs.append((eps, float(np.count_nonzero(st.color == RED)) / g.n))
+            result = run_pipeline(g, CFG43, default_tuning(CFG43, eps), steps,
+                                  seed + 100, False)
+            pairs.append((eps, result.stats.red_fracs[-1]))  # reds after phase 1
     sc = red_scaling(pairs)
     r1 = sc.means[0.02] / sc.means[0.04]
     r2 = sc.means[0.01] / sc.means[0.02]
@@ -329,11 +326,8 @@ def test_acceptance_11_end_to_end_greedy():
     eps = 0.01
     steps = math.ceil(cert.r / eps)
     g = gen_regular_graph(100_000, 4, seed=11)
-    st = ColoringState(g, CFG43, seed=111)
-    run_phase1(st, default_tuning(CFG43, eps), steps)
-    complete_remainder(st)
-    tidy_to_proper(st)
-    rep = verify_proper(st)
+    result = run_pipeline(g, CFG43, default_tuning(CFG43, eps), steps, 111, False)
+    st, rep = result.state, result.proper
     total = bool(np.all((st.color >= 0) & (st.color <= CFG43.p)))
     extra = float(np.count_nonzero(st.color == CFG43.p)) / g.n
     ok = rep.ok and total and extra <= 0.05
@@ -350,16 +344,12 @@ def test_acceptance_12_end_to_end_modified():
     eps = 0.02
     steps = math.ceil(cert.r / eps)
     g = gen_regular_graph(20_000, 6, seed=7)
-    st = ColoringState(g, CFG64, seed=77)
-    reports, dists = run_phase1(st, default_tuning(CFG64, eps), steps, modified=True)
-    stats = collect_run_stats(st, eps, reports, dists)
-    hist = stats.buffer_colored_per_round
+    result = run_pipeline(g, CFG64, default_tuning(CFG64, eps), steps, 77, True)
+    st, rep = result.state, result.proper
+    hist = result.stats.buffer_colored_per_round
     total_buffer = sum(hist)
     share2 = sum(hist[2:]) / total_buffer
     share1 = sum(hist[1:]) / total_buffer
-    complete_remainder(st)
-    tidy_to_proper(st)
-    rep = verify_proper(st)
     total = bool(np.all((st.color >= 0) & (st.color <= CFG64.p)))
     extra = float(np.count_nonzero(st.color == CFG64.p)) / g.n
     ok = rep.ok and total and extra <= 0.05 and share2 < 0.10

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from treecolor import cli
 from treecolor.cli import main
 
 FAST_CERT = ["--step", "0.005", "--halvings", "1"]
@@ -253,6 +254,41 @@ def test_sweep_grid_table_and_scaling(tmp_path, capsys):
     assert keys == sorted(keys)
 
 
+def test_sweep_names_every_improper_cell(tmp_path, capsys, monkeypatch):
+    real = cli.verify_proper
+    checked = []
+
+    def second_cell_bad(state):
+        checked.append(state)
+        report = real(state)
+        if len(checked) == 2:
+            report.violations.append((0, 1))
+        return report
+
+    monkeypatch.setattr(cli, "verify_proper", second_cell_bad)
+    code = main(["sweep", "--r", "4", "--p", "3", "--epsilons", "0.08",
+                 "--seeds", "1,2,3", "--n", "600", "--steps", "25", "--jobs", "1",
+                 "--out", str(tmp_path / "sweep.csv")])
+    assert code == 1
+    assert len(checked) == 3  # every cell is verified
+    flagged = [ln for ln in capsys.readouterr().out.splitlines() if "NOT proper" in ln]
+    assert len(flagged) == 1
+    assert "epsilon=0.08 seed=2" in flagged[0] and "(0, 1)" in flagged[0]
+
+
+def test_sweep_cell_matches_simulate(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--r", "4", "--p", "3", "--epsilons", "0.05",
+                 "--seeds", "3", "--n", "2000", "--steps", "197", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    row = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")][1]
+    assert main(simulate_args(tmp_path, seed=3)) == 0
+    body = read_json(capsys)
+    assert body["red_before_tidy"] > 0
+    assert float(row.split(",")[2]) == body["red_before_tidy"] / body["n"]
+
+
 def test_sweep_rejects_bad_grid():
     assert main(["sweep", "--r", "4", "--p", "3", "--epsilons", "0.1,zap",
                  "--seeds", "1,2,3", "--n", "600", "--steps", "5"]) == 2
@@ -310,6 +346,25 @@ def test_verify_dump_rejects_malformed_input(tmp_path):
     garbled.write_text("3 4\n0 x\n", encoding="utf-8")
     assert main(["verify", "--dump", str(garbled)]) == 2
     assert main(["verify", "--dump", str(tmp_path / "nope.dump")]) == 2
+
+
+def test_verify_dump_rejects_non_integer_graph_field(finished_dump, tmp_path, capsys):
+    graph = tmp_path / "bad.graph"
+    graph.write_text("2000 4\n0 1\n2 x\n", encoding="utf-8")
+    assert main(["verify", "--dump", str(finished_dump), "--graph", str(graph)]) == 2
+    err = capsys.readouterr().err
+    assert "edge endpoint" in err and "'x'" in err
+
+
+def test_verify_dump_rejects_graph_of_another_degree(finished_dump, tmp_path, capsys):
+    lines = finished_dump.read_text().splitlines()
+    assert lines[0] == "2000 4 3"
+    lines[0] = "2000 3 3"
+    other = tmp_path / "r3.dump"
+    other.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", "--dump", str(other),
+                 "--graph", str(finished_dump) + ".graph"]) == 2
+    assert "r=3" in capsys.readouterr().err
 
 
 def test_verify_needs_exactly_one_target(cert_path, finished_dump):

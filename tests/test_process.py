@@ -36,7 +36,6 @@ from treecolor.process import (
     tidy_to_proper,
     trace_cascade,
     verify_proper,
-    vertex_type_of,
     write_coloring,
 )
 
@@ -117,15 +116,22 @@ def make_state(text: str, cfg: PaletteConfig = CFG43, seed: int = 0) -> Coloring
     return ColoringState(graph, cfg, seed=seed, presets=presets)
 
 
+def scripted_state(text: str, activations: dict, colors: dict) -> ColoringState:
+    """Fixture state whose greedy steps follow a fixed script."""
+    graph, presets = parse_fixture(text)
+    return ColoringState(graph, CFG43, presets=presets,
+                         rng=ScriptedRandomness(activations, colors))
+
+
 def test_vertex_types_fresh_and_preset():
     g = gen_regular_graph(20, 4, seed=1)
     st = ColoringState(g, CFG43, seed=0)
-    assert all(vertex_type_of(st, v) == VertexType(4, 3) for v in range(g.n))
+    assert all(st.vertex_type(v) == VertexType(4, 3) for v in range(g.n))
     # star: center 0 with one neighbor colored 0
     st = make_state("5 4\n0 1\n0 2\n0 3\n0 4\ncolor 1 0\n")
-    assert vertex_type_of(st, 0) == VertexType(3, 2)
-    assert vertex_type_of(st, 1) is None  # colored vertices have no type
-    assert vertex_type_of(st, 2) == VertexType(1, 3)
+    assert st.vertex_type(0) == VertexType(3, 2)
+    assert st.vertex_type(1) is None  # colored vertices have no type
+    assert st.vertex_type(2) == VertexType(1, 3)
 
 
 def test_preset_invariant_enforced():
@@ -151,9 +157,8 @@ def test_empirical_distribution_counts():
 
 def test_rule1_single_active_fresh():
     g = gen_regular_graph(50, 4, seed=2)
-    st = ColoringState(g, CFG43, seed=0)
-    rng = ScriptedRandomness({0: [7]}, {(0, 7): 1})
-    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1), rng)
+    st = ColoringState(g, CFG43, rng=ScriptedRandomness({0: [7]}, {(0, 7): 1}))
+    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1))
     assert rep.active == 1 and rep.rule1 == 1
     assert rep.colored == 1 and rep.new_red == 0
     assert st.color[7] == 1
@@ -163,11 +168,11 @@ def test_rule1_single_active_fresh():
 def test_rule2_forced_chain():
     # active 0 colors itself 0; vertex 1 (preset-adjacent to 1) drops to one
     # color and is forced; its commit forces vertex 2 in the next round.
-    st = make_state(
-        "6 4\n0 1\n1 2\n2 3\n1 4\n2 5\ncolor 4 1\ncolor 5 0\n"
+    st = scripted_state(
+        "6 4\n0 1\n1 2\n2 3\n1 4\n2 5\ncolor 4 1\ncolor 5 0\n",
+        {0: [0]}, {(0, 0): 0},
     )
-    rng = ScriptedRandomness({0: [0]}, {(0, 0): 0})
-    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1), rng)
+    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1))
     assert (rep.rule1, rep.rule2, rep.new_red) == (1, 2, 0)
     assert st.color[0] == 0 and st.color[1] == 2 and st.color[2] == 1
     assert st.color[3] == UNCOLORED
@@ -180,29 +185,29 @@ def test_rule2_forced_chain():
 
 def test_rule3_common_neighbor_turns_red():
     # two actives share uncolored neighbor 2; different colors, still red
-    st = make_state("5 4\n0 2\n1 2\n2 3\n3 4\n")
-    rng = ScriptedRandomness({0: [0, 1]}, {(0, 0): 0, (0, 1): 1})
-    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1), rng)
+    st = scripted_state("5 4\n0 2\n1 2\n2 3\n3 4\n",
+                        {0: [0, 1]}, {(0, 0): 0, (0, 1): 1})
+    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1))
     assert (rep.rule1, rep.rule3, rep.rule4) == (2, 1, 0)
     assert st.color[2] == RED
     # red reduces the neighbor's degree but never its color count
-    assert vertex_type_of(st, 3) == VertexType(1, 3)
+    assert st.vertex_type(3) == VertexType(1, 3)
 
 
 def test_rule3_beats_scheduled_rule2():
     # vertex 2 sees preset color 0; both actives commit color 1, so 2 would
     # be forced to 2 — but two step-colored neighbors make it red first.
-    st = make_state("6 4\n0 2\n1 2\n2 3\n2 4\ncolor 3 0\n4 5\n")
-    rng = ScriptedRandomness({0: [0, 1]}, {(0, 0): 1, (0, 1): 1})
-    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1), rng)
+    st = scripted_state("6 4\n0 2\n1 2\n2 3\n2 4\ncolor 3 0\n4 5\n",
+                        {0: [0, 1]}, {(0, 0): 1, (0, 1): 1})
+    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1))
     assert st.color[2] == RED
     assert rep.rule2 == 0 and rep.rule3 == 1
 
 
 def test_rule4_adjacent_actives_both_red():
-    st = make_state("4 4\n0 1\n0 2\n1 3\n")
-    rng = ScriptedRandomness({0: [0, 1]}, {(0, 0): 0, (0, 1): 1})
-    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1), rng)
+    st = scripted_state("4 4\n0 1\n0 2\n1 3\n",
+                        {0: [0, 1]}, {(0, 0): 0, (0, 1): 1})
+    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1))
     assert (rep.rule1, rep.rule4) == (0, 2)
     assert st.color[0] == RED and st.color[1] == RED
     assert st.color[2] == UNCOLORED and st.color[3] == UNCOLORED
@@ -210,11 +215,11 @@ def test_rule4_adjacent_actives_both_red():
 
 def test_rule4_simultaneous_forced_pair():
     # actives 0 and 3 force the adjacent pair (1, 2) in the same round
-    st = make_state(
-        "8 4\n0 1\n1 2\n2 3\n1 4\n2 5\n0 6\n3 7\ncolor 4 1\ncolor 5 1\n"
+    st = scripted_state(
+        "8 4\n0 1\n1 2\n2 3\n1 4\n2 5\n0 6\n3 7\ncolor 4 1\ncolor 5 1\n",
+        {0: [0, 3]}, {(0, 0): 0, (0, 3): 0},
     )
-    rng = ScriptedRandomness({0: [0, 3]}, {(0, 0): 0, (0, 3): 0})
-    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1), rng)
+    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1))
     assert (rep.rule1, rep.rule2, rep.rule4) == (2, 0, 2)
     assert st.color[1] == RED and st.color[2] == RED
     assert st.color[0] == 0 and st.color[3] == 0
@@ -223,11 +228,11 @@ def test_rule4_simultaneous_forced_pair():
 def test_red_counts_as_step_colored_for_rule3():
     # 2 goes red via rule 3; its neighbor 3 also has palette neighbor 4
     # colored this step, so 3 is red too (red + palette = two touches).
-    st = make_state("7 4\n0 2\n1 2\n2 3\n3 4\n4 5\n3 6\ncolor 5 0\ncolor 6 1\n")
-    rng = ScriptedRandomness(
-        {0: [0, 1, 4]}, {(0, 0): 0, (0, 1): 1, (0, 4): 1}
+    st = scripted_state(
+        "7 4\n0 2\n1 2\n2 3\n3 4\n4 5\n3 6\ncolor 5 0\ncolor 6 1\n",
+        {0: [0, 1, 4]}, {(0, 0): 0, (0, 1): 1, (0, 4): 1},
     )
-    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1), rng)
+    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1))
     assert st.color[2] == RED and st.color[3] == RED
     assert rep.rule3 == 2
 
@@ -292,15 +297,15 @@ def test_color_symmetry_under_palette_permutation():
     graph_seed, steps = 17, 30
     tuning = default_tuning(CFG43, epsilon=0.08)
 
-    base = ColoringState(gen_regular_graph(300, 4, seed=graph_seed), CFG43, seed=5)
     recorder = RecordingRandomness(ProcessRandomness(5))
+    base = ColoringState(gen_regular_graph(300, 4, seed=graph_seed), CFG43, rng=recorder)
     for _ in range(steps):
-        greedy_step(base, tuning, recorder)
+        greedy_step(base, tuning)
 
-    relabeled = ColoringState(gen_regular_graph(300, 4, seed=graph_seed), CFG43, seed=5)
     replay = PermutedRandomness(recorder, perm)
+    relabeled = ColoringState(gen_regular_graph(300, 4, seed=graph_seed), CFG43, rng=replay)
     for _ in range(steps):
-        greedy_step(relabeled, tuning, replay)
+        greedy_step(relabeled, tuning)
 
     for v in range(base.graph.n):
         c = base.color[v]
@@ -461,9 +466,9 @@ def test_buffer_rounds_noop_without_red():
 
 def test_buffer_rounds_colors_ball_of_red():
     # rule 3 turns 2 red; 3 and 4 are uncolored within distance 3 of it
-    st = make_state("7 4\n0 2\n1 2\n2 3\n3 4\n4 5\n3 6\n")
-    rng = ScriptedRandomness({0: [0, 1]}, {(0, 0): 0, (0, 1): 1})
-    greedy_step(st, default_tuning(CFG43, epsilon=0.1), rng)
+    st = scripted_state("7 4\n0 2\n1 2\n2 3\n3 4\n4 5\n3 6\n",
+                        {0: [0, 1]}, {(0, 0): 0, (0, 1): 1})
+    greedy_step(st, default_tuning(CFG43, epsilon=0.1))
     assert st.color[2] == RED
     rep = buffer_rounds(st)
     assert rep.failures == 0 and rep.rounds >= 1

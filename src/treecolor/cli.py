@@ -404,12 +404,12 @@ class RunResult(NamedTuple):
     proper: ProperReport
 
 
-def run_pipeline(graph: Graph, cfg: PaletteConfig, tuning: TuningParams,
-                 steps: int, seed: int, modified: bool) -> RunResult:
+def run_pipeline(graph: Graph, tuning: TuningParams, steps: int, seed: int,
+                 modified: bool) -> RunResult:
     """Color `graph` end to end: phase 1, uncolored-component stats, phase 2,
     tidy-up and an independent properness check.  The stages are looked up
     in this module's globals, so wrapping them on `treecolor.cli` traces them."""
-    state = ColoringState(graph, cfg, seed=seed)
+    state = ColoringState(graph, tuning.cfg, seed=seed)
     reports, dists = run_phase1(state, tuning, steps, modified=modified)
     stats = collect_run_stats(state, tuning.epsilon, reports, dists)
     comp = component_stats(state)
@@ -424,7 +424,7 @@ def cmd_simulate(args) -> int:
     tuning = _tuning_for(args, epsilon=args.epsilon)
     graph = _build_graph(args)
     state, stats, comp, completion, tidy, proper = run_pipeline(
-        graph, tuning.cfg, tuning, steps, args.seed, args.modified)
+        graph, tuning, steps, args.seed, args.modified)
 
     counts = state.counts()
     extra_fields = {
@@ -474,7 +474,7 @@ def _sweep_cell(cell: tuple) -> dict:
     """One (epsilon, seed) cell; runs in a worker process."""
     tuning, n, seed, graph_seed, steps, modified = cell
     graph = gen_regular_graph(n, tuning.cfg.r, seed=graph_seed)
-    result = run_pipeline(graph, tuning.cfg, tuning, steps, seed, modified)
+    result = run_pipeline(graph, tuning, steps, seed, modified)
     return {
         "epsilon": tuning.epsilon,
         "seed": seed,

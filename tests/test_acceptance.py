@@ -305,8 +305,7 @@ def test_acceptance_10_red_scaling():
         steps = math.ceil(cert.r / eps)
         for seed in (3, 4, 5):
             g = gen_regular_graph(100_000, 4, seed=seed)
-            result = run_pipeline(g, CFG43, default_tuning(CFG43, eps), steps,
-                                  seed + 100, False)
+            result = run_pipeline(g, default_tuning(CFG43, eps), steps, seed + 100, False)
             pairs.append((eps, result.stats.red_fracs[-1]))  # reds after phase 1
     sc = red_scaling(pairs)
     r1 = sc.means[0.02] / sc.means[0.04]
@@ -326,7 +325,7 @@ def test_acceptance_11_end_to_end_greedy():
     eps = 0.01
     steps = math.ceil(cert.r / eps)
     g = gen_regular_graph(100_000, 4, seed=11)
-    result = run_pipeline(g, CFG43, default_tuning(CFG43, eps), steps, 111, False)
+    result = run_pipeline(g, default_tuning(CFG43, eps), steps, 111, False)
     st, rep = result.state, result.proper
     total = bool(np.all((st.color >= 0) & (st.color <= CFG43.p)))
     extra = float(np.count_nonzero(st.color == CFG43.p)) / g.n
@@ -344,7 +343,7 @@ def test_acceptance_12_end_to_end_modified():
     eps = 0.02
     steps = math.ceil(cert.r / eps)
     g = gen_regular_graph(20_000, 6, seed=7)
-    result = run_pipeline(g, CFG64, default_tuning(CFG64, eps), steps, 77, True)
+    result = run_pipeline(g, default_tuning(CFG64, eps), steps, 77, True)
     st, rep = result.state, result.proper
     hist = result.stats.buffer_colored_per_round
     total_buffer = sum(hist)

@@ -113,6 +113,13 @@ def test_simulate_end_to_end_is_proper(tmp_path, capsys):
     body = read_json(capsys)
     assert body["proper"] is True
     assert body["violations"] == 0
+    assert list(body["failure_counts"]) == ["completion", "tidy"]
+    # histogram keys are component sizes, written as strings in size order
+    hist = body["component_histogram"]
+    assert list(hist) == [str(k) for k in sorted(int(k) for k in hist)]
+    assert sum(hist.values()) == body["uncolored_component_count"]
+    if hist:
+        assert max(int(k) for k in hist) == body["uncolored_component_max"]
     assert body["final_uncolored_frac"] == 0.0
     assert body["config"]["seed"] == 7
     assert body["config"]["resolved_steps"] == 197

@@ -263,21 +263,13 @@ def test_stats_csv_roundtrips_exact_floats():
 
 
 def test_summary_json_is_valid_and_complete():
-    state, stats = run_stats_for(500, 10)
-    comp = component_stats(state)
-    text = summary_json(stats, extra_fields={
-        "component_histogram": comp.histogram,
-        "violations": 0,
-        "failure_counts": {"completion": 0, "tidy": 0},
-        "seed": 3,
-    })
+    _, stats = run_stats_for(500, 10)
+    text = summary_json(stats, extra_fields={"seed": 3})
     assert text.endswith("\n")
     body = json.loads(text)
     assert body["r"] == 4 and body["p"] == 3
     assert body["steps"] == 10
     assert body["seed"] == 3
-    assert body["violations"] == 0
-    assert set(body["failure_counts"]) == {"completion", "tidy"}
     assert 0.0 <= body["final_uncolored_frac"] <= 1.0
 
 

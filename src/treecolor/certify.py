@@ -20,13 +20,10 @@ from .dynamics import (
     PaletteConfig,
     TuningParams,
     TypeDistribution,
-    TypeSpace,
     VertexType,
+    drift_field,
+    growth_rates,
     type_space,
-    _drift_kernel,
-    _growth_from_q,
-    _q_kernel,
-    _remainder_from_q,
 )
 from .errors import (
     CertificateParseError,
@@ -35,6 +32,7 @@ from .errors import (
     ConfigurationError,
     DegenerateDistributionError,
     SupercriticalError,
+    read_text,
 )
 
 DEFAULT_THRESHOLD = 0.99999
@@ -98,11 +96,6 @@ class StopTimeResult:
     reason: str | None = None
 
 
-def _rhs(space: TypeSpace, wvec: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # Stage inputs may dip microscopically below zero; evaluate on the clip.
-    return _drift_kernel(space, np.maximum(z, 0.0), wvec)
-
-
 def integrate(
     cfg: PaletteConfig,
     tuning: TuningParams,
@@ -118,81 +111,84 @@ def integrate(
     """
     if tuning.cfg != cfg:
         raise ConfigurationError("tuning and palette configs differ")
-    space = type_space(cfg)
-    wvec = tuning.vector()
-    h = control.step
-    n_steps = int(math.floor(control.max_time / h + 1e-9))
+    return _integrate(cfg, tuning, control.method, control.step, control.max_time,
+                      control.sample_stride, stop_at_remainder_below)
 
+
+def _integrate(
+    cfg: PaletteConfig,
+    tuning: TuningParams,
+    method: str,
+    h: float,
+    max_time: float,
+    sample_stride: int,
+    stop_below: float | None,
+) -> Trajectory:
+    """`integrate` with the control's fields unpacked, so that the Euler
+    comparison can take steps above the certifier's 0.1 cap."""
+    space = type_space(cfg)
+    field = drift_field(space, tuning.vector())
+
+    def rhs(z: np.ndarray) -> np.ndarray:
+        # stage inputs may dip microscopically below zero; evaluate on the clip
+        return field(np.maximum(z, 0.0))
+
+    n_steps = int(math.floor(max_time / h + 1e-9))
     z = TypeDistribution.initial(cfg).vec.copy()
-    times = [0.0]
-    states = [z.copy()]
-    q = _q_kernel(space, z)
-    g = _growth_from_q(space, q)
-    g_values = [g]
-    remainder_values = [_remainder_from_q(space, q)]
-    step_g_max = [g]
+    g, rem = growth_rates(space, z)
+    times, states = [0.0], [z.copy()]
+    g_values, remainder_values, step_g_max = [g], [rem], [g]
     clamp_events = 0
-    aborted = False
     abort_reason = None
     stopped = False
 
     interval_g = g
     for i in range(1, n_steps + 1):
+        t = i * h
         try:
-            if control.method == "rk4":
-                k1 = _rhs(space, wvec, z)
-                k2 = _rhs(space, wvec, z + 0.5 * h * k1)
-                k3 = _rhs(space, wvec, z + 0.5 * h * k2)
-                k4 = _rhs(space, wvec, z + h * k3)
+            if method == "rk4":
+                k1 = rhs(z)
+                k2 = rhs(z + 0.5 * h * k1)
+                k3 = rhs(z + 0.5 * h * k2)
+                k4 = rhs(z + h * k3)
                 z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             else:
-                z = z + h * _rhs(space, wvec, z)
+                z = z + h * rhs(z)
         except (DegenerateDistributionError, SupercriticalError) as exc:
-            # a stage evaluation blew up; report, don't crash
-            aborted = True
+            # a stage evaluation blew up: report it, and close the record
+            # with the last accepted state unless it is stored already
             abort_reason = (
                 "supercritical" if isinstance(exc, SupercriticalError)
                 else "mass_exhausted"
             )
-            if times[-1] != (i - 1) * h:
-                times.append((i - 1) * h)
-                states.append(z.copy())
-                g_values.append(g)
-                remainder_values.append(_remainder_from_q(space, q))
-                step_g_max.append(interval_g)
-            break
-        if (z < -1e-9).any():
-            clamp_events += 1
-        np.clip(z, 0.0, None, out=z)
-        try:
-            q = _q_kernel(space, z)
-        except DegenerateDistributionError:
-            aborted = True
-            abort_reason = "mass_exhausted"
-            break
-        g = _growth_from_q(space, q)
-        interval_g = max(interval_g, g)
-        if g >= GROWTH_ABORT:
-            aborted = True
-            abort_reason = "supercritical"
-            # record the offending point so diagnostics can show it
-            times.append(i * h)
+            t = (i - 1) * h
+            record = times[-1] != t
+        else:
+            if (z < -1e-9).any():
+                clamp_events += 1
+            np.clip(z, 0.0, None, out=z)
+            try:
+                g, rem = growth_rates(space, z)
+            except DegenerateDistributionError:
+                abort_reason = "mass_exhausted"
+                break
+            interval_g = max(interval_g, g)
+            if g >= GROWTH_ABORT:
+                # record the offending point so diagnostics can show it
+                abort_reason = "supercritical"
+                record = True
+            else:
+                record = i % sample_stride == 0 or i == n_steps
+                stopped = record and stop_below is not None and rem < stop_below
+        if record:
+            times.append(t)
             states.append(z.copy())
             g_values.append(g)
-            remainder_values.append(_remainder_from_q(space, q))
-            step_g_max.append(interval_g)
-            break
-        if i % control.sample_stride == 0 or i == n_steps:
-            times.append(i * h)
-            states.append(z.copy())
-            g_values.append(g)
-            rem = _remainder_from_q(space, q)
             remainder_values.append(rem)
             step_g_max.append(interval_g)
             interval_g = g
-            if stop_at_remainder_below is not None and rem < stop_at_remainder_below:
-                stopped = True
-                break
+        if abort_reason is not None or stopped:
+            break
 
     return Trajectory(
         cfg=cfg,
@@ -201,7 +197,7 @@ def integrate(
         g_values=np.array(g_values),
         remainder_values=np.array(remainder_values),
         step_g_max=np.array(step_g_max),
-        aborted=aborted,
+        aborted=abort_reason is not None,
         abort_reason=abort_reason,
         clamp_events=clamp_events,
         stopped_at_remainder=stopped,
@@ -437,10 +433,23 @@ _TOP_FIELDS = {
     "cfg": dict,
     "tuning": dict,
     "control": dict,
-    "threshold": float,
     "samples": dict,
     "refinements": list,
 }
+_NULLABLE_FIELDS = ("r", "max_g_on_0_r", "remainder_growth_at_r", "margin_g",
+                    "margin_remainder")
+
+
+def _number(value: Any, name: str) -> float:
+    """A finite JSON number; anything else raises CertificateParseError
+    naming the field."""
+    try:
+        finite = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise CertificateParseError(f"{name}: expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _parse_type_key(key: str) -> VertexType:
@@ -456,47 +465,49 @@ def _parse_type_key(key: str) -> VertexType:
 def load_certificate(path: str) -> Certificate:
     """Parse a certificate file; malformed content raises CertificateParseError
     naming the offending field.  No recomputation happens here."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path, CertificateParseError)
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateParseError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise CertificateParseError("top level: expected an object")
+    for name in (*_TOP_FIELDS, "threshold", *_NULLABLE_FIELDS):
+        if name not in raw:
+            raise CertificateParseError(f"missing field {name!r}")
     for name, typ in _TOP_FIELDS.items():
-        if name not in raw:
-            raise CertificateParseError(f"missing field {name!r}")
-        value = raw[name]
-        if typ is float and isinstance(value, int):
-            value = float(value)
-        if not isinstance(value, typ):
+        if not isinstance(raw[name], typ):
             raise CertificateParseError(f"field {name!r} has wrong type")
-    for name in ("r", "max_g_on_0_r", "remainder_growth_at_r", "margin_g",
-                 "margin_remainder"):
-        if name not in raw:
-            raise CertificateParseError(f"missing field {name!r}")
-        if raw[name] is not None and not isinstance(raw[name], (int, float)):
-            raise CertificateParseError(f"field {name!r} has wrong type")
+    summary = {
+        name: None if raw[name] is None else _number(raw[name], name)
+        for name in _NULLABLE_FIELDS
+    }
     cfg_raw = raw["cfg"]
     if "r" not in cfg_raw or "p" not in cfg_raw:
         raise CertificateParseError("cfg: missing r or p")
+    for name in ("r", "p"):
+        if type(cfg_raw[name]) is not int:
+            raise CertificateParseError(
+                f"cfg.{name}: expected an integer, got {cfg_raw[name]!r}"
+            )
     try:
-        cfg = PaletteConfig(int(cfg_raw["r"]), int(cfg_raw["p"]))
+        cfg = PaletteConfig(cfg_raw["r"], cfg_raw["p"])
     except ConfigurationError as exc:
         raise CertificateParseError(f"cfg: {exc}") from None
     ctl_raw = raw["control"]
     try:
         control = IntegrationControl(
-            method=str(ctl_raw["method"]),
-            step=float(ctl_raw["step"]),
-            max_time=float(ctl_raw["max_time"]),
-            sample_stride=int(ctl_raw["sample_stride"]),
-            halvings=int(ctl_raw["halvings"]),
+            method=ctl_raw["method"],
+            step=_number(ctl_raw["step"], "control.step"),
+            max_time=_number(ctl_raw["max_time"], "control.max_time"),
+            sample_stride=ctl_raw["sample_stride"],
+            halvings=ctl_raw["halvings"],
         )
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+    except (KeyError, ConfigurationError) as exc:
         raise CertificateParseError(f"control: {exc}") from None
-    tuning = {_parse_type_key(k): float(v) for k, v in raw["tuning"].items()}
+    tuning = {
+        _parse_type_key(k): _number(v, f"tuning.{k}") for k, v in raw["tuning"].items()
+    }
     samples = raw["samples"]
     for name in ("times", "g", "remainder", "states"):
         if name not in samples or not isinstance(samples[name], list):
@@ -505,28 +516,24 @@ def load_certificate(path: str) -> Certificate:
     if any(len(samples[k]) != n for k in ("g", "remainder", "states")):
         raise CertificateParseError("samples: arrays have mismatched lengths")
     space = type_space(cfg)
+    for name in ("times", "g", "remainder"):
+        for i, value in enumerate(samples[name]):
+            _number(value, f"samples.{name}[{i}]")
     for i, row in enumerate(samples["states"]):
         if not isinstance(row, list) or len(row) != space.size:
             raise CertificateParseError(f"samples.states[{i}]: wrong length")
+        for j, value in enumerate(row):
+            _number(value, f"samples.states[{i}][{j}]")
     if raw["status"] not in ("certified", "failed"):
         raise CertificateParseError(f"status: unknown value {raw['status']!r}")
     return Certificate(
-        schema_version=str(raw["schema_version"]),
+        schema_version=raw["schema_version"],
         status=raw["status"],
         cfg=cfg,
         tuning=tuning,
         control=control,
-        threshold=float(raw["threshold"]),
-        r=None if raw["r"] is None else float(raw["r"]),
-        max_g_on_0_r=None if raw["max_g_on_0_r"] is None else float(raw["max_g_on_0_r"]),
-        remainder_growth_at_r=(
-            None if raw["remainder_growth_at_r"] is None
-            else float(raw["remainder_growth_at_r"])
-        ),
-        margin_g=None if raw["margin_g"] is None else float(raw["margin_g"]),
-        margin_remainder=(
-            None if raw["margin_remainder"] is None else float(raw["margin_remainder"])
-        ),
+        threshold=_number(raw["threshold"], "threshold"),
+        **summary,
         samples=samples,
         refinements=raw["refinements"],
         diagnostics=raw.get("diagnostics", {}),
@@ -539,27 +546,26 @@ def verify_certificate(cert: Certificate) -> None:
     certified claims.  Raises CertificateVerificationError on any mismatch."""
     space = type_space(cert.cfg)
     times = np.asarray(cert.samples["times"], dtype=np.float64)
-    states = np.asarray(cert.samples["states"], dtype=np.float64)
+    states = np.asarray(cert.samples["states"], dtype=np.float64).reshape(-1, space.size)
     g_stored = np.asarray(cert.samples["g"], dtype=np.float64)
     rem_stored = np.asarray(cert.samples["remainder"], dtype=np.float64)
-    for i in range(len(times)):
-        try:
-            q = _q_kernel(space, states[i])
-        except DegenerateDistributionError:
+    try:
+        g, rem = growth_rates(space, states)
+    except DegenerateDistributionError:
+        i = int(np.argmin(states @ space.deg > 0.0))
+        raise CertificateVerificationError(
+            f"sample {i}: state has no positive-degree mass"
+        ) from None
+    # every check below is written as `not (ok)`, so that a NaN fails it
+    for name, stored, fresh in (("growth", g_stored, g), ("remainder", rem_stored, rem)):
+        bad = np.flatnonzero(~(np.abs(fresh - stored) <= 1e-9))
+        if bad.size:
+            i = int(bad[0])
             raise CertificateVerificationError(
-                f"sample {i}: state has no positive-degree mass"
-            ) from None
-        g = _growth_from_q(space, q)
-        rem = _remainder_from_q(space, q)
-        if abs(g - g_stored[i]) > 1e-9:
-            raise CertificateVerificationError(
-                f"sample {i}: stored growth {g_stored[i]!r} does not recompute ({g!r})"
+                f"sample {i}: stored {name} {float(stored[i])!r} does not recompute "
+                f"({float(fresh[i])!r})"
             )
-        if abs(rem - rem_stored[i]) > 1e-9:
-            raise CertificateVerificationError(
-                f"sample {i}: stored remainder {rem_stored[i]!r} does not recompute ({rem!r})"
-            )
-    if (np.diff(times) <= 0).any():
+    if not (np.diff(times) > 0).all():
         raise CertificateVerificationError("sample times are not increasing")
     if cert.status == "certified":
         for name in ("r", "max_g_on_0_r", "remainder_growth_at_r", "margin_g",
@@ -568,14 +574,15 @@ def verify_certificate(cert: Certificate) -> None:
                 raise CertificateVerificationError(f"certified but {name} is null")
         if not (cert.margin_g > 0.0 and cert.margin_remainder > 0.0):
             raise CertificateVerificationError("certified but margins not positive")
-        if abs(cert.threshold - cert.max_g_on_0_r - cert.margin_g) > 1e-12:
+        if not abs(cert.threshold - cert.max_g_on_0_r - cert.margin_g) <= 1e-12:
             raise CertificateVerificationError("margin_g inconsistent")
-        if abs(cert.threshold - cert.remainder_growth_at_r - cert.margin_remainder) > 1e-12:
+        rem_margin = cert.threshold - cert.remainder_growth_at_r
+        if not abs(rem_margin - cert.margin_remainder) <= 1e-12:
             raise CertificateVerificationError("margin_remainder inconsistent")
         upto = times <= cert.r + 1e-12
         if not upto.any():
             raise CertificateVerificationError("no stored samples at or before r")
-        if float(g_stored[upto].max()) > cert.max_g_on_0_r + 1e-9:
+        if not float(g_stored[upto].max()) <= cert.max_g_on_0_r + 1e-9:
             raise CertificateVerificationError(
                 "stored growth exceeds max_g_on_0_r before r"
             )
@@ -584,7 +591,7 @@ def verify_certificate(cert: Certificate) -> None:
         if not at_r.any():
             raise CertificateVerificationError("crossing sample for r not stored")
         idx = int(np.nonzero(at_r)[0][0])
-        if abs(rem_stored[idx] - cert.remainder_growth_at_r) > 1e-9:
+        if not abs(rem_stored[idx] - cert.remainder_growth_at_r) <= 1e-9:
             raise CertificateVerificationError(
                 "stored remainder at r does not match remainder_growth_at_r"
             )
@@ -630,19 +637,10 @@ def euler_ode_compare(
     # no crossing (e.g. zero weights) is not an error: compare over what ran
     stop_time = result.time if result.found else float(ref.times[-1])
 
-    space = type_space(cfg)
-    wvec = tuning.vector()
-    z = TypeDistribution.initial(cfg).vec.copy()
-    sup = 0.0
-    n = 0
-    while n * epsilon <= stop_time + 1e-12:
-        ref_idx = n * substeps
-        if ref_idx >= len(ref.times):
-            break
-        sup = max(sup, float(np.abs(z - ref.states[ref_idx]).max()))
-        q = _q_kernel(space, z)
-        if _growth_from_q(space, q) >= GROWTH_ABORT:
-            raise ComparisonFailureError("euler sequence went supercritical")
-        z = np.clip(z + epsilon * _drift_kernel(space, z, wvec), 0.0, None)
-        n += 1
-    return sup
+    euler = _integrate(cfg, tuning, "euler", epsilon, stop_time + 1e-12, 1, None)
+    if euler.abort_reason == "supercritical":
+        raise ComparisonFailureError("euler sequence went supercritical")
+    # Euler point n sits at reference index n * substeps
+    ref_states = ref.states[::substeps]
+    n = min(len(euler.states), len(ref_states))
+    return float(np.abs(euler.states[:n] - ref_states[:n]).max())

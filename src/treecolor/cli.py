@@ -51,6 +51,7 @@ from .errors import (
     CertificateVerificationError,
     ConfigurationError,
     TreecolorError,
+    read_text,
 )
 from .graphs import Graph, gen_regular_graph, gen_tree_ball, parse_fixture, write_fixture
 from .process import (
@@ -101,8 +102,7 @@ def _parse_weight(text: str) -> tuple[VertexType, float]:
 def _read_config_file(path: str) -> list[tuple[str, str]]:
     """Ordered key=value pairs; blank lines and #-comments skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        raw = read_text(path, ConfigurationError)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from None
     pairs = []
@@ -555,8 +555,7 @@ def _verify_dump(args) -> int:
     n, r, p, colors = read_coloring(args.dump)
     graph_path = args.graph if args.graph else args.dump + ".graph"
     try:
-        with open(graph_path, "r", encoding="utf-8") as fh:
-            graph, _ = parse_fixture(fh.read())
+        graph, _ = parse_fixture(read_text(graph_path, ConfigurationError))
     except OSError as exc:
         raise ConfigurationError(f"cannot read graph fixture: {exc}") from None
     if (graph.n, graph.r) != (n, r):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -50,9 +50,22 @@ class PaletteConfig:
 
 class TypeSpace:
     """Canonical ordering of the type space T = {(d, c): 0<=d<=r, 2<=c<=p}
-    plus precomputed index arrays used by the vectorized kernels.
+    and the fixed vectors and matrix that every rate is built from.
 
     Types are ordered lexicographically: (0,2), (0,3), ..., (r,p).
+
+    A neighbor of an uncolored vertex has type t with the size-biased
+    probability q_t = deg_t z_t / deg·z, so every rate is a ratio of two
+    dot products over deg∘z.  With a_t = (2/p)(d-1)[c=2]:
+
+    - cascade growth g = (a∘deg)·z / deg·z;
+    - remainder growth m = ((deg-1)∘deg)·z / deg·z;
+    - forced fraction ((2/p)[c=2]∘deg)·z / deg·z;
+    - one branch of a forced cascade changes the type counts by K z / v·z,
+      where v = (1-a)∘deg, so v·z = deg·z (1 - g), and K = (B - I) diag(deg).
+      B moves a neighbor of type (d+1, c+1) to (d, c) with probability
+      (c+1)/p (the parent's color was available to it) and one of type
+      (d+1, c) to (d, c) with probability (p-c)/p (it was not).
     """
 
     def __init__(self, cfg: PaletteConfig) -> None:
@@ -64,26 +77,18 @@ class TypeSpace:
         self.size = len(self.types)  # (r+1)(p-1)
         self.index: dict[VertexType, int] = {t: i for i, t in enumerate(self.types)}
         self.deg = np.array([t.d for t in self.types], dtype=np.float64)
-        self.colors = np.array([t.c for t in self.types], dtype=np.float64)
-        # Mask of types with c == 2 (the only ones that can be forced).
-        self.forced_mask = np.array([t.c == 2 for t in self.types], dtype=bool)
-        # For a target type (d, c), a branch gains mass from (d+1, c+1) when the
-        # parent color was available to the neighbor, and from (d+1, c) when it
-        # was not.  Out-of-space sources point at a padding slot holding 0.
-        pad = self.size
-        gain_avail = np.full(self.size, pad, dtype=np.intp)
-        gain_blocked = np.full(self.size, pad, dtype=np.intp)
+        forced = np.array([t.c == 2 for t in self.types], dtype=np.float64)
+        growth_row = (2.0 / p) * (self.deg - 1.0) * forced * self.deg
+        # products with a state z give deg·z, (a∘deg)·z and ((deg-1)∘deg)·z
+        self.rate_rows = np.stack([self.deg, growth_row, (self.deg - 1.0) * self.deg])
+        self.forced_row = (2.0 / p) * forced * self.deg
+        self.slack_row = self.deg - growth_row  # v
+        gain = -np.eye(self.size)
         for i, (d, c) in enumerate(self.types):
-            src1 = VertexType(d + 1, c + 1)
-            src2 = VertexType(d + 1, c)
-            if src1 in self.index:
-                gain_avail[i] = self.index[src1]
-            if src2 in self.index:
-                gain_blocked[i] = self.index[src2]
-        self.gain_avail = gain_avail
-        self.gain_blocked = gain_blocked
-        self.coef_avail = (self.colors + 1.0) / p
-        self.coef_blocked = (p - self.colors) / p
+            for src, prob in (((d + 1, c + 1), (c + 1) / p), ((d + 1, c), (p - c) / p)):
+                if src in self.index:
+                    gain[i, self.index[src]] += prob
+        self.kernel = gain * self.deg  # K
 
     def vector_from_mapping(self, mapping: Mapping[VertexType, float]) -> np.ndarray:
         vec = np.zeros(self.size, dtype=np.float64)
@@ -96,13 +101,9 @@ class TypeSpace:
 
 
 @lru_cache(maxsize=None)
-def _space_cache(r: int, p: int) -> TypeSpace:
-    return TypeSpace(PaletteConfig(r, p))
-
-
 def type_space(cfg: PaletteConfig) -> TypeSpace:
     """Shared TypeSpace instance for a palette config."""
-    return _space_cache(cfg.r, cfg.p)
+    return TypeSpace(cfg)
 
 
 @dataclass
@@ -216,59 +217,60 @@ class EulerStep(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Array kernels.  These operate on raw vectors in canonical type order and are
-# shared by the public wrappers below and the trajectory integrator.
+# Raw-vector rates.  These take states in canonical type order; the integrator
+# calls them directly and the public operations below wrap them.
 # ---------------------------------------------------------------------------
 
-def _q_kernel(space: TypeSpace, zvec: np.ndarray) -> np.ndarray:
-    """Size-biased law q_t = deg(t) z_t / sum_s deg(s) z_s."""
-    weighted = space.deg * zvec
-    total = weighted.sum()
-    if total <= 0.0:
-        raise DegenerateDistributionError(
-            "no mass on positive-degree types; neighbor law undefined"
-        )
-    return weighted / total
+_DEGENERATE = "no mass on positive-degree types; neighbor law undefined"
 
 
-def _growth_from_q(space: TypeSpace, q: np.ndarray) -> float:
-    # Cascade growth: mean forced offspring per cascade vertex,
-    # (2/p) * sum_d (d-1) q_{(d,2)}.
-    p = space.cfg.p
-    return float((2.0 / p) * ((space.deg - 1.0) * q)[space.forced_mask].sum())
+def _mass(space: TypeSpace, zvec: np.ndarray) -> float:
+    """deg·z, the normalizer of the size-biased law."""
+    mass = float(space.deg @ zvec)
+    if not mass > 0.0:
+        raise DegenerateDistributionError(_DEGENERATE)
+    return mass
 
 
-def _forced_fraction_from_q(space: TypeSpace, q: np.ndarray) -> float:
-    # Probability a cascade-adjacent neighbor is forced: (2/p) * sum_d q_{(d,2)}.
-    return float((2.0 / space.cfg.p) * q[space.forced_mask].sum())
+def _check_slack(mass: float, slack: float) -> None:
+    if not slack > 0.0:
+        raise SupercriticalError(f"cascade growth {1.0 - slack / mass:g} >= 1")
 
 
-def _remainder_from_q(space: TypeSpace, q: np.ndarray) -> float:
-    return float(((space.deg - 1.0) * q).sum())
+def _slack(space: TypeSpace, zvec: np.ndarray) -> float:
+    """v·z = deg·z (1 - g), positive while forced cascades die out."""
+    slack = float(space.slack_row @ zvec)
+    _check_slack(_mass(space, zvec), slack)
+    return slack
 
 
-def _branch_delta_kernel(space: TypeSpace, q: np.ndarray, growth: float) -> np.ndarray:
-    """Expected net change per branch of the count of each type, over the whole
-    forced cascade spreading down that branch."""
-    if growth >= 1.0:
-        raise SupercriticalError(f"cascade growth {growth:g} >= 1")
-    q_ext = np.append(q, 0.0)  # padding slot for out-of-space sources
-    gains = (
-        space.coef_avail * q_ext[space.gain_avail]
-        + space.coef_blocked * q_ext[space.gain_blocked]
-    )
-    return (gains - q) / (1.0 - growth)
+def growth_rates(
+    space: TypeSpace, zvec: np.ndarray
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Cascade growth g and remainder growth m of a raw state vector, or,
+    as arrays, of every row of a stack of states."""
+    mass, growth, remainder = space.rate_rows @ zvec.T
+    if not (mass > 0.0).all():
+        raise DegenerateDistributionError(_DEGENERATE)
+    return growth / mass, remainder / mass
 
 
-def _drift_kernel(space: TypeSpace, zvec: np.ndarray, wvec: np.ndarray) -> np.ndarray:
-    """Drift F_t(z) = sum_s w_s z_s Delta_{s,t}(z), the epsilon-free rate of
-    change of z under the activation weights w."""
-    q = _q_kernel(space, zvec)
-    growth = _growth_from_q(space, q)
-    branch = _branch_delta_kernel(space, q, growth)
-    # Delta_{s,t} = -[s==t] + deg(s) * branch_t, so the weighted sum collapses:
-    activation_mass = float((wvec * zvec * space.deg).sum())
-    return -wvec * zvec + activation_mass * branch
+def drift_field(space: TypeSpace, wvec: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The drift F(z) = -w∘z + (u·z)/(v·z) K z on raw state vectors, with
+    u = w∘deg: activations at rate w_s z_s, each opening deg(s) branches."""
+    n = space.size
+    # one product gives K z, deg·z, u·z and v·z
+    ops = np.vstack([space.kernel, space.deg, wvec * space.deg, space.slack_row])
+
+    def field(zvec: np.ndarray) -> np.ndarray:
+        y = ops @ zvec
+        mass, active, slack = y[n:]
+        if not mass > 0.0:
+            raise DegenerateDistributionError(_DEGENERATE)
+        _check_slack(mass, slack)
+        return (active / slack) * y[:n] - wvec * zvec
+
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -279,34 +281,34 @@ def size_biased_law(z: TypeDistribution) -> dict[VertexType, float]:
     """Law of the type of a uniformly random uncolored neighbor of a random
     uncolored vertex.  Degree-weighted: q_t = deg(t) z_t / sum_s deg(s) z_s."""
     space = z.space
-    q = _q_kernel(space, z.vec)
+    q = space.deg * z.vec / _mass(space, z.vec)
     return dict(zip(space.types, q.tolist()))
 
 
 def cascade_growth(z: TypeDistribution) -> float:
     """Mean number of forced colorings spawned per forced coloring,
     (2/p) * sum_d (d-1) q_{(d,2)}.  Below 1 means cascades die out."""
-    space = z.space
-    return _growth_from_q(space, _q_kernel(space, z.vec))
+    return float(growth_rates(z.space, z.vec)[0])
 
 
 def remainder_growth(z: TypeDistribution) -> float:
     """Mean offspring sum_s (deg(s)-1) q_s of the branching process describing
     connected components of the uncolored remainder."""
-    space = z.space
-    return _remainder_from_q(space, _q_kernel(space, z.vec))
+    return float(growth_rates(z.space, z.vec)[1])
+
+
+def _type_index(z: TypeDistribution, t: VertexType) -> int:
+    t = VertexType(*t)
+    if t not in z.space.index:
+        raise ConfigurationError(f"type {t} outside type space for {z.cfg}")
+    return z.space.index[t]
 
 
 def branch_type_delta(z: TypeDistribution, t: VertexType) -> float:
     """Expected net change of the type-t vertex count caused by one branch
     hanging off a freshly activated vertex (forced cascade included)."""
-    space = z.space
-    t = VertexType(*t)
-    if t not in space.index:
-        raise ConfigurationError(f"type {t} outside type space for {z.cfg}")
-    q = _q_kernel(space, z.vec)
-    growth = _growth_from_q(space, q)
-    return float(_branch_delta_kernel(space, q, growth)[space.index[t]])
+    i = _type_index(z, t)
+    return float(z.space.kernel[i] @ z.vec / _slack(z.space, z.vec))
 
 
 def cascade_type_delta(
@@ -315,40 +317,29 @@ def cascade_type_delta(
     """Expected net type changes from activating one vertex of each type:
     entry (s, t) is -[s==t] + deg(s) * branch_type_delta(z, t)."""
     space = z.space
-    q = _q_kernel(space, z.vec)
-    growth = _growth_from_q(space, q)
-    branch = _branch_delta_kernel(space, q, growth)
-    out: dict[tuple[VertexType, VertexType], float] = {}
-    for i, s in enumerate(space.types):
-        row = space.deg[i] * branch
-        for j, t in enumerate(space.types):
-            val = row[j] - (1.0 if i == j else 0.0)
-            out[(s, t)] = float(val)
-    return out
+    branch = space.kernel @ z.vec / _slack(space, z.vec)
+    mat = np.outer(space.deg, branch) - np.eye(space.size)
+    return {
+        (s, t): val
+        for s, row in zip(space.types, mat.tolist())
+        for t, val in zip(space.types, row)
+    }
 
 
 def expected_cascade_size(z: TypeDistribution, s: VertexType) -> float:
     """Expected number of vertices colored when a type-s vertex activates:
     1 + deg(s) * forced_fraction / (1 - growth)."""
     space = z.space
-    s = VertexType(*s)
-    if s not in space.index:
-        raise ConfigurationError(f"type {s} outside type space for {z.cfg}")
-    q = _q_kernel(space, z.vec)
-    growth = _growth_from_q(space, q)
-    if growth >= 1.0:
-        raise SupercriticalError(f"cascade growth {growth:g} >= 1")
-    forced = _forced_fraction_from_q(space, q)
-    return float(1.0 + s.d * forced / (1.0 - growth))
+    d = space.types[_type_index(z, s)].d
+    return 1.0 + d * float(space.forced_row @ z.vec) / _slack(space, z.vec)
 
 
 def drift(z: TypeDistribution, tuning: TuningParams) -> dict[VertexType, float]:
     """Rate of change of z per unit time: F_t = sum_s w_s z_s Delta_{s,t}."""
     if tuning.cfg != z.cfg:
         raise ConfigurationError("tuning and distribution configs differ")
-    space = z.space
-    vec = _drift_kernel(space, z.vec, tuning.vector())
-    return dict(zip(space.types, vec.tolist()))
+    vec = drift_field(z.space, tuning.vector())(z.vec)
+    return dict(zip(z.space.types, vec.tolist()))
 
 
 def euler_step(z: TypeDistribution, tuning: TuningParams) -> EulerStep:
@@ -358,7 +349,6 @@ def euler_step(z: TypeDistribution, tuning: TuningParams) -> EulerStep:
         raise ConfigurationError("euler_step needs tuning with epsilon set")
     if tuning.cfg != z.cfg:
         raise ConfigurationError("tuning and distribution configs differ")
-    space = z.space
-    new_vec = z.vec + tuning.epsilon * _drift_kernel(space, z.vec, tuning.vector())
+    new_vec = z.vec + tuning.epsilon * drift_field(z.space, tuning.vector())(z.vec)
     clamped = int((new_vec < -1e-9).sum())
     return EulerStep(TypeDistribution(z.cfg, np.clip(new_vec, 0.0, None)), clamped)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of text
+input files that reports undecodable bytes as one of them."""
 
 
 class TreecolorError(Exception):
@@ -44,3 +45,13 @@ class ComparisonFailureError(TreecolorError, RuntimeError):
 
 class InternalConsistencyError(TreecolorError, AssertionError):
     """A process invariant that should be unbreakable was broken."""
+
+
+def read_text(path: str, error: type[TreecolorError]) -> str:
+    """Contents of the UTF-8 text file at `path`.  Bytes that are not UTF-8
+    raise `error` naming the file; OSError passes through."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PaletteConfig, TuningParams, TypeDistribution, VertexType, type_space
-from .errors import ConfigurationError, InternalConsistencyError
+from .errors import ConfigurationError, InternalConsistencyError, read_text
 from .graphs import Graph, int_fields
 from .listcolor import COLORED, color_component, connected_components
 
@@ -901,8 +901,8 @@ def write_coloring(state: ColoringState, path: str) -> None:
 
 def read_coloring(path: str) -> tuple[int, int, int, np.ndarray]:
     """Read a coloring dump; returns (n, r, p, colors)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in read_text(path, ConfigurationError).splitlines()]
+    lines = [ln for ln in lines if ln]
     if not lines:
         raise ConfigurationError("coloring dump: empty file")
     head = lines[0].split()

@@ -60,7 +60,6 @@ class RunStats:
     extra_fracs: list[float]
     active_counts: list[int]
     cascade_sizes: list[list[int]]
-    rounds_used: list[int]
     buffer_colored_per_round: list[int] = field(default_factory=list)
 
     @property
@@ -97,7 +96,6 @@ def collect_run_stats(
     extra_fracs = [extra / n]
     active_counts: list[int] = []
     cascade_sizes: list[list[int]] = []
-    rounds_used: list[int] = []
     buffer_rounds: list[int] = []
     for rep in reports:
         red += rep.rule3 + rep.rule4
@@ -111,7 +109,6 @@ def collect_run_stats(
         extra_fracs.append(extra / n)
         active_counts.append(rep.active)
         cascade_sizes.append(sorted(c.total_colored for c in rep.cascades))
-        rounds_used.append(rep.rounds)
     for frac, z in zip(red_fracs, distributions):
         if z.mass() + frac > 1.0 + 1e-12:
             raise ConfigurationError("uncolored and red fractions exceed 1")
@@ -125,7 +122,6 @@ def collect_run_stats(
         extra_fracs=extra_fracs,
         active_counts=active_counts,
         cascade_sizes=cascade_sizes,
-        rounds_used=rounds_used,
         buffer_colored_per_round=buffer_rounds,
     )
 

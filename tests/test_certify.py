@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from treecolor.dynamics import (
 from treecolor.errors import (
     CertificateParseError,
     CertificateVerificationError,
+    ComparisonFailureError,
     ConfigurationError,
 )
 
@@ -276,6 +279,15 @@ def test_certificate_tampered_sample_rejected(cert43, tmp_path):
         verify_certificate(loaded)
 
 
+@pytest.mark.parametrize("name", ["g", "remainder"])
+def test_certificate_non_finite_sample_rejected(cert43, name):
+    # NaN fails every `diff > tol` test, so a stored NaN must fail by being NaN
+    n = len(cert43.samples["times"])
+    samples = dict(cert43.samples, **{name: [math.nan] * n})
+    with pytest.raises(CertificateVerificationError, match="sample 0"):
+        verify_certificate(dataclasses.replace(cert43, samples=samples))
+
+
 def test_certificate_truncated_file_parse_error(cert43, tmp_path):
     path = tmp_path / "cert.json"
     save_certificate(cert43, str(path))
@@ -316,6 +328,19 @@ def test_euler_ode_compare_zero_weights():
     zero = TuningParams(CFG43, {t: 0.0 for t in space.types})
     control = IntegrationControl(step=5e-3, max_time=0.3)
     assert euler_ode_compare(CFG43, zero, 0.05, control) == 0.0
+
+
+def test_euler_ode_compare_reports_supercritical_euler_sequence():
+    # the flow of these weights stays subcritical (max g 0.926), but Euler
+    # steps of 0.2, above the integrator's own 0.1 cap, overshoot past g = 1
+    space = type_space(CFG43)
+    tuning = TuningParams(
+        CFG43, {t: 2.0 ** (1 - t.d) if t.d != 1 else 2.0 ** -10 for t in space.types}
+    )
+    control = IntegrationControl(step=1e-2)
+    assert euler_ode_compare(CFG43, tuning, 0.1, control) > 0.0
+    with pytest.raises(ComparisonFailureError, match="euler"):
+        euler_ode_compare(CFG43, tuning, 0.2, control)
 
 
 def test_euler_ode_compare_epsilon_validation():

@@ -63,6 +63,37 @@ def test_verify_detects_tampered_certificate(cert_path, tmp_path):
     assert main(["verify", "--cert", str(tampered)]) == 1
 
 
+def _set_every_g_null(raw):
+    raw["samples"]["g"] = [None] * len(raw["samples"]["g"])
+
+
+@pytest.mark.parametrize("field, mutate", [
+    pytest.param("tuning.4,3", lambda raw: raw["tuning"].update({"4,3": "abc"}),
+                 id="tuning-str"),
+    pytest.param("tuning.4,3", lambda raw: raw["tuning"].update({"4,3": [1]}),
+                 id="tuning-list"),
+    pytest.param("tuning.4,3", lambda raw: raw["tuning"].update({"4,3": 10 ** 400}),
+                 id="tuning-huge-int"),
+    pytest.param("cfg.r", lambda raw: raw["cfg"].update(r="x"), id="cfg-r-str"),
+    pytest.param("samples.times[2]",
+                 lambda raw: raw["samples"]["times"].__setitem__(2, "x"), id="times-str"),
+    pytest.param("samples.states[2][5]",
+                 lambda raw: raw["samples"]["states"][2].__setitem__(5, "x"),
+                 id="states-str"),
+    pytest.param("samples.g[0]", _set_every_g_null, id="g-null"),
+    pytest.param("control.step", lambda raw: raw["control"].update(step="0.005"),
+                 id="step-str"),
+])
+def test_verify_names_non_numeric_certificate_field(cert_path, tmp_path, capsys,
+                                                    field, mutate):
+    raw = json.loads(open(cert_path).read())
+    mutate(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["verify", "--cert", str(bad)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_verify_flags_failed_status_certificate(tmp_path):
     path = str(tmp_path / "failed.json")
     assert main(["certify", "--r", "4", "--p", "3", "--threshold", "0.5",
@@ -372,6 +403,22 @@ def test_verify_dump_rejects_graph_of_another_degree(finished_dump, tmp_path, ca
     assert main(["verify", "--dump", str(other),
                  "--graph", str(finished_dump) + ".graph"]) == 2
     assert "r=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["config", "cert", "dump", "graph"])
+def test_non_utf8_input_names_the_file(finished_dump, tmp_path, capsys, reader):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("r=4 # caf\u00e9\n".encode("latin-1"))
+    graph = str(finished_dump) + ".graph"
+    argv = {
+        "config": ["certify", "--config", str(bad)],
+        "cert": ["verify", "--cert", str(bad)],
+        "dump": ["verify", "--dump", str(bad), "--graph", graph],
+        "graph": ["verify", "--dump", str(finished_dump), "--graph", str(bad)],
+    }[reader]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err
 
 
 def test_verify_needs_exactly_one_target(cert_path, finished_dump):

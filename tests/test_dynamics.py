@@ -230,6 +230,45 @@ def test_drift_conserves_colored_mass_rate():
             assert abs(total - expected) <= 1e-10
 
 
+def _padded_index_drift(cfg, zvec, wvec):
+    """The drift as first written: size-biased law q, growth g, and per-type
+    gains gathered through index arrays whose out-of-space sources point at
+    a padding slot holding 0."""
+    types = [VertexType(d, c) for d in range(cfg.r + 1) for c in range(2, cfg.p + 1)]
+    index = {t: i for i, t in enumerate(types)}
+    pad = len(types)
+    deg = np.array([t.d for t in types], dtype=np.float64)
+    colors = np.array([t.c for t in types], dtype=np.float64)
+    forced = colors == 2
+    gain_avail = np.array([index.get((d + 1, c + 1), pad) for d, c in types])
+    gain_blocked = np.array([index.get((d + 1, c), pad) for d, c in types])
+    q = deg * zvec / (deg * zvec).sum()
+    growth = (2.0 / cfg.p) * ((deg - 1.0) * q)[forced].sum()
+    q_ext = np.append(q, 0.0)
+    gains = (
+        (colors + 1.0) / cfg.p * q_ext[gain_avail]
+        + (cfg.p - colors) / cfg.p * q_ext[gain_blocked]
+    )
+    branch = (gains - q) / (1.0 - growth)
+    return -wvec * zvec + (wvec * zvec * deg).sum() * branch
+
+
+def test_drift_matches_padded_index_reference():
+    rng = np.random.default_rng(41)
+    for cfg in (CFG43, CFG64):
+        tuning = default_tuning(cfg)
+        wvec = tuning.vector()
+        fresh = TypeDistribution.initial(cfg)
+        assert np.array_equal(
+            np.array(list(drift(fresh, tuning).values())),
+            _padded_index_drift(cfg, fresh.vec, wvec),
+        )
+        for _ in range(200):
+            z = random_subcritical(rng, cfg)
+            closed = np.array(list(drift(z, tuning).values()))
+            assert np.abs(closed - _padded_index_drift(cfg, z.vec, wvec)).max() <= 1e-12
+
+
 def test_euler_step_frozen():
     tuning = default_tuning(CFG43, epsilon=0.01)
     stepped, clamped = euler_step(TypeDistribution.initial(CFG43), tuning)

@@ -542,13 +542,32 @@ def load_certificate(path: str) -> Certificate:
 
 
 def verify_certificate(cert: Certificate) -> None:
-    """Recompute growth and remainder at every stored sample and recheck the
-    certified claims.  Raises CertificateVerificationError on any mismatch."""
+    """Check the stored states, recompute growth and remainder at every
+    stored sample and recheck the certified claims.  Raises
+    CertificateVerificationError on any mismatch."""
     space = type_space(cert.cfg)
     times = np.asarray(cert.samples["times"], dtype=np.float64)
     states = np.asarray(cert.samples["states"], dtype=np.float64).reshape(-1, space.size)
     g_stored = np.asarray(cert.samples["g"], dtype=np.float64)
     rem_stored = np.asarray(cert.samples["remainder"], dtype=np.float64)
+    # every check below is written as `not (ok)`, so that a NaN fails it.
+    # g and the remainder are ratios, so they recompute even from a rescaled
+    # state: the states are checked first, as a flow from the fresh state.
+    initial = TypeDistribution.initial(cert.cfg).vec
+    if not (len(states) and (np.abs(states[0] - initial) <= 1e-12).all()):
+        raise CertificateVerificationError("sample 0: state is not the fresh state")
+    mass = states.sum(axis=1)
+    checks = (
+        ("has a negative or non-finite entry",
+         ~(np.isfinite(states) & (states >= 0.0)).all(axis=1)),
+        ("has mass above 1", ~(mass <= 1.0)),
+        ("has more mass than the sample before it",
+         np.r_[False, ~(np.diff(mass) <= 0.0)]),
+    )
+    for what, bad in checks:
+        if bad.any():
+            raise CertificateVerificationError(
+                f"sample {int(np.argmax(bad))}: state {what}")
     try:
         g, rem = growth_rates(space, states)
     except DegenerateDistributionError:
@@ -556,7 +575,6 @@ def verify_certificate(cert: Certificate) -> None:
         raise CertificateVerificationError(
             f"sample {i}: state has no positive-degree mass"
         ) from None
-    # every check below is written as `not (ok)`, so that a NaN fails it
     for name, stored, fresh in (("growth", g_stored, g), ("remainder", rem_stored, rem)):
         bad = np.flatnonzero(~(np.abs(fresh - stored) <= 1e-9))
         if bad.size:

@@ -20,7 +20,6 @@ fields or as leading `#` comment lines.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -360,12 +359,14 @@ def cmd_integrate(args) -> int:
 
 
 def _resolve_steps(args, epsilon: float):
-    """Step count plus the certificate, when one was both given and needed."""
+    """Step count plus the certificate, when one was given; a certificate
+    is verified before anything is read from it."""
     if epsilon <= 0.0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     cert = None
     if args.cert:
         cert = load_certificate(args.cert)
+        verify_certificate(cert)
     if args.steps is not None:
         if args.steps < 0:
             raise ConfigurationError(f"steps must be >= 0, got {args.steps}")

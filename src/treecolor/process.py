@@ -7,6 +7,13 @@ available color are forced to take it, and adjacent simultaneous colorings
 are both replaced by red.  The modified mode adds buffer rounds that relieve
 red neighborhoods, and the final phases complete and tidy the coloring.
 
+A `ColoringState` holds the graph, the palette, the randomness, the step
+counter and four per-vertex arrays: color, uncolored degree, the mask of
+palette colors seen among neighbors and the available-color count.  Every
+commit (presets, greedy steps, buffer rounds, traced cascades and phase 2)
+goes through `_RoundEngine.commit`, which keeps the three counting arrays in
+step with the colors; the tidy-up only rewrites colors of a finished run.
+
 All randomness is a pure function of (seed, step, purpose, vertex) through
 counter-based streams, so a seed plus the step counter fully determines every
 future draw and runs are bit-reproducible.
@@ -44,35 +51,33 @@ class ProcessRandomness:
     """Counter-based per-step randomness keyed by (seed, step, purpose).
 
     Each step re-derives its uniforms from the key, and a vertex always reads
-    slot v of the array, so draws are independent of evaluation order.
+    slot v of the array, so draws are independent of evaluation order.  A
+    Philox stream's prefix does not depend on how many values are drawn, so
+    the step's color uniforms are drawn once, at the length the activation
+    mask was given, and every vertex still reads the same value.
     """
 
     def __init__(self, seed: int):
         if seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {seed}")
         self.seed = int(seed)
-        self.n_hint = 0
-        self._cache_step: int | None = None
-        self._cache: dict[int, np.ndarray] = {}
+        self._n = 0
+        self._color_step: int | None = None
+        self._color_u = np.empty(0)
 
     def _uniforms(self, step: int, purpose: int, n: int) -> np.ndarray:
-        if step != self._cache_step:
-            self._cache_step = step
-            self._cache = {}
-        arr = self._cache.get(purpose)
-        if arr is None or len(arr) < n:
-            key = np.array([self.seed, (step << 2) | purpose], dtype=np.uint64)
-            arr = np.random.Generator(np.random.Philox(key=key)).random(
-                max(n, self.n_hint)
-            )
-            self._cache[purpose] = arr
-        return arr
+        key = np.array([self.seed, (step << 2) | purpose], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key)).random(n)
 
     def activation_mask(self, step: int, probs: np.ndarray) -> np.ndarray:
+        self._n = len(probs)
         return self._uniforms(step, _PURPOSE_ACTIVATION, len(probs)) < probs
 
     def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
-        u = self._uniforms(step, _PURPOSE_COLOR, v + 1)[v]
+        if step != self._color_step or v >= len(self._color_u):
+            self._color_step = step
+            self._color_u = self._uniforms(step, _PURPOSE_COLOR, max(self._n, v + 1))
+        u = self._color_u[v]
         idx = min(int(u * len(avail)), len(avail) - 1)
         return avail[idx]
 
@@ -223,8 +228,9 @@ class ProperReport:
 
 class ColoringState:
     """Mutable coloring of one graph, with the incremental bookkeeping the
-    process rules need: per-vertex uncolored degree, the bitmask of palette
-    colors seen among neighbors, and the available-color count."""
+    process rules need: per-vertex color, uncolored degree, the bitmask of
+    palette colors seen among neighbors, and the available-color count.
+    Every commit, presets included, goes through a `_RoundEngine`."""
 
     def __init__(self, graph: Graph, cfg: PaletteConfig, seed: int = 0,
                  presets: list[tuple[int, int]] | None = None,
@@ -237,44 +243,22 @@ class ColoringState:
         self.graph = graph
         self.cfg = cfg
         self.rng = rng if rng is not None else ProcessRandomness(seed)
-        if hasattr(self.rng, "n_hint"):
-            self.rng.n_hint = graph.n
         self.step = 0
         n = graph.n
         self.color = np.full(n, UNCOLORED, dtype=np.int16)
         self.uncolored_deg = degs.astype(np.int64)
         self.seen_mask = np.zeros(n, dtype=np.int64)
         self.avail_count = np.full(n, cfg.p, dtype=np.int64)
-        # "touched this macro-step" bookkeeping, reset lazily via stamps
-        self._stamp = 0
-        self._touch_stamp = np.full(n, -1, dtype=np.int64)
-        self._touch_count = np.zeros(n, dtype=np.int64)
-        self._last_toucher = np.full(n, -1, dtype=np.int64)
-        self._last_reducer = np.full(n, -1, dtype=np.int64)
-        self._pending_stamp = np.full(n, -1, dtype=np.int64)
+        engine = _RoundEngine(self, StepReport(step=0))
         for v, c in presets or []:
             if not (0 <= c < cfg.p):
                 raise ConfigurationError(f"preset color {c} for vertex {v} invalid")
             if self.color[v] != UNCOLORED:
                 raise ConfigurationError(f"vertex {v} preset twice")
-            self._apply_color(v, c)
+            engine.commit(v, c, touch=False)
         bad = self._invariant_violation()
         if bad is not None:
             raise ConfigurationError(f"presets violate an invariant: {bad}")
-
-    # -- low-level commits ---------------------------------------------------
-
-    def _apply_color(self, v: int, c: int) -> None:
-        """Set a palette color and update neighbor bookkeeping (no step
-        accounting; used for presets)."""
-        self.color[v] = c
-        bit = 1 << c
-        for u in self.graph.neighbors(v):
-            u = int(u)
-            self.uncolored_deg[u] -= 1
-            if self.color[u] == UNCOLORED and not (self.seen_mask[u] & bit):
-                self.seen_mask[u] |= bit
-                self.avail_count[u] -= 1
 
     def available_colors(self, v: int) -> tuple[int, ...]:
         mask = int(self.seen_mask[v])
@@ -349,38 +333,41 @@ class _RoundEngine:
     """Executes reaction rounds on a state: rule 3 (two step-colored
     neighbors -> red, transitively), rule 2 (single available color ->
     forced), rule 4 (adjacent simultaneous colorings -> both red), with
-    simultaneous commits per round."""
+    simultaneous commits per round.  `commit` is the only way a vertex gets
+    a color.
+
+    An engine lives for one greedy step, one buffer round, one traced
+    cascade or one bulk commit, so its bookkeeping is local to it.  Every
+    uncolored vertex has at least two colors when an engine starts (the
+    state's invariants), so a vertex the engine finds forced or starved was
+    reduced by a commit of this engine."""
 
     def __init__(self, state: ColoringState, report: StepReport,
-                 track_cascades: bool = False, undo_log: list | None = None,
-                 scoped: bool = False):
+                 undo_log: list | None = None, scoped: bool = False):
         self.state = state
         self.report = report
-        self.track = track_cascades
         self.undo = undo_log
         # Scoped mode restricts rules 3/4 to collisions between cascades of
         # different lineages.  Buffer rounds need it: on a tree two cascades
         # serving one red cluster can never meet (the meeting would close a
         # cycle), so any such meeting on a finite graph is a geometry
         # artifact, and crediting it lets red regions feed on themselves.
+        # Unscoped engines (greedy steps, traces) record cascades instead.
         self.scoped = scoped
-        state._stamp += 1
-        self.stamp = state._stamp
         self.dirty: list[int] = []
         self.cascade_of: dict[int, int] = {}
         self.gen_of: dict[int, int] = {}
+        # per vertex: touches, last toucher, last commit that took a color
+        self._touches: dict[int, int] = {}
+        self._toucher: dict[int, int] = {}
+        self._reducer: dict[int, int] = {}
         self._prov_seen: dict[int, int] = {}
         self._prov_multi: set[int] = set()
 
-    # -- commit primitives ----------------------------------------------------
+    # -- commits ---------------------------------------------------------------
 
     def _touch(self, v: int, toucher: int) -> None:
-        st = self.state
-        if st._touch_stamp[v] != self.stamp:
-            st._touch_stamp[v] = self.stamp
-            st._touch_count[v] = 0
-        st._touch_count[v] += 1
-        st._last_toucher[v] = toucher
+        self._toucher[v] = toucher
         self.dirty.append(v)
         if self.scoped:
             prov = self.cascade_of.get(toucher)
@@ -388,81 +375,63 @@ class _RoundEngine:
                 self._prov_seen[v] = prov
             elif prov is None or self._prov_seen[v] != prov:
                 self._prov_multi.add(v)
+        else:
+            self._touches[v] = self._touches.get(v, 0) + 1
 
-    def commit_palette(self, v: int, c: int, touch: bool = True) -> None:
-        """Color v with c.  `touch=False` marks a bulk commit (a buffer
-        component colored by the solver): neighbors still lose the color and
-        may become forced, but the commit earns no rule-3 credit — on a tree
-        no outside vertex can border a connected component twice, so bulk
-        commits there never collide, and the finite graph must match."""
+    def commit(self, v: int, c: int, touch: bool = True) -> None:
+        """Color v with c, a palette color or RED; only a palette color is
+        taken off the lists of v's uncolored neighbors.  `touch=False` marks
+        a bulk commit (presets, or a component colored by the solver):
+        neighbors still lose the color and may become forced, but the commit
+        earns no rule-3 credit — on a tree no outside vertex can border a
+        connected component twice, so bulk commits there never collide, and
+        the finite graph must match."""
         st = self.state
         undo = self.undo
         if undo is not None:
             undo.append((st.color, v, UNCOLORED))
         st.color[v] = c
-        bit = 1 << c
+        bit = 0 if c == RED else 1 << c
         for u in st.graph.neighbors(v):
             u = int(u)
             if undo is not None:
                 undo.append((st.uncolored_deg, u, int(st.uncolored_deg[u])))
             st.uncolored_deg[u] -= 1
-            if st.color[u] == UNCOLORED:
-                if touch:
-                    self._touch(u, v)
-                else:
-                    self.dirty.append(u)
-                if not (st.seen_mask[u] & bit):
-                    if undo is not None:
-                        undo.append((st.seen_mask, u, int(st.seen_mask[u])))
-                        undo.append((st.avail_count, u, int(st.avail_count[u])))
-                    st.seen_mask[u] |= bit
-                    st.avail_count[u] -= 1
-                    st._last_reducer[u] = v
-
-    def commit_red(self, v: int, touch: bool = True) -> None:
-        st = self.state
-        undo = self.undo
-        if undo is not None:
-            undo.append((st.color, v, UNCOLORED))
-        st.color[v] = RED
-        for u in st.graph.neighbors(v):
-            u = int(u)
-            if undo is not None:
-                undo.append((st.uncolored_deg, u, int(st.uncolored_deg[u])))
-            st.uncolored_deg[u] -= 1
-            if st.color[u] == UNCOLORED:
-                if touch:
-                    self._touch(u, v)
-                else:
-                    self.dirty.append(u)
+            if st.color[u] != UNCOLORED:
+                continue
+            if touch:
+                self._touch(u, v)
+            else:
+                self.dirty.append(u)
+            if bit and not (st.seen_mask[u] & bit):
+                if undo is not None:
+                    undo.append((st.seen_mask, u, int(st.seen_mask[u])))
+                    undo.append((st.avail_count, u, int(st.avail_count[u])))
+                st.seen_mask[u] |= bit
+                st.avail_count[u] -= 1
+                self._reducer[u] = v
 
     # -- cascade bookkeeping ---------------------------------------------------
 
-    def start_cascade(self, v: int) -> int:
-        rec = CascadeRecord(root=v, root_type=self.state.vertex_type(v))
-        self.report.cascades.append(rec)
-        idx = len(self.report.cascades) - 1
-        self.cascade_of[v] = idx
+    def start_cascade(self, v: int) -> None:
+        self.cascade_of[v] = len(self.report.cascades)
         self.gen_of[v] = 0
-        return idx
+        self.report.cascades.append(
+            CascadeRecord(root=v, root_type=self.state.vertex_type(v)))
 
     def _record_colored(self, v: int, pre_type: VertexType) -> None:
-        if not self.track or v not in self.cascade_of:
+        if self.scoped or v not in self.cascade_of:
             return
         rec = self.report.cascades[self.cascade_of[v]]
         rec._tally(self.gen_of[v], pre_type)
         rec.total_colored += 1
 
-    def _record_red(self, v: int, cause: int, collision: bool) -> None:
-        if not self.track:
+    def _record_red(self, cause: int) -> None:
+        if self.scoped or cause not in self.cascade_of:
             return
-        cid = self.cascade_of.get(cause)
-        if cid is None:
-            return
-        rec = self.report.cascades[cid]
+        rec = self.report.cascades[self.cascade_of[cause]]
         rec.reds += 1
-        if collision:
-            rec.collision = True
+        rec.collision = True
 
     def _inherit(self, v: int, parent: int) -> None:
         if parent not in self.cascade_of:
@@ -472,21 +441,18 @@ class _RoundEngine:
 
     # -- rounds ----------------------------------------------------------------
 
-    def _screen_rule4(self, pending: list[tuple[int, int, VertexType | None]]):
+    def _screen_rule4(self, pending: list[tuple[int, int, VertexType]]):
         """Remove adjacent pending pairs; both become red.  In scoped mode an
         adjacent pair of one lineage is a cascade folded onto itself by a
         cycle, not a collision: the lower vertex commits and the other is
         re-queued to react to it."""
-        st = self.state
-        token = st._stamp = st._stamp + 1  # fresh sub-stamp for this round
-        for v, _, _ in pending:
-            st._pending_stamp[v] = token
+        queued = {v for v, _, _ in pending}
         doomed: set[int] = set()
         deferred: set[int] = set()
         for v, _, _ in pending:
-            for u in st.graph.neighbors(v):
+            for u in self.state.graph.neighbors(v):
                 u = int(u)
-                if st._pending_stamp[u] != token or u == v:
+                if u not in queued:
                     continue
                 if (self.scoped
                         and self.cascade_of.get(v) is not None
@@ -506,7 +472,7 @@ class _RoundEngine:
             survivors.append((v, c, pre))
         return survivors, sorted(doomed)
 
-    def run_rounds(self, initial_pending: list[tuple[int, int, VertexType | None]]) -> None:
+    def run_rounds(self, initial_pending: list[tuple[int, int, VertexType]]) -> None:
         """Round 0 commits the initial pending set (after rule-4 screening);
         later rounds alternate rule 3, rule 2, rule 4 until nothing moves."""
         st = self.state
@@ -531,15 +497,14 @@ class _RoundEngine:
                     if self.scoped:
                         collided = v in self._prov_multi
                     else:
-                        collided = (st._touch_stamp[v] == self.stamp
-                                    and st._touch_count[v] >= 2)
+                        collided = self._touches.get(v, 0) >= 2
                     if starved or collided:
-                        cause = int(st._last_reducer[v] if starved
-                                    else st._last_toucher[v])
+                        cause = (self._reducer[v] if starved
+                                 else self._toucher[v])
                         self._inherit(v, cause)
-                        self.commit_red(v)
+                        self.commit(v, RED)
                         report.rule3 += 1
-                        self._record_red(v, cause, collision=True)
+                        self._record_red(cause)
                         progressed = True
                         for u in st.graph.neighbors(v):
                             u = int(u)
@@ -549,16 +514,14 @@ class _RoundEngine:
                         scheduled_src.append(v)
                 # rule 2: exactly one available color -> forced
                 pending = []
-                token = st._stamp = st._stamp + 1
+                queued: set[int] = set()
                 for v in scheduled_src + self.dirty:
-                    if st.color[v] != UNCOLORED or st.avail_count[v] != 1:
+                    if (st.color[v] != UNCOLORED or st.avail_count[v] != 1
+                            or v in queued):
                         continue
-                    if st._pending_stamp[v] == token:
-                        continue
-                    st._pending_stamp[v] = token
+                    queued.add(v)
                     forced = st.available_colors(v)[0]
-                    parent = int(st._last_reducer[v])
-                    self._inherit(v, parent)
+                    self._inherit(v, self._reducer[v])
                     pre = VertexType(int(st.uncolored_deg[v]) + 1, 2)
                     pending.append((v, forced, pre))
                 self.dirty = []
@@ -567,18 +530,17 @@ class _RoundEngine:
             if pending:
                 survivors, doomed = self._screen_rule4(pending)
                 for v in doomed:
-                    self.commit_red(v)
+                    self.commit(v, RED)
                     report.rule4 += 1
-                    self._record_red(v, v, collision=True)
+                    self._record_red(v)
                     progressed = True
                 for v, c, pre in survivors:
-                    self.commit_palette(v, c)
+                    self.commit(v, c)
                     if first_round:
                         report.rule1 += 1
                     else:
                         report.rule2 += 1
-                    if pre is not None:
-                        self._record_colored(v, pre)
+                    self._record_colored(v, pre)
                     progressed = True
             if progressed:
                 report.rounds += 1
@@ -619,7 +581,7 @@ def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
     actives = np.nonzero(mask)[0]
     report.active = len(actives)
 
-    engine = _RoundEngine(state, report, track_cascades=True)
+    engine = _RoundEngine(state, report)
     pending = []
     for v in actives:
         v = int(v)
@@ -643,7 +605,7 @@ def trace_cascade(state: ColoringState, v: int, rng: np.random.Generator) -> Cas
         raise ConfigurationError(f"vertex {v} is already colored")
     undo: list = []
     report = StepReport(step=state.step)
-    engine = _RoundEngine(state, report, track_cascades=True, undo_log=undo)
+    engine = _RoundEngine(state, report, undo_log=undo)
     engine.start_cascade(v)
     avail = state.available_colors(v)
     c = avail[int(rng.integers(len(avail)))]
@@ -749,8 +711,7 @@ def buffer_rounds(state: ColoringState) -> BufferReport:
             roots.append(owners[0])
 
         round_report = StepReport(step=state.step)
-        engine = _RoundEngine(state, round_report, track_cascades=False,
-                              scoped=True)
+        engine = _RoundEngine(state, round_report, scoped=True)
         colored_this_round = 0
         for piece, root in zip(pieces, roots):
             prov = find(root)
@@ -772,12 +733,12 @@ def buffer_rounds(state: ColoringState) -> BufferReport:
                     engine.cascade_of[v] = prov
                 if status == COLORED:
                     for v in sub:
-                        engine.commit_palette(v, assignment[v], touch=False)
+                        engine.commit(v, assignment[v], touch=False)
                     colored_this_round += len(sub)
                 else:
                     report.failures += 1
                     for v in sub:
-                        engine.commit_red(v, touch=False)
+                        engine.commit(v, RED, touch=False)
                     report.red_created += len(sub)
                 engine.run_rounds([])
         colored_this_round += round_report.rule1 + round_report.rule2
@@ -797,21 +758,18 @@ def complete_remainder(state: ColoringState) -> CompletionReport:
     targets = np.nonzero(state.color == UNCOLORED)[0]
     if not len(targets):
         return report
+    engine = _RoundEngine(state, StepReport(step=state.step))
     for comp in connected_components(state.graph, [int(v) for v in targets]):
         report.components += 1
         lists = {v: state.available_colors(v) for v in comp}
         status, assignment = color_component(state.graph, comp, lists)
         if status == COLORED:
-            for v in comp:
-                state._apply_color(v, assignment[v])
             report.colored += len(comp)
         else:
             report.failures += 1
             report.red_created += len(comp)
-            for v in comp:
-                state.color[v] = RED
-                for u in state.graph.neighbors(v):
-                    state.uncolored_deg[int(u)] -= 1
+        for v in comp:
+            engine.commit(v, assignment[v] if status == COLORED else RED, touch=False)
     state.check_invariants()
     return report
 

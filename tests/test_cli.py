@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, determinism, config files."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -61,6 +62,44 @@ def test_verify_detects_tampered_certificate(cert_path, tmp_path):
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["verify", "--cert", str(tampered)]) == 1
+
+
+STORED_CERT43 = os.path.join(os.path.dirname(__file__), "..", "perfbench", "certs",
+                             "cert43.json")
+
+
+def _halve_every_state(raw):
+    raw["samples"]["states"] = [[x / 2 for x in row] for row in raw["samples"]["states"]]
+
+
+# g and the remainder are ratios of the state, so both tamperings leave them
+# recomputing; only the checks on the states themselves catch them
+@pytest.mark.parametrize("mutate", [
+    pytest.param(_halve_every_state, id="states-halved"),
+    pytest.param(lambda raw: raw["samples"]["states"][5].__setitem__(0, -0.5),
+                 id="state-negative"),
+])
+def test_verify_checks_the_stored_states(tmp_path, capsys, mutate):
+    raw = json.loads(open(STORED_CERT43).read())
+    mutate(raw)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["verify", "--cert", str(tampered)]) == 1
+    assert "verification failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--epsilon", "0.1"],
+    ["sweep", "--epsilons", "0.1", "--seeds", "1", "--jobs", "1"],
+])
+def test_run_commands_verify_their_certificate(tmp_path, capsys, command):
+    raw = json.loads(open(STORED_CERT43).read())
+    raw["samples"]["g"][3] = 0.5
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(raw), encoding="utf-8")
+    assert main([*command, "--r", "4", "--p", "3", "--n", "100", "--steps", "3",
+                 "--cert", str(tampered)]) == 1
+    assert "verification failed" in capsys.readouterr().err
 
 
 def _set_every_g_null(raw):

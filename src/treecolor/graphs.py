@@ -93,20 +93,19 @@ def gen_regular_graph(n: int, r: int, seed: int) -> Graph:
     eu = points[0::2].copy()
     ev = points[1::2].copy()
 
+    def key(a: int, b: int) -> int:
+        # one int per edge: a set of ints is far smaller than one of tuples
+        return a * n + b if a < b else b * n + a
+
     m = len(eu)
-    edge_set: set[tuple[int, int]] = set()
+    edge_set: set[int] = set()
     bad: list[int] = []
     for i in range(m):
         a, b = int(eu[i]), int(ev[i])
-        key = (a, b) if a < b else (b, a)
-        if a == b or key in edge_set:
+        if a == b or key(a, b) in edge_set:
             bad.append(i)
         else:
-            edge_set.add(key)
-
-    def key_of(i: int) -> tuple[int, int]:
-        a, b = int(eu[i]), int(ev[i])
-        return (a, b) if a < b else (b, a)
+            edge_set.add(key(a, b))
 
     sweeps = 0
     while bad:
@@ -125,11 +124,10 @@ def gen_regular_graph(n: int, r: int, seed: int) -> Graph:
                 # swap partners: (a,b),(x,y) -> (a,x),(b,y)
                 a, b = int(eu[i]), int(ev[i])
                 x, y = int(eu[j]), int(ev[j])
-                na = (a, x) if a < x else (x, a)
-                nb = (b, y) if b < y else (y, b)
+                na, nb = key(a, x), key(b, y)
                 if a == x or b == y or na in edge_set or nb in edge_set or na == nb:
                     continue
-                edge_set.discard(key_of(j))
+                edge_set.discard(key(x, y))
                 eu[i], ev[i] = a, x
                 eu[j], ev[j] = b, y
                 edge_set.add(na)

@@ -9,10 +9,11 @@ red neighborhoods, and the final phases complete and tidy the coloring.
 
 A `ColoringState` holds the graph, the palette, the randomness, the step
 counter and four per-vertex arrays: color, uncolored degree, the mask of
-palette colors seen among neighbors and the available-color count.  Every
-commit (presets, greedy steps, buffer rounds, traced cascades and phase 2)
-goes through `_RoundEngine.commit`, which keeps the three counting arrays in
-step with the colors; the tidy-up only rewrites colors of a finished run.
+palette colors seen among neighbors and the available-color count, plus
+per-type vertex counts.  Every commit (presets, greedy steps, buffer rounds,
+traced cascades and phase 2) goes through `_RoundEngine.commit`, which keeps
+all of them in step with the colors; the tidy-up only rewrites colors of a
+finished run.
 
 All randomness is a pure function of (seed, step, purpose, vertex) through
 counter-based streams, so a seed plus the step counter fully determines every
@@ -50,34 +51,40 @@ def extra_color(cfg: PaletteConfig) -> int:
 class ProcessRandomness:
     """Counter-based per-step randomness keyed by (seed, step, purpose).
 
-    Each step re-derives its uniforms from the key, and a vertex always reads
-    slot v of the array, so draws are independent of evaluation order.  A
-    Philox stream's prefix does not depend on how many values are drawn, so
-    the step's color uniforms are drawn once, at the length the activation
-    mask was given, and every vertex still reads the same value.
+    Each (seed, step, purpose) key names one Philox stream, and vertex v
+    always reads slot v of it, so draws are independent of evaluation order.
+    The activation mask reads every slot at once.  A color draw reads only
+    slot v: Philox4x64 emits four 64-bit words per counter value, so the
+    draw advances the step's stream by v // 4 counters, takes raw word
+    v % 4 and turns it into a double with numpy's 53-bit recipe, giving the
+    value `Generator(Philox(key)).random(n)[v]` would, without drawing n.
     """
 
     def __init__(self, seed: int):
         if seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {seed}")
         self.seed = int(seed)
-        self._n = 0
         self._color_step: int | None = None
-        self._color_u = np.empty(0)
+        self._color_bits: np.random.Philox | None = None
+        self._color_start: dict | None = None
 
-    def _uniforms(self, step: int, purpose: int, n: int) -> np.ndarray:
+    def _bits(self, step: int, purpose: int) -> np.random.Philox:
         key = np.array([self.seed, (step << 2) | purpose], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key)).random(n)
+        return np.random.Philox(key=key)
 
     def activation_mask(self, step: int, probs: np.ndarray) -> np.ndarray:
-        self._n = len(probs)
-        return self._uniforms(step, _PURPOSE_ACTIVATION, len(probs)) < probs
+        bits = self._bits(step, _PURPOSE_ACTIVATION)
+        return np.random.Generator(bits).random(len(probs)) < probs
 
     def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
-        if step != self._color_step or v >= len(self._color_u):
+        if step != self._color_step:
             self._color_step = step
-            self._color_u = self._uniforms(step, _PURPOSE_COLOR, max(self._n, v + 1))
-        u = self._color_u[v]
+            self._color_bits = self._bits(step, _PURPOSE_COLOR)
+            self._color_start = self._color_bits.state
+        bits = self._color_bits
+        bits.state = self._color_start
+        bits.advance(v // 4)
+        u = (int(bits.random_raw(v % 4 + 1)[-1]) >> 11) * 2.0 ** -53
         idx = min(int(u * len(avail)), len(avail) - 1)
         return avail[idx]
 
@@ -230,7 +237,12 @@ class ColoringState:
     """Mutable coloring of one graph, with the incremental bookkeeping the
     process rules need: per-vertex color, uncolored degree, the bitmask of
     palette colors seen among neighbors, and the available-color count.
-    Every commit, presets included, goes through a `_RoundEngine`."""
+    Every commit, presets included, goes through a `_RoundEngine`.
+
+    `type_index[v]` is the index of v's type in the type space, or
+    `untyped` (one past its end) if v is colored or has fewer than two
+    colors; `type_counts` counts the vertices at each index.  `fresh_reds`
+    lists the vertices turned red since buffer rounds last looked."""
 
     def __init__(self, graph: Graph, cfg: PaletteConfig, seed: int = 0,
                  presets: list[tuple[int, int]] | None = None,
@@ -249,6 +261,11 @@ class ColoringState:
         self.uncolored_deg = degs.astype(np.int64)
         self.seen_mask = np.zeros(n, dtype=np.int64)
         self.avail_count = np.full(n, cfg.p, dtype=np.int64)
+        self.untyped = type_space(cfg).size
+        self.type_index = (degs * (cfg.p - 1) + (cfg.p - 2)).astype(np.intp)
+        self.type_counts = np.bincount(self.type_index,
+                                       minlength=self.untyped + 1).tolist()
+        self.fresh_reds: list[int] = []
         engine = _RoundEngine(self, StepReport(step=0))
         for v, c in presets or []:
             if not (0 <= c < cfg.p):
@@ -272,23 +289,15 @@ class ColoringState:
         return VertexType(int(self.uncolored_deg[v]), int(self.avail_count[v]))
 
     def empirical_distribution(self, exclude: np.ndarray | None = None) -> TypeDistribution:
-        """Fraction of all vertices sitting at each type.  `exclude` drops the
-        given vertices from both numerator and denominator (tree-ball
-        boundaries distort the statistics)."""
-        space = type_space(self.cfg)
-        keep = self.color == UNCOLORED
+        """Fraction of all vertices sitting at each type, from the type
+        counts.  `exclude` drops the given vertices from both numerator and
+        denominator (tree-ball boundaries distort the statistics)."""
+        counts = np.array(self.type_counts, dtype=np.int64)
         denom = self.graph.n
         if exclude is not None and len(exclude):
-            keep = keep.copy()
-            keep[exclude] = False
+            counts -= np.bincount(self.type_index[exclude], minlength=len(counts))
             denom -= len(exclude)
-        d = self.uncolored_deg[keep]
-        c = self.avail_count[keep]
-        idx = d * (self.cfg.p - 1) + (c - 2)
-        counts = np.bincount(idx, minlength=space.size)
-        if len(counts) > space.size:
-            raise InternalConsistencyError("vertex type outside the type space")
-        return TypeDistribution(self.cfg, counts.astype(np.float64) / denom)
+        return TypeDistribution(self.cfg, counts[:self.untyped].astype(np.float64) / denom)
 
     def counts(self) -> dict[str, int]:
         c = self.color
@@ -317,10 +326,37 @@ class ColoringState:
         parts = self.counts()
         if sum(parts.values()) != g.n:
             return f"color counts {parts} do not add up to n={g.n}"
+        types = np.where(uncolored & (self.avail_count >= 2),
+                         self.uncolored_deg * (p - 1) + self.avail_count - 2,
+                         self.untyped)
+        if (not np.array_equal(types, self.type_index)
+                or np.bincount(types, minlength=self.untyped + 1).tolist()
+                != self.type_counts):
+            return "type indices or type counts differ from a recount"
         return None
 
-    def check_invariants(self) -> None:
-        bad = self._invariant_violation()
+    def _local_violation(self, around: list[int]) -> str | None:
+        """The invariants on the edges at `around` and on its uncolored
+        neighbors.  Started from a state that met them, a run of commits to
+        `around` can break them nowhere else."""
+        p = self.cfg.p
+        for v in around:
+            c = int(self.color[v])
+            if not (0 <= c <= p or c == RED):
+                return f"vertex {v} has color {c}"
+            for u in self.graph.neighbors(v).tolist():
+                c_u = self.color[u]
+                if c_u == c and 0 <= c < p:
+                    return f"edge ({min(u, v)},{max(u, v)}) joins two vertices colored {c}"
+                if c_u == UNCOLORED and self.avail_count[u] < 2:
+                    return f"vertex {u} has {int(self.avail_count[u])} available colors"
+        return None
+
+    def check_invariants(self, around: list[int] | None = None) -> None:
+        """Check the whole state, type bookkeeping included, or with
+        `around` only what commits to those vertices can have broken."""
+        bad = (self._invariant_violation() if around is None
+               else self._local_violation(around))
         if bad is not None:
             raise InternalConsistencyError(bad)
 
@@ -355,6 +391,7 @@ class _RoundEngine:
         # Unscoped engines (greedy steps, traces) record cascades instead.
         self.scoped = scoped
         self.dirty: list[int] = []
+        self.committed: list[int] = []
         self.cascade_of: dict[int, int] = {}
         self.gen_of: dict[int, int] = {}
         # per vertex: touches, last toucher, last commit that took a color
@@ -391,9 +428,12 @@ class _RoundEngine:
         if undo is not None:
             undo.append((st.color, v, UNCOLORED))
         st.color[v] = c
+        self.committed.append(v)
+        if c == RED:
+            st.fresh_reds.append(v)
+        self._retype(v, st.untyped)
         bit = 0 if c == RED else 1 << c
-        for u in st.graph.neighbors(v):
-            u = int(u)
+        for u in st.graph.neighbors(v).tolist():
             if undo is not None:
                 undo.append((st.uncolored_deg, u, int(st.uncolored_deg[u])))
             st.uncolored_deg[u] -= 1
@@ -410,6 +450,21 @@ class _RoundEngine:
                 st.seen_mask[u] |= bit
                 st.avail_count[u] -= 1
                 self._reducer[u] = v
+            c_u = int(st.avail_count[u])
+            self._retype(u, int(st.uncolored_deg[u]) * (st.cfg.p - 1) + c_u - 2
+                         if c_u >= 2 else st.untyped)
+
+    def _retype(self, v: int, t: int) -> None:
+        """Move v to type index t, keeping `type_counts` in step."""
+        st = self.state
+        old = int(st.type_index[v])
+        if self.undo is not None:
+            self.undo.append((st.type_index, v, old))
+            self.undo.append((st.type_counts, old, st.type_counts[old]))
+            self.undo.append((st.type_counts, t, st.type_counts[t]))
+        st.type_index[v] = t
+        st.type_counts[old] -= 1
+        st.type_counts[t] += 1
 
     # -- cascade bookkeeping ---------------------------------------------------
 
@@ -450,8 +505,7 @@ class _RoundEngine:
         doomed: set[int] = set()
         deferred: set[int] = set()
         for v, _, _ in pending:
-            for u in self.state.graph.neighbors(v):
-                u = int(u)
+            for u in self.state.graph.neighbors(v).tolist():
                 if u not in queued:
                     continue
                 if (self.scoped
@@ -506,8 +560,7 @@ class _RoundEngine:
                         report.rule3 += 1
                         self._record_red(cause)
                         progressed = True
-                        for u in st.graph.neighbors(v):
-                            u = int(u)
+                        for u in st.graph.neighbors(v).tolist():
                             if st.color[u] == UNCOLORED:
                                 queue.append(u)
                     else:
@@ -552,17 +605,10 @@ class _RoundEngine:
 # Public operations
 # ---------------------------------------------------------------------------
 
-def _weight_table(cfg: PaletteConfig, tuning: TuningParams) -> np.ndarray:
-    table = np.zeros((cfg.r + 1, cfg.p + 1))
-    for t, w in tuning.weights.items():
-        table[t.d, t.c] = w
-    return table
-
-
 def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
     """One macro-step: sample the active set from the step-start types, let
     actives draw random available colors, and run reaction rounds to a
-    fixpoint.  Invariants are re-checked on exit."""
+    fixpoint.  Invariants are re-checked on exit around the step's commits."""
     if tuning.cfg != state.cfg:
         raise ConfigurationError("tuning and state configs differ")
     if tuning.epsilon is None:
@@ -571,20 +617,16 @@ def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
     i = state.step
     report = StepReport(step=i)
 
-    uncolored = state.color == UNCOLORED
-    table = _weight_table(state.cfg, tuning)
-    probs = np.zeros(state.graph.n)
-    probs[uncolored] = tuning.epsilon * table[
-        state.uncolored_deg[uncolored], state.avail_count[uncolored]
-    ]
-    mask = rng.activation_mask(i, probs) & uncolored
-    actives = np.nonzero(mask)[0]
+    # rate per type index; the untyped slot (colored vertices) has rate 0
+    rate = np.append(tuning.epsilon * tuning.vector(), 0.0)
+    mask = rng.activation_mask(i, rate[state.type_index])
+    # a scripted adapter may name colored vertices
+    actives = [v for v in np.flatnonzero(mask).tolist() if state.color[v] == UNCOLORED]
     report.active = len(actives)
 
     engine = _RoundEngine(state, report)
     pending = []
     for v in actives:
-        v = int(v)
         engine.start_cascade(v)
         avail = state.available_colors(v)
         c = rng.choose_color(i, v, avail)
@@ -594,7 +636,7 @@ def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
     engine.run_rounds(pending)
 
     state.step = i + 1
-    state.check_invariants()
+    state.check_invariants(around=engine.committed)
     return report
 
 
@@ -604,6 +646,7 @@ def trace_cascade(state: ColoringState, v: int, rng: np.random.Generator) -> Cas
     if state.color[v] != UNCOLORED:
         raise ConfigurationError(f"vertex {v} is already colored")
     undo: list = []
+    reds_before = len(state.fresh_reds)
     report = StepReport(step=state.step)
     engine = _RoundEngine(state, report, undo_log=undo)
     engine.start_cascade(v)
@@ -613,14 +656,15 @@ def trace_cascade(state: ColoringState, v: int, rng: np.random.Generator) -> Cas
     record = report.cascades[0]
     for arr, idx, old in reversed(undo):
         arr[idx] = old
+    del state.fresh_reds[reds_before:]
     return record
 
 
 def run_phase1(state: ColoringState, tuning: TuningParams, steps: int,
                modified: bool = False) -> tuple[list[StepReport], list[TypeDistribution]]:
     """Apply `steps` greedy steps (each followed by buffer rounds in modified
-    mode).  Returns the step reports and the empirical type distribution
-    before any step and after each step."""
+    mode), then check the whole state.  Returns the step reports and the
+    empirical type distribution before any step and after each step."""
     if steps < 0:
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
     exclude = state.graph.boundary if state.graph.kind == "tree_ball" else None
@@ -632,12 +676,13 @@ def run_phase1(state: ColoringState, tuning: TuningParams, steps: int,
             report.buffer = buffer_rounds(state)
         reports.append(report)
         dists.append(state.empirical_distribution(exclude=exclude))
+    state.check_invariants()
     return reports, dists
 
 
 def _ball3_uncolored(state: ColoringState,
-                     reds: np.ndarray) -> tuple[list[int], dict[int, int]]:
-    """Uncolored vertices within graph distance 3 of any red vertex, each
+                     reds: list[int]) -> tuple[list[int], dict[int, int]]:
+    """Uncolored vertices within graph distance 3 of the given reds, each
     labelled by the red whose breadth-first wave reached it first."""
     g = state.graph
     dist: dict[int, int] = {}
@@ -649,8 +694,7 @@ def _ball3_uncolored(state: ColoringState,
     for depth in range(1, 4):
         nxt = []
         for v in frontier:
-            for u in g.neighbors(v):
-                u = int(u)
+            for u in g.neighbors(v).tolist():
                 if u not in dist:
                     dist[u] = depth
                     owner[u] = owner[v]
@@ -667,8 +711,7 @@ def _starvation_guards(state: ColoringState, sub: list[int]) -> list[int]:
     vset = set(sub)
     borders: dict[int, int] = {}
     for v in sub:
-        for u in state.graph.neighbors(v):
-            u = int(u)
+        for u in state.graph.neighbors(v).tolist():
             if u not in vset and state.color[u] == UNCOLORED:
                 borders[u] = borders.get(u, 0) + 1
     return sorted(u for u, k in borders.items()
@@ -682,11 +725,16 @@ def buffer_rounds(state: ColoringState) -> BufferReport:
     a greedy step but with collisions scoped by lineage: only cascades
     serving different red clusters can meet without closing a cycle on a
     tree, so only those collisions make new reds here.  Infeasible or
-    over-budget components turn red wholesale (counted, not fatal)."""
+    over-budget components turn red wholesale (counted, not fatal).
+
+    Each round searches only from the reds made since the last round
+    (`state.fresh_reds`): when a call ends no older red has an uncolored
+    vertex within distance 3, and steps only ever color vertices, so no
+    older red's wave could reach a target first or lie on a path to one."""
     report = BufferReport()
     while True:
-        reds = np.nonzero(state.color == RED)[0]
-        if not len(reds):
+        reds, state.fresh_reds = state.fresh_reds, []
+        if not reds:
             break
         targets, owner = _ball3_uncolored(state, reds)
         if not targets:
@@ -745,7 +793,7 @@ def buffer_rounds(state: ColoringState) -> BufferReport:
         report.red_created += round_report.rule3 + round_report.rule4
         report.colored_per_round.append(colored_this_round)
         report.rounds += 1
-        state.check_invariants()
+        state.check_invariants(around=engine.committed)
     return report
 
 

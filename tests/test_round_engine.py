@@ -5,20 +5,30 @@ the random stream or to the order of commits shows up as a failed digest.
 The property tests drive greedy steps and scoped buffer rounds on seeded
 random small graphs (cycles, degrees below r, random presets) and check the
 invariants after every step, a proper final coloring, and that
-`trace_cascade` leaves the state exactly as it found it.
+`trace_cascade` leaves the state exactly as it found it.  Further tests
+check that the per-step invariant check, which looks only around a step's
+commits, raises in the step where a planted fault first breaks an
+invariant; that a color draw reads slot v of its step's Philox stream; and
+that buffer rounds, searching only from new reds, find what a search from
+every red finds.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from helpers import ball3_uncolored_reference
 
-from treecolor.dynamics import PaletteConfig, TuningParams, type_space
+from treecolor import process
+from treecolor.dynamics import PaletteConfig, TuningParams, VertexType, type_space
+from treecolor.errors import InternalConsistencyError
 from treecolor.graphs import Graph, gen_regular_graph, gen_tree_ball, parse_fixture
 from treecolor.process import (
     RED,
     UNCOLORED,
     ColoringState,
+    ProcessRandomness,
+    ScriptedRandomness,
     buffer_rounds,
     complete_remainder,
     greedy_step,
@@ -136,6 +146,12 @@ def assert_bookkeeping_recomputes(st: ColoringState) -> None:
                     mask |= 1 << int(c)
             assert st.seen_mask[v] == mask
             assert st.avail_count[v] == st.cfg.p - bin(mask).count("1")
+    space = type_space(st.cfg)
+    types = [space.index[VertexType(int(st.uncolored_deg[v]), int(st.avail_count[v]))]
+             if uncolored[v] and st.avail_count[v] >= 2 else space.size
+             for v in range(st.graph.n)]
+    assert st.type_index.tolist() == types
+    assert st.type_counts == [types.count(t) for t in range(space.size + 1)]
 
 
 def random_state(rng: np.random.Generator):
@@ -146,8 +162,10 @@ def random_state(rng: np.random.Generator):
     return st, steep_tuning(cfg, float(rng.uniform(0.05, 0.5)))
 
 
-def snapshot(st: ColoringState) -> list[bytes]:
-    return [a.tobytes() for a in (st.color, st.uncolored_deg, st.seen_mask, st.avail_count)]
+def snapshot(st: ColoringState) -> list:
+    """The four per-vertex arrays, then the type bookkeeping and new reds."""
+    arrays = (st.color, st.uncolored_deg, st.seen_mask, st.avail_count, st.type_index)
+    return [a.tobytes() for a in arrays] + [list(st.type_counts), list(st.fresh_reds)]
 
 
 @pytest.mark.parametrize("case", range(60))
@@ -193,3 +211,110 @@ def test_trace_cascade_restores_all_four_arrays(modified):
         for v in rng.permutation(roots)[:30]:
             trace_cascade(st, int(v), rng)
             assert snapshot(st) == before
+
+
+# ---------------------------------------------------------------------------
+# The local invariant check, color draws and the buffer-round search
+# ---------------------------------------------------------------------------
+
+def test_full_check_recounts_type_bookkeeping():
+    st = ColoringState(gen_regular_graph(200, 4, seed=5), CFG43, seed=1)
+    run_phase1(st, steep_tuning(CFG43, 0.25), steps=5)
+    st.type_counts[0] += 1
+    with pytest.raises(InternalConsistencyError, match="type"):
+        st.check_invariants()
+    st.type_counts[0] -= 1
+    v = int(np.flatnonzero(st.color == UNCOLORED)[0])
+    st.type_index[v] = st.untyped
+    with pytest.raises(InternalConsistencyError, match="type"):
+        st.check_invariants()
+
+
+def test_local_check_raises_in_the_step_of_a_planted_fault(monkeypatch):
+    """A commit that leaves one uncolored neighbor's list unreduced lets
+    that neighbor take the same color later.  The whole state passes the
+    full check after every step before the clash, and the step that makes
+    it raises."""
+    commit = process._RoundEngine.commit
+
+    def faulty_commit(self, v, c, touch=True):
+        st = self.state
+        victim = next((u for u in st.graph.neighbors(v).tolist()
+                       if st.color[u] == UNCOLORED), None)
+        if victim is None or c == RED:
+            return commit(self, v, c, touch)
+        seen, avail = int(st.seen_mask[victim]), int(st.avail_count[victim])
+        commit(self, v, c, touch)
+        st.seen_mask[victim], st.avail_count[victim] = seen, avail
+        self._retype(victim, type_space(st.cfg).index[
+            VertexType(int(st.uncolored_deg[victim]), avail)])
+
+    monkeypatch.setattr(process._RoundEngine, "commit", faulty_commit)
+    st = ColoringState(gen_regular_graph(600, 4, seed=11), CFG43, seed=5)
+    tuning = steep_tuning(CFG43, 0.25)
+    for _ in range(100):
+        try:
+            greedy_step(st, tuning)
+        except InternalConsistencyError as exc:
+            assert "joins two vertices colored" in str(exc)
+            break
+        st.check_invariants()  # nothing broken yet, so nothing slipped past
+    else:
+        pytest.fail("the planted fault never broke an invariant")
+    with pytest.raises(InternalConsistencyError):
+        st.check_invariants()
+
+
+def test_choose_color_reads_slot_v_of_the_step_stream():
+    n, seed = 1000, 9
+    rng = ProcessRandomness(seed)
+    for step in (5, 0, 5, 70):
+        key = np.array([seed, (step << 2) | 1], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(n)
+        for v in (4, 0, n - 1, 1, 5, 3):
+            # with 2^53 colors the index is u itself, scaled to an integer
+            assert rng.choose_color(step, v, range(2 ** 53)) == int(u[v] * 2.0 ** 53)
+            for avail in ((0, 2), (0, 1, 2), (0, 1, 2, 3)):
+                assert rng.choose_color(step, v, avail) == avail[int(u[v] * len(avail))]
+
+
+def test_frontier_search_finds_what_a_full_scan_finds(monkeypatch):
+    search = process._ball3_uncolored
+    found_targets = 0
+
+    def checked(state, reds):
+        nonlocal found_targets
+        targets, owner = search(state, reds)
+        ref_targets, ref_owner = ball3_uncolored_reference(state)
+        assert targets == ref_targets
+        assert [owner[v] for v in targets] == [ref_owner[v] for v in targets]
+        found_targets += len(targets)
+        return targets, owner
+
+    monkeypatch.setattr(process, "_ball3_uncolored", checked)
+    for case in range(1, 60, 2):  # the modified instances of the property test
+        rng = np.random.default_rng([2024, case])
+        st, tuning = random_state(rng)
+        for _ in range(int(rng.integers(5, 30))):
+            greedy_step(st, tuning)
+            buffer_rounds(st)
+    assert found_targets > 100
+
+
+def test_buffer_rounds_search_from_the_reds_of_a_failed_component():
+    # Step 0 turns the adjacent actives 6 and 7 red.  The first buffer round
+    # finds the triangle 0-1-2, whose lists are all {0, 1} (the presets 3,
+    # 4, 5 hold color 2): it cannot be colored and turns red.  Vertex 9 is
+    # 4 steps from 6 but 3 from 0, so only a round searching from the
+    # triangle's new reds reaches it.
+    graph, presets = parse_fixture(
+        "10 4\n0 1\n1 2\n0 2\n0 3\n1 4\n2 5\n0 6\n6 7\n3 8\n8 9\n"
+        "color 3 2\ncolor 4 2\ncolor 5 2\n")
+    st = ColoringState(graph, CFG43, presets=presets, rng=ScriptedRandomness(
+        {0: [6, 7]}, {(0, 6): 0, (0, 7): 1}))
+    greedy_step(st, steep_tuning(CFG43, 0.25))
+    assert st.color[6] == st.color[7] == RED
+    rep = buffer_rounds(st)
+    assert rep.failures == 1 and rep.rounds == 2
+    assert (st.color[[0, 1, 2]] == RED).all() and st.color[9] >= 0
+    assert ball3_uncolored_reference(st)[0] == []

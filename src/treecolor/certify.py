@@ -81,7 +81,6 @@ class Trajectory:
     aborted: bool = False
     abort_reason: str | None = None
     clamp_events: int = 0
-    stopped_at_remainder: bool = False
 
     def state_at(self, i: int) -> TypeDistribution:
         return TypeDistribution(self.cfg, self.states[i].copy())
@@ -200,7 +199,6 @@ def _integrate(
         aborted=abort_reason is not None,
         abort_reason=abort_reason,
         clamp_events=clamp_events,
-        stopped_at_remainder=stopped,
     )
 
 

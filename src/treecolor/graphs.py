@@ -16,6 +16,9 @@ import numpy as np
 from .errors import ConfigurationError, GenerationError
 
 MAX_REPAIR_SWEEPS = 1000
+# Vertices a fixture may declare.  Isolated vertices need no line, so this,
+# not the file's length, bounds the arrays a short header can allocate.
+MAX_FIXTURE_N = 10 ** 8
 
 
 @dataclass
@@ -190,8 +193,9 @@ def int_fields(source: str, line: str, tokens: list[str],
 
 
 def parse_fixture(text: str) -> tuple[Graph, list[tuple[int, int]]]:
-    """Parse the hand-built fixture format: first line "n r", one line per
-    edge "u v", then optional "color v c" lines presetting palette colors."""
+    """Parse the hand-built fixture format: first line "n r" (n at most
+    `MAX_FIXTURE_N`), one line per edge "u v", then optional "color v c"
+    lines presetting palette colors."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -202,6 +206,8 @@ def parse_fixture(text: str) -> tuple[Graph, list[tuple[int, int]]]:
     n, r = int_fields("fixture", lines[0], head, ("n", "r"))
     if n <= 0 or r <= 0:
         raise ConfigurationError("fixture: n and r must be positive")
+    if n > MAX_FIXTURE_N:
+        raise ConfigurationError(f"fixture: n={n} exceeds the maximum {MAX_FIXTURE_N}")
     eu: list[int] = []
     ev: list[int] = []
     presets: list[tuple[int, int]] = []

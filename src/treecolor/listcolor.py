@@ -1,9 +1,12 @@
 """Proper list-coloring of small vertex sets.
 
-Components that are trees are colored greedily root-to-leaf, which never
-blocks when every list has at least two colors.  Anything with a cycle goes
-through exact backtracking under a node budget; exceeding the budget or
-proving infeasibility is reported, not raised.
+One exact search colors every component: it walks the vertices in
+breadth-first order, and each assignment prunes its neighbors' lists, so a
+vertex left with one color takes it at once.  On a tree a vertex then sees
+only its parent's color, so the search takes the first listed color that
+differs from it and never backtracks when every list has two colors.  The
+node budget starts counting at the first dead end; exceeding it or proving
+infeasibility is reported, not raised.
 """
 
 from __future__ import annotations
@@ -15,17 +18,6 @@ DEFAULT_BUDGET = 10 ** 6
 COLORED = "colored"
 INFEASIBLE = "infeasible"
 BUDGET = "budget"
-
-
-def induced_edges(graph, vertices: list[int]) -> list[tuple[int, int]]:
-    vset = set(vertices)
-    out = []
-    for v in vertices:
-        for u in graph.neighbors(v):
-            u = int(u)
-            if u in vset and v < u:
-                out.append((v, u))
-    return out
 
 
 def connected_components(graph, vertices) -> list[list[int]]:
@@ -51,6 +43,24 @@ def connected_components(graph, vertices) -> list[list[int]]:
     return comps
 
 
+class _BudgetExceeded(Exception):
+    pass
+
+
+def _bfs_order(vertices: list[int], adj: dict[int, list[int]]) -> list[int]:
+    seen = {vertices[0]}
+    order = [vertices[0]]
+    queue = deque(order)
+    while queue:
+        v = queue.popleft()
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+                queue.append(u)
+    return order
+
+
 def color_component(
     graph,
     vertices: list[int],
@@ -60,70 +70,14 @@ def color_component(
     """Properly color one connected set of vertices from their lists.
 
     Returns (status, assignment); assignment is empty unless status is
-    "colored".  Trees are solved greedily; cyclic components by exact
-    backtracking visiting at most `budget` search nodes.
+    "colored".  The search is exact.  `budget` bounds the search nodes
+    visited after the first dead end, so a component that never needs to
+    backtrack (a tree whose lists have two or more colors) never exceeds it.
     """
-    edges = induced_edges(graph, vertices)
-    if len(edges) == len(vertices) - 1:
-        return _tree_greedy(graph, vertices, lists)
-    return _backtrack(vertices, edges, lists, budget)
-
-
-def _tree_greedy(graph, vertices: list[int], lists) -> tuple[str, dict[int, int]]:
     vset = set(vertices)
-    root = vertices[0]
-    assignment: dict[int, int] = {}
-    parent_color: dict[int, int | None] = {root: None}
-    queue = deque([root])
-    seen = {root}
-    while queue:
-        v = queue.popleft()
-        avoid = parent_color[v]
-        choice = None
-        for c in lists[v]:
-            if c != avoid:
-                choice = c
-                break
-        if choice is None:
-            return INFEASIBLE, {}
-        assignment[v] = choice
-        for u in graph.neighbors(v):
-            u = int(u)
-            if u in vset and u not in seen:
-                seen.add(u)
-                parent_color[u] = choice
-                queue.append(u)
-    return COLORED, assignment
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _bfs_order(vertices: list[int], nbrs_of) -> list[int]:
-    seen = {vertices[0]}
-    order = [vertices[0]]
-    queue = deque(order)
-    while queue:
-        v = queue.popleft()
-        for u in nbrs_of(v):
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-                queue.append(u)
-    return order
-
-
-def _backtrack(vertices, edges, lists, budget: int) -> tuple[str, dict[int, int]]:
-    """Exact search with unit propagation: each assignment prunes neighbor
-    domains, and domains of size one are assigned immediately.  With the
-    2-color lists these components typically carry, propagation makes even
-    long cycles near-linear."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    order = _bfs_order(sorted(vertices), lambda v: sorted(adj[v]))
+    adj = {v: sorted(u for u in graph.neighbors(v).tolist() if u in vset)
+           for v in vertices}
+    order = _bfs_order(sorted(vertices), adj)
     pos = {v: i for i, v in enumerate(order)}
     k = len(order)
     nbrs = [sorted(pos[u] for u in adj[v]) for v in order]
@@ -134,10 +88,11 @@ def _backtrack(vertices, edges, lists, budget: int) -> tuple[str, dict[int, int]
     assigned: list[int | None] = [None] * k
     trail: list[tuple] = []  # ("a", i) assignment | ("p", j, c) domain prune
     nodes = 0
+    backtracked = False
 
     def do_assign(i: int, c: int, queue: deque) -> bool:
         nonlocal nodes
-        nodes += 1
+        nodes += backtracked  # the budget counts from the first dead end
         if nodes > budget:
             raise _BudgetExceeded
         assigned[i] = c
@@ -172,17 +127,22 @@ def _backtrack(vertices, edges, lists, budget: int) -> tuple[str, dict[int, int]
             else:
                 domains[entry[1]].add(entry[2])
 
-    stack: list[tuple[int, tuple[int, ...], int, int]] = []  # (var, tries, next_idx, trail mark)
+    # (var, tries, next_idx, trail mark); every variable before `var` is
+    # assigned, so the next one is searched for from `var` on
+    stack: list[tuple[int, tuple[int, ...], int, int]] = []
+    var = 0
     try:
         while True:
-            var = next((i for i in range(k) if assigned[i] is None), None)
-            if var is None:
+            while var < k and assigned[var] is not None:
+                var += 1
+            if var == k:
                 return COLORED, {order[i]: int(assigned[i]) for i in range(k)}
             tries = tuple(c for c in prefs[var] if c in domains[var])
             mark = len(trail)
             ok = try_color(var, tries[0])
             stack.append((var, tries, 1, mark))
             while not ok:
+                backtracked = True
                 if not stack:
                     return INFEASIBLE, {}
                 var, tries, idx, mark = stack.pop()

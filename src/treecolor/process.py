@@ -13,7 +13,9 @@ palette colors seen among neighbors and the available-color count, plus
 per-type vertex counts.  Every commit (presets, greedy steps, buffer rounds,
 traced cascades and phase 2) goes through `_RoundEngine.commit`, which keeps
 all of them in step with the colors; the tidy-up only rewrites colors of a
-finished run.
+finished run.  Buffer rounds and phase 2 commit whole components through
+one helper, which list-colors a component with `listcolor.color_component`
+or turns it red.
 
 All randomness is a pure function of (seed, step, purpose, vertex) through
 counter-based streams, so a seed plus the step counter fully determines every
@@ -87,71 +89,6 @@ class ProcessRandomness:
         u = (int(bits.random_raw(v % 4 + 1)[-1]) >> 11) * 2.0 ** -53
         idx = min(int(u * len(avail)), len(avail) - 1)
         return avail[idx]
-
-
-class ScriptedRandomness:
-    """Deterministic adapter for hand-traced fixtures: a fixed active set per
-    step and a fixed color per (step, vertex)."""
-
-    def __init__(self, activations: dict[int, list[int]],
-                 colors: dict[tuple[int, int], int]):
-        self.activations = {s: set(vs) for s, vs in activations.items()}
-        self.colors = dict(colors)
-
-    def activation_mask(self, step: int, probs: np.ndarray) -> np.ndarray:
-        mask = np.zeros(len(probs), dtype=bool)
-        for v in self.activations.get(step, ()):
-            mask[v] = True
-        return mask
-
-    def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
-        c = self.colors[(step, v)]
-        if c not in avail:
-            raise ConfigurationError(
-                f"scripted color {c} for vertex {v} not in available {avail}"
-            )
-        return c
-
-
-class RecordingRandomness:
-    """Wraps another adapter and logs activations and color choices."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.activations: dict[int, np.ndarray] = {}
-        self.choices: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-
-    def activation_mask(self, step: int, probs: np.ndarray) -> np.ndarray:
-        mask = self.inner.activation_mask(step, probs)
-        self.activations[step] = mask.copy()
-        return mask
-
-    def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
-        c = self.inner.choose_color(step, v, avail)
-        self.choices[(step, v)] = (avail, c)
-        return c
-
-
-class PermutedRandomness:
-    """Replays a recording with every palette color pushed through a
-    permutation; used to check color symmetry of the whole process."""
-
-    def __init__(self, recording: RecordingRandomness, perm: dict[int, int]):
-        self.recording = recording
-        self.perm = dict(perm)
-
-    def activation_mask(self, step: int, probs: np.ndarray) -> np.ndarray:
-        return self.recording.activations[step].copy()
-
-    def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
-        base_avail, base_choice = self.recording.choices[(step, v)]
-        expected = tuple(sorted(self.perm[c] for c in base_avail))
-        if expected != avail:
-            raise ConfigurationError(
-                f"permuted run diverged at vertex {v}: available {avail}, "
-                f"expected {expected}"
-            )
-        return self.perm[base_choice]
 
 
 # ---------------------------------------------------------------------------
@@ -394,26 +331,24 @@ class _RoundEngine:
         self.committed: list[int] = []
         self.cascade_of: dict[int, int] = {}
         self.gen_of: dict[int, int] = {}
-        # per vertex: touches, last toucher, last commit that took a color
-        self._touches: dict[int, int] = {}
+        # per vertex: last toucher, last commit that took a color, first provenance
         self._toucher: dict[int, int] = {}
         self._reducer: dict[int, int] = {}
-        self._prov_seen: dict[int, int] = {}
-        self._prov_multi: set[int] = set()
+        self._prov_seen: dict[int, int | None] = {}
+        self._collided: set[int] = set()
 
     # -- commits ---------------------------------------------------------------
 
     def _touch(self, v: int, toucher: int) -> None:
+        """A touch's provenance is the toucher's lineage in scoped mode and the
+        toucher otherwise; v collides once two (or one without a lineage) touch it."""
         self._toucher[v] = toucher
         self.dirty.append(v)
-        if self.scoped:
-            prov = self.cascade_of.get(toucher)
-            if v not in self._prov_seen:
-                self._prov_seen[v] = prov
-            elif prov is None or self._prov_seen[v] != prov:
-                self._prov_multi.add(v)
-        else:
-            self._touches[v] = self._touches.get(v, 0) + 1
+        prov = self.cascade_of.get(toucher) if self.scoped else toucher
+        if v not in self._prov_seen:
+            self._prov_seen[v] = prov
+        elif prov is None or self._prov_seen[v] != prov:
+            self._collided.add(v)
 
     def commit(self, v: int, c: int, touch: bool = True) -> None:
         """Color v with c, a palette color or RED; only a palette color is
@@ -548,11 +483,7 @@ class _RoundEngine:
                     # of one solver-colored component eating v's last two
                     # colors through a short cycle); treat it like a collision.
                     starved = st.avail_count[v] == 0
-                    if self.scoped:
-                        collided = v in self._prov_multi
-                    else:
-                        collided = self._touches.get(v, 0) >= 2
-                    if starved or collided:
+                    if starved or v in self._collided:
                         cause = (self._reducer[v] if starved
                                  else self._toucher[v])
                         self._inherit(v, cause)
@@ -718,6 +649,20 @@ def _starvation_guards(state: ColoringState, sub: list[int]) -> list[int]:
                   if k >= int(state.avail_count[u]))
 
 
+def _commit_component(engine: _RoundEngine, comp: list[int]) -> bool:
+    """List-color `comp` from its available colors, or make it all RED if the
+    solver fails, and commit it in bulk; returns whether it was colored.  Bulk
+    commits earn no rule-3 credit (touch=False): an outside vertex bordering
+    one component twice is itself a cycle artifact."""
+    state = engine.state
+    lists = {v: state.available_colors(v) for v in comp}
+    status, assignment = color_component(state.graph, comp, lists)
+    colored = status == COLORED
+    for v in comp:
+        engine.commit(v, assignment[v] if colored else RED, touch=False)
+    return colored
+
+
 def buffer_rounds(state: ColoringState) -> BufferReport:
     """Modified-mode relief: repeatedly list-color the uncolored vertices
     within distance 3 of red vertices until no red has any.  Components are
@@ -773,20 +718,12 @@ def buffer_rounds(state: ColoringState) -> BufferReport:
                 # tree it borders once and can lose only one).  Absorb such
                 # vertices so the solver keeps them viable.
                 sub = sub + _starvation_guards(state, sub)
-                lists = {v: state.available_colors(v) for v in sub}
-                status, assignment = color_component(state.graph, sub, lists)
-                # Bulk commits are no-credit (touch=False): an outside vertex
-                # bordering one component twice is itself a cycle artifact.
                 for v in sub:
                     engine.cascade_of[v] = prov
-                if status == COLORED:
-                    for v in sub:
-                        engine.commit(v, assignment[v], touch=False)
+                if _commit_component(engine, sub):
                     colored_this_round += len(sub)
                 else:
                     report.failures += 1
-                    for v in sub:
-                        engine.commit(v, RED, touch=False)
                     report.red_created += len(sub)
                 engine.run_rounds([])
         colored_this_round += round_report.rule1 + round_report.rule2
@@ -799,9 +736,9 @@ def buffer_rounds(state: ColoringState) -> BufferReport:
 
 def complete_remainder(state: ColoringState) -> CompletionReport:
     """Phase 2: properly color every remaining uncolored component from its
-    available lists.  Trees are solved greedily (never blocks with >= 2-color
-    lists); cyclic components fall back to backtracking; failures turn the
-    component red and are counted."""
+    available lists with the exact list-coloring search (which never
+    backtracks on a tree, as every list has at least two colors); failures
+    turn the component red and are counted."""
     report = CompletionReport()
     targets = np.nonzero(state.color == UNCOLORED)[0]
     if not len(targets):
@@ -809,15 +746,11 @@ def complete_remainder(state: ColoringState) -> CompletionReport:
     engine = _RoundEngine(state, StepReport(step=state.step))
     for comp in connected_components(state.graph, [int(v) for v in targets]):
         report.components += 1
-        lists = {v: state.available_colors(v) for v in comp}
-        status, assignment = color_component(state.graph, comp, lists)
-        if status == COLORED:
+        if _commit_component(engine, comp):
             report.colored += len(comp)
         else:
             report.failures += 1
             report.red_created += len(comp)
-        for v in comp:
-            engine.commit(v, assignment[v] if status == COLORED else RED, touch=False)
     state.check_invariants()
     return report
 
@@ -915,13 +848,13 @@ def read_coloring(path: str) -> tuple[int, int, int, np.ndarray]:
     if len(head) != 3:
         raise ConfigurationError(f"coloring dump: bad header {lines[0]!r}")
     n, r, p = int_fields("coloring dump", lines[0], head, ("n", "r", "p"))
-    if n < 0 or r < 0 or p < 2:
+    if n < 0 or r < 0 or not 2 <= p <= np.iinfo(np.int16).max:
         raise ConfigurationError(f"coloring dump: bad header {lines[0]!r}")
-    colors = np.full(n, UNCOLORED, dtype=np.int16)
     if len(lines) - 1 != n:
         raise ConfigurationError(
-            f"coloring dump: expected {n} vertex lines, got {len(lines) - 1}"
+            f"coloring dump: header n={n} but {len(lines) - 1} vertex lines"
         )
+    colors = np.full(n, UNCOLORED, dtype=np.int16)
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:

@@ -30,7 +30,6 @@ __all__ = [
     "RunStats",
     "collect_run_stats",
     "trajectory_distance",
-    "mean_trajectory_distance",
     "TailFit",
     "cascade_tail_fit",
     "RedScaling",
@@ -129,10 +128,8 @@ def collect_run_stats(
 def trajectory_distance(stats: RunStats, cert: Certificate) -> float:
     """Sup over step boundaries k with k * epsilon <= R of the max-norm
     distance between the empirical distribution and the certified flow,
-    linearly interpolated between certificate samples.
-
-    To aggregate over seeds, average per-seed distances (see
-    `mean_trajectory_distance`)."""
+    linearly interpolated between certificate samples.  To aggregate over
+    seeds, average the per-seed distances."""
     if (stats.r, stats.p) != (cert.cfg.r, cert.cfg.p):
         raise ConfigurationError(
             f"run is ({stats.r},{stats.p}) but certificate is "
@@ -161,14 +158,6 @@ def trajectory_distance(stats: RunStats, cert: Certificate) -> float:
             sigma = (1.0 - w) * states[i - 1] + w * states[i]
         worst = max(worst, float(np.max(np.abs(z.vec - sigma))))
     return worst
-
-
-def mean_trajectory_distance(runs: list[RunStats], cert: Certificate) -> float:
-    """Seed-aggregated figure: the mean of per-seed sup distances.  Order of
-    `runs` does not matter."""
-    if not runs:
-        raise InsufficientDataError("no runs to aggregate")
-    return float(np.mean([trajectory_distance(s, cert) for s in runs]))
 
 
 class TailFit(NamedTuple):

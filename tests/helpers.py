@@ -1,5 +1,7 @@
 """Shared test utilities."""
 
+from collections import deque
+
 import numpy as np
 
 from treecolor.dynamics import (
@@ -9,8 +11,13 @@ from treecolor.dynamics import (
     cascade_growth,
     type_space,
 )
-from treecolor.errors import DegenerateDistributionError
+from treecolor.errors import (
+    ConfigurationError,
+    DegenerateDistributionError,
+    InsufficientDataError,
+)
 from treecolor.process import RED, UNCOLORED
+from treecolor.stats import trajectory_distance
 
 
 def random_subcritical(rng, cfg: PaletteConfig, growth_cap: float = 0.95):
@@ -32,6 +39,14 @@ def mixed_example() -> TypeDistribution:
     return TypeDistribution.from_dict(
         cfg, {VertexType(4, 3): 0.5, VertexType(2, 2): 0.5}
     )
+
+
+def mean_trajectory_distance(runs, cert) -> float:
+    """Seed-aggregated figure: the mean of per-seed sup distances.  Order of
+    `runs` does not matter."""
+    if not runs:
+        raise InsufficientDataError("no runs to aggregate")
+    return float(np.mean([trajectory_distance(s, cert) for s in runs]))
 
 
 def ball3_uncolored_reference(state):
@@ -59,3 +74,102 @@ def ball3_uncolored_reference(state):
     targets = sorted(u for u, d in dist.items()
                      if d > 0 and state.color[u] == UNCOLORED)
     return targets, owner
+
+
+def tree_greedy_reference(graph, vertices: list[int], lists) -> tuple[str, dict[int, int]]:
+    """The greedy tree solver list coloring used to run on components that
+    are trees: a breadth-first walk from the lowest vertex in which each
+    vertex takes its first listed color that differs from its parent's."""
+    vset = set(vertices)
+    root = vertices[0]
+    assignment: dict[int, int] = {}
+    parent_color: dict[int, int | None] = {root: None}
+    queue = deque([root])
+    seen = {root}
+    while queue:
+        v = queue.popleft()
+        avoid = parent_color[v]
+        choice = None
+        for c in lists[v]:
+            if c != avoid:
+                choice = c
+                break
+        if choice is None:
+            return "infeasible", {}
+        assignment[v] = choice
+        for u in graph.neighbors(v):
+            u = int(u)
+            if u in vset and u not in seen:
+                seen.add(u)
+                parent_color[u] = choice
+                queue.append(u)
+    return "colored", assignment
+
+
+# ---------------------------------------------------------------------------
+# Randomness adapters for hand-traced and replayed runs
+# ---------------------------------------------------------------------------
+
+class ScriptedRandomness:
+    """Deterministic adapter for hand-traced fixtures: a fixed active set per
+    step and a fixed color per (step, vertex)."""
+
+    def __init__(self, activations: dict[int, list[int]],
+                 colors: dict[tuple[int, int], int]):
+        self.activations = {s: set(vs) for s, vs in activations.items()}
+        self.colors = dict(colors)
+
+    def activation_mask(self, step: int, probs: np.ndarray) -> np.ndarray:
+        mask = np.zeros(len(probs), dtype=bool)
+        for v in self.activations.get(step, ()):
+            mask[v] = True
+        return mask
+
+    def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
+        c = self.colors[(step, v)]
+        if c not in avail:
+            raise ConfigurationError(
+                f"scripted color {c} for vertex {v} not in available {avail}"
+            )
+        return c
+
+
+class RecordingRandomness:
+    """Wraps another adapter and logs activations and color choices."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.activations: dict[int, np.ndarray] = {}
+        self.choices: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+
+    def activation_mask(self, step: int, probs: np.ndarray) -> np.ndarray:
+        mask = self.inner.activation_mask(step, probs)
+        self.activations[step] = mask.copy()
+        return mask
+
+    def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
+        c = self.inner.choose_color(step, v, avail)
+        self.choices[(step, v)] = (avail, c)
+        return c
+
+
+class PermutedRandomness:
+    """Replays a recording with every palette color pushed through a
+    permutation; used to check color symmetry of the whole process."""
+
+    def __init__(self, recording: RecordingRandomness, perm: dict[int, int]):
+        self.recording = recording
+        self.perm = dict(perm)
+
+    def activation_mask(self, step: int, probs: np.ndarray) -> np.ndarray:
+        return self.recording.activations[step].copy()
+
+    def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
+        base_avail, base_choice = self.recording.choices[(step, v)]
+        expected = tuple(sorted(self.perm[c] for c in base_avail))
+        if expected != avail:
+            raise ConfigurationError(
+                f"permuted run diverged at vertex {v}: available {avail}, "
+                f"expected {expected}"
+            )
+        return self.perm[base_choice]

@@ -6,8 +6,16 @@ cascade laws) use seeded Monte Carlo sweeps at the tolerances stated in the
 module docs.
 """
 
+import time
+
 import numpy as np
 import pytest
+from helpers import (
+    PermutedRandomness,
+    RecordingRandomness,
+    ScriptedRandomness,
+    tree_greedy_reference,
+)
 
 from treecolor.dynamics import PaletteConfig, VertexType, default_tuning, type_space
 from treecolor.errors import ConfigurationError, GenerationError
@@ -24,9 +32,6 @@ from treecolor.process import (
     UNCOLORED,
     ColoringState,
     ProcessRandomness,
-    PermutedRandomness,
-    RecordingRandomness,
-    ScriptedRandomness,
     buffer_rounds,
     complete_remainder,
     extra_color,
@@ -430,6 +435,51 @@ def test_color_component_budget():
     tri, _ = parse_fixture("3 4\n0 1\n1 2\n0 2\n")
     status, _ = color_component(tri, [0, 1, 2], {v: (0, 1) for v in range(3)}, budget=1)
     assert status == BUDGET
+
+
+def random_tree(rng: np.random.Generator, n: int):
+    """A random recursive tree on shuffled labels, with a random list of
+    2-4 colors out of 5, in random order, per vertex."""
+    labels = rng.permutation(n).tolist()
+    edges = [(labels[int(rng.integers(i))], labels[i]) for i in range(1, n)]
+    text = f"{n} {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    lists = {v: tuple(rng.permutation(5)[: int(rng.integers(2, 5))].tolist())
+             for v in range(n)}
+    return parse_fixture(text)[0], lists
+
+
+def test_color_component_on_trees_matches_the_greedy_reference():
+    # on a tree each vertex sees only its parent's color, so the search
+    # takes the first listed color that differs from it
+    for seed in range(300):
+        rng = np.random.default_rng([31, seed])
+        graph, lists = random_tree(rng, int(rng.integers(1, 120)))
+        vertices = list(range(graph.n))
+        assert color_component(graph, vertices, lists) == tree_greedy_reference(
+            graph, vertices, lists)
+
+
+def test_color_component_budget_spares_trees():
+    # the budget counts search nodes only after a dead end, which a tree
+    # with lists of two or more colors never reaches
+    graph, lists = random_tree(np.random.default_rng(5), 1000)
+    vertices = list(range(graph.n))
+    status, assignment = color_component(graph, vertices, lists, budget=1)
+    assert status == COLORED
+    assert (status, assignment) == tree_greedy_reference(graph, vertices, lists)
+
+
+def test_color_component_long_path_is_linear():
+    n = 100_000
+    path, _ = parse_fixture(f"{n} 2\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    rng = np.random.default_rng(3)
+    lists = {v: tuple(rng.permutation(3).tolist()) for v in range(n)}
+    start = time.perf_counter()
+    status, assignment = color_component(path, list(range(n)), lists)
+    elapsed = time.perf_counter() - start
+    assert status == COLORED
+    assert all(assignment[i] != assignment[i + 1] for i in range(n - 1))
+    assert elapsed < 3.0, f"{elapsed:.2f} s for a path of {n} vertices"
 
 
 def test_connected_components_partition():

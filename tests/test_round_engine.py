@@ -1,7 +1,9 @@
 """The round engine across code changes and over random small instances.
 
 The stream pins record sha256 digests of two seeded runs, so any change to
-the random stream or to the order of commits shows up as a failed digest.
+the random stream or to the order of commits shows up as a failed digest;
+two more pin the final dump of a whole pipeline, phase 2 and tidy-up
+included.
 The property tests drive greedy steps and scoped buffer rounds on seeded
 random small graphs (cycles, degrees below r, random presets) and check the
 invariants after every step, a proper final coloring, and that
@@ -14,13 +16,21 @@ every red finds.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
-from helpers import ball3_uncolored_reference
+from helpers import ScriptedRandomness, ball3_uncolored_reference
 
 from treecolor import process
-from treecolor.dynamics import PaletteConfig, TuningParams, VertexType, type_space
+from treecolor.cli import run_pipeline
+from treecolor.dynamics import (
+    PaletteConfig,
+    TuningParams,
+    VertexType,
+    default_tuning,
+    type_space,
+)
 from treecolor.errors import InternalConsistencyError
 from treecolor.graphs import Graph, gen_regular_graph, gen_tree_ball, parse_fixture
 from treecolor.process import (
@@ -28,7 +38,6 @@ from treecolor.process import (
     UNCOLORED,
     ColoringState,
     ProcessRandomness,
-    ScriptedRandomness,
     buffer_rounds,
     complete_remainder,
     greedy_step,
@@ -36,6 +45,7 @@ from treecolor.process import (
     tidy_to_proper,
     trace_cascade,
     verify_proper,
+    write_coloring,
 )
 
 CFG43 = PaletteConfig(4, 3)
@@ -89,6 +99,28 @@ def test_modified_stream_pinned():
         "ab74c43e7db95ea2b0b363ecbb441ffd8e2bf37ee12ffb272c0f4af21909a853")
     assert _step_digest(reports) == (
         "8b796fcec49edd48885fa4f7d447efee117864702b023b36a03c42d89f3b755d")
+
+
+@pytest.mark.parametrize("r, p, n, epsilon, seed, modified, digest", [
+    # phase 2 colors 18 components (307 vertices), tidy-up erases 344
+    (4, 3, 3000, 0.05, 1, False,
+     "4e66111046d81d6009358994620a94cac54be1868b1bd9c7bad7828a8326dd9c"),
+    # phase 2 colors 12 components (26 vertices), tidy-up erases 62
+    (6, 4, 2000, 0.05, 3, True,
+     "3578b92bacc7f2e672d876b659dbb611709e0e9eaba5f213adb5dcf3ca85e57b"),
+])
+def test_pipeline_dump_pinned(tmp_path, r, p, n, epsilon, seed, modified, digest):
+    """Phase 2 and the tidy-up, on top of phase 1, through the final dump."""
+    cfg = PaletteConfig(r, p)
+    R = 9.848 if r == 4 else 113.153  # the certified windows
+    result = run_pipeline(gen_regular_graph(n, r, seed=seed),
+                          default_tuning(cfg, epsilon=epsilon),
+                          math.ceil(R / epsilon), seed, modified)
+    assert result.completion.colored > 0 and result.tidy.erased > 0
+    assert result.proper.ok
+    path = tmp_path / "dump"
+    write_coloring(result.state, str(path))
+    assert _sha(path.read_bytes()) == digest
 
 
 # ---------------------------------------------------------------------------

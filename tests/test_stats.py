@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import mean_trajectory_distance
 
 from treecolor.certify import Certificate, certify
 from treecolor.dynamics import (
@@ -21,7 +22,6 @@ from treecolor.stats import (
     cascade_tail_fit,
     collect_run_stats,
     component_stats,
-    mean_trajectory_distance,
     neighbor_type_law,
     red_scaling,
     stats_csv,

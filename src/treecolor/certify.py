@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -42,17 +42,14 @@ MAX_STORED_SAMPLES = 2048
 
 @dataclass(frozen=True)
 class IntegrationControl:
-    """Fixed-step integration settings."""
+    """Fixed-step RK4 integration settings."""
 
-    method: str = "rk4"
     step: float = 1e-3
     max_time: float = 500.0
     sample_stride: int = 1
     halvings: int = 2
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk4", "euler"):
-            raise ConfigurationError(f"unknown method {self.method!r}")
         if not (0.0 < self.step <= 0.1):
             raise ConfigurationError(f"step must be in (0, 0.1], got {self.step}")
         if self.max_time <= 0.0:
@@ -110,21 +107,22 @@ def integrate(
     """
     if tuning.cfg != cfg:
         raise ConfigurationError("tuning and palette configs differ")
-    return _integrate(cfg, tuning, control.method, control.step, control.max_time,
+    return _integrate(cfg, tuning, control.step, control.max_time,
                       control.sample_stride, stop_at_remainder_below)
 
 
 def _integrate(
     cfg: PaletteConfig,
     tuning: TuningParams,
-    method: str,
     h: float,
     max_time: float,
     sample_stride: int,
     stop_below: float | None,
+    euler: bool = False,
 ) -> Trajectory:
-    """`integrate` with the control's fields unpacked, so that the Euler
-    comparison can take steps above the certifier's 0.1 cap."""
+    """`integrate` with the control's fields unpacked.  RK4 unless `euler`
+    is set; only the Euler comparison sets it, and only it takes steps above
+    the certifier's 0.1 cap."""
     space = type_space(cfg)
     field = drift_field(space, tuning.vector())
 
@@ -145,14 +143,14 @@ def _integrate(
     for i in range(1, n_steps + 1):
         t = i * h
         try:
-            if method == "rk4":
+            if euler:
+                z = z + h * rhs(z)
+            else:
                 k1 = rhs(z)
                 k2 = rhs(z + 0.5 * h * k1)
                 k3 = rhs(z + 0.5 * h * k2)
                 k4 = rhs(z + h * k3)
                 z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            else:
-                z = z + h * rhs(z)
         except (DegenerateDistributionError, SupercriticalError) as exc:
             # a stage evaluation blew up: report it, and close the record
             # with the last accepted state unless it is stored already
@@ -273,22 +271,13 @@ def certify(
     """
     if not (0.0 < threshold <= 1.0):
         raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
-    runs = []
+    refinements = []
     for k in range(control.halvings + 1):
-        refined = IntegrationControl(
-            method=control.method,
-            step=control.step / (2 ** k),
-            max_time=control.max_time,
-            # keep samples on the base grid so stopping times are comparable
-            sample_stride=control.sample_stride * (2 ** k),
-            halvings=control.halvings,
-        )
+        # keep samples on the base grid so stopping times are comparable
+        refined = replace(control, step=control.step / (2 ** k),
+                          sample_stride=control.sample_stride * (2 ** k))
         traj = integrate(cfg, tuning, refined, stop_at_remainder_below=threshold)
         result = find_stop_time(traj, threshold)
-        runs.append((refined, traj, result))
-
-    refinements = []
-    for refined, traj, result in runs:
         entry: dict[str, Any] = {"step": refined.step, "found": result.found}
         if result.found:
             idx = result.index
@@ -302,7 +291,7 @@ def certify(
         refinements.append(entry)
 
     failure = None
-    if not all(res.found for _, _, res in runs):
+    if not all(e["found"] for e in refinements):
         failure = "no stable stopping time: " + "; ".join(
             str(e.get("reason")) for e in refinements if not e["found"]
         )
@@ -315,7 +304,7 @@ def certify(
                 )
                 break
 
-    _, traj, result = runs[-1]
+    # samples come from the finest refinement, the last one run
     keep = _decimate_indices(len(traj.times), MAX_STORED_SAMPLES)
     if result.found and result.index not in keep:
         keep = np.unique(np.append(keep, result.index))
@@ -399,13 +388,7 @@ def certificate_to_json(cert: Certificate) -> str:
         "status": cert.status,
         "cfg": {"r": cert.cfg.r, "p": cert.cfg.p},
         "tuning": {f"{t.d},{t.c}": float(w) for t, w in sorted(cert.tuning.items())},
-        "control": {
-            "method": cert.control.method,
-            "step": cert.control.step,
-            "max_time": cert.control.max_time,
-            "sample_stride": cert.control.sample_stride,
-            "halvings": cert.control.halvings,
-        },
+        "control": {"method": "rk4", **asdict(cert.control)},
         "threshold": cert.threshold,
         "r": cert.r,
         "max_g_on_0_r": cert.max_g_on_0_r,
@@ -493,9 +476,11 @@ def load_certificate(path: str) -> Certificate:
     except ConfigurationError as exc:
         raise CertificateParseError(f"cfg: {exc}") from None
     ctl_raw = raw["control"]
+    if ctl_raw.get("method") != "rk4":
+        raise CertificateParseError(
+            f"control.method: expected 'rk4', got {ctl_raw.get('method')!r}")
     try:
         control = IntegrationControl(
-            method=ctl_raw["method"],
             step=_number(ctl_raw["step"], "control.step"),
             max_time=_number(ctl_raw["max_time"], "control.max_time"),
             sample_stride=ctl_raw["sample_stride"],
@@ -584,8 +569,7 @@ def verify_certificate(cert: Certificate) -> None:
     if not (np.diff(times) > 0).all():
         raise CertificateVerificationError("sample times are not increasing")
     if cert.status == "certified":
-        for name in ("r", "max_g_on_0_r", "remainder_growth_at_r", "margin_g",
-                     "margin_remainder"):
+        for name in _NULLABLE_FIELDS:
             if getattr(cert, name) is None:
                 raise CertificateVerificationError(f"certified but {name} is null")
         if not (cert.margin_g > 0.0 and cert.margin_remainder > 0.0):
@@ -615,14 +599,6 @@ def verify_certificate(cert: Certificate) -> None:
             raise CertificateVerificationError("remainder at r not below threshold")
 
 
-def certificate_roundtrip(cert: Certificate, path: str) -> Certificate:
-    """Save, reload, and verify; returns the reloaded certificate."""
-    save_certificate(cert, path)
-    loaded = load_certificate(path)
-    verify_certificate(loaded)
-    return loaded
-
-
 def euler_ode_compare(
     cfg: PaletteConfig,
     tuning: TuningParams,
@@ -639,13 +615,7 @@ def euler_ode_compare(
     # reference step divides eps exactly so sample times align by index
     substeps = max(10, int(math.ceil(epsilon / control.step - 1e-12)))
     ref_step = epsilon / substeps
-    ref_control = IntegrationControl(
-        method="rk4",
-        step=ref_step,
-        max_time=control.max_time,
-        sample_stride=1,
-        halvings=control.halvings,
-    )
+    ref_control = replace(control, step=ref_step, sample_stride=1)
     ref = integrate(cfg, tuning, ref_control, stop_at_remainder_below=DEFAULT_THRESHOLD)
     if ref.aborted and ref.abort_reason == "supercritical":
         raise ComparisonFailureError("reference trajectory went supercritical")
@@ -653,7 +623,7 @@ def euler_ode_compare(
     # no crossing (e.g. zero weights) is not an error: compare over what ran
     stop_time = result.time if result.found else float(ref.times[-1])
 
-    euler = _integrate(cfg, tuning, "euler", epsilon, stop_time + 1e-12, 1, None)
+    euler = _integrate(cfg, tuning, epsilon, stop_time + 1e-12, 1, None, euler=True)
     if euler.abort_reason == "supercritical":
         raise ComparisonFailureError("euler sequence went supercritical")
     # Euler point n sits at reference index n * substeps

@@ -172,8 +172,6 @@ def _add_control_flags(sub: argparse.ArgumentParser) -> None:
                      help="integration horizon")
     sub.add_argument("--halvings", type=int, default=None,
                      help="step-halving refinements for certification")
-    sub.add_argument("--method", choices=("rk4", "euler"), default=None,
-                     help="integration method")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,14 +267,8 @@ def _tuning_for(args, epsilon=None) -> TuningParams:
 
 
 def _control_for(args) -> IntegrationControl:
-    base = IntegrationControl()
-    return IntegrationControl(
-        method=args.method if args.method is not None else base.method,
-        step=args.step if args.step is not None else base.step,
-        max_time=args.max_time if args.max_time is not None else base.max_time,
-        sample_stride=base.sample_stride,
-        halvings=args.halvings if args.halvings is not None else base.halvings,
-    )
+    given = {"step": args.step, "max_time": args.max_time, "halvings": args.halvings}
+    return IntegrationControl(**{k: v for k, v in given.items() if v is not None})
 
 
 def _config_echo(args, keys: list[str]) -> dict:
@@ -331,8 +323,7 @@ def cmd_integrate(args) -> int:
     traj = integrate(cfg, tuning, control, stop_at_remainder_below=args.threshold)
     space = type_space(cfg)
     config = _config_echo(args, ["r", "p", "threshold", "weight"])
-    config.update(method=control.method, step=control.step,
-                  max_time=control.max_time)
+    config.update(method="rk4", step=control.step, max_time=control.max_time)
     lines = [_comment_block(config).rstrip("\n")]
     lines.append("time,g,remainder," + ",".join(f"z_{t.d}_{t.c}" for t in space.types))
     for i in range(len(traj.times)):
@@ -416,7 +407,7 @@ def run_pipeline(graph: Graph, tuning: TuningParams, steps: int, seed: int,
     comp = component_stats(state)
     completion = complete_remainder(state)
     tidy = tidy_to_proper(state)
-    proper = verify_proper(state)
+    proper = verify_proper(state.graph, state.color)
     return RunResult(state, stats, comp, completion, tidy, proper)
 
 
@@ -563,14 +554,12 @@ def _verify_dump(args) -> int:
         raise ConfigurationError(
             f"dump has n={n}, r={r} but graph has n={graph.n}, r={graph.r}"
         )
-    cu = colors[graph.edges_u]
-    cv = colors[graph.edges_v]
-    clash = np.nonzero(cu == cv)[0]
+    # a dump lists every vertex with a color in [0, p], so no edge is red-red
+    clash = verify_proper(graph, colors).violations
     extra_frac = float((colors == p).sum()) / n if n else 0.0
-    if len(clash):
+    if clash:
         print(f"{args.dump}: {len(clash)} violating edges")
-        for i in clash[:10]:
-            u, v = int(graph.edges_u[i]), int(graph.edges_v[i])
+        for u, v in clash[:10]:
             print(f"  edge ({u},{v}): both colored {int(colors[u])}")
         return EXIT_FAILURE
     print(f"{args.dump}: proper, extra-color fraction {extra_frac:.6g} "
@@ -628,9 +617,5 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -145,13 +145,9 @@ class TypeDistribution:
     ) -> "TypeDistribution":
         return cls(cfg, type_space(cfg).vector_from_mapping(mapping))
 
-    def as_dict(self, keep_zeros: bool = False) -> dict[VertexType, float]:
-        space = self.space
-        return {
-            t: float(v)
-            for t, v in zip(space.types, self.vec)
-            if keep_zeros or v != 0.0
-        }
+    def as_dict(self) -> dict[VertexType, float]:
+        """The nonzero entries by type."""
+        return {t: float(v) for t, v in zip(self.space.types, self.vec) if v != 0.0}
 
     def mass(self) -> float:
         return float(self.vec.sum())
@@ -209,11 +205,6 @@ def default_tuning(cfg: PaletteConfig, epsilon: float | None = None) -> TuningPa
         for t in type_space(cfg).types
     }
     return TuningParams(cfg, weights, epsilon)
-
-
-class EulerStep(NamedTuple):
-    state: TypeDistribution
-    clamped: int
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +332,3 @@ def drift(z: TypeDistribution, tuning: TuningParams) -> dict[VertexType, float]:
     vec = drift_field(z.space, tuning.vector())(z.vec)
     return dict(zip(z.space.types, vec.tolist()))
 
-
-def euler_step(z: TypeDistribution, tuning: TuningParams) -> EulerStep:
-    """One explicit Euler step z' = z + epsilon * drift(z).  Entries that
-    would go below -1e-9 are clamped to 0 and counted in the result."""
-    if tuning.epsilon is None:
-        raise ConfigurationError("euler_step needs tuning with epsilon set")
-    if tuning.cfg != z.cfg:
-        raise ConfigurationError("tuning and distribution configs differ")
-    new_vec = z.vec + tuning.epsilon * drift_field(z.space, tuning.vector())(z.vec)
-    clamped = int((new_vec < -1e-9).sum())
-    return EulerStep(TypeDistribution(z.cfg, np.clip(new_vec, 0.0, None)), clamped)

@@ -16,9 +16,10 @@ import numpy as np
 from .errors import ConfigurationError, GenerationError
 
 MAX_REPAIR_SWEEPS = 1000
-# Vertices a fixture may declare.  Isolated vertices need no line, so this,
-# not the file's length, bounds the arrays a short header can allocate.
-MAX_FIXTURE_N = 10 ** 8
+# Vertices any graph may have.  Every generator and the fixture parser check
+# it before they allocate; a fixture's isolated vertices need no line, so the
+# file's length does not bound its arrays either.
+MAX_N = 10 ** 8
 
 
 @dataclass
@@ -85,6 +86,8 @@ def gen_regular_graph(n: int, r: int, seed: int) -> Graph:
     """
     if r < 1:
         raise ConfigurationError(f"degree must be >= 1, got {r}")
+    if n > MAX_N:
+        raise ConfigurationError(f"n={n} exceeds the maximum {MAX_N}")
     if n <= r:
         raise ConfigurationError(f"need n > r, got n={n}, r={r}")
     if (n * r) % 2 != 0:
@@ -156,6 +159,12 @@ def gen_tree_ball(r: int, radius: int) -> Graph:
         raise ConfigurationError(f"tree ball needs r >= 2, got {r}")
     if radius < 1:
         raise ConfigurationError(f"tree ball needs radius >= 1, got {radius}")
+    size, level = 1, r
+    for _ in range(radius):
+        size, level = size + level, level * (r - 1)
+        if size > MAX_N:
+            raise ConfigurationError(
+                f"tree ball: radius={radius} gives more than {MAX_N} vertices")
     eu: list[int] = []
     ev: list[int] = []
     level = [0]
@@ -194,7 +203,7 @@ def int_fields(source: str, line: str, tokens: list[str],
 
 def parse_fixture(text: str) -> tuple[Graph, list[tuple[int, int]]]:
     """Parse the hand-built fixture format: first line "n r" (n at most
-    `MAX_FIXTURE_N`), one line per edge "u v", then optional "color v c"
+    `MAX_N`), one line per edge "u v", then optional "color v c"
     lines presetting palette colors."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -206,8 +215,8 @@ def parse_fixture(text: str) -> tuple[Graph, list[tuple[int, int]]]:
     n, r = int_fields("fixture", lines[0], head, ("n", "r"))
     if n <= 0 or r <= 0:
         raise ConfigurationError("fixture: n and r must be positive")
-    if n > MAX_FIXTURE_N:
-        raise ConfigurationError(f"fixture: n={n} exceeds the maximum {MAX_FIXTURE_N}")
+    if n > MAX_N:
+        raise ConfigurationError(f"fixture: n={n} exceeds the maximum {MAX_N}")
     eu: list[int] = []
     ev: list[int] = []
     presets: list[tuple[int, int]] = []

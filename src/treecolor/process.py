@@ -804,13 +804,12 @@ def tidy_to_proper(state: ColoringState) -> TidyReport:
     return report
 
 
-def verify_proper(state: ColoringState) -> ProperReport:
-    """Exhaustive edge scan.  Red and extra count as ordinary colors; a
-    red-red edge is reported separately (legal mid-run, a violation in final
-    output)."""
-    g = state.graph
-    cu = state.color[g.edges_u]
-    cv = state.color[g.edges_v]
+def verify_proper(g: Graph, colors: np.ndarray) -> ProperReport:
+    """Exhaustive edge scan of `colors` on `g`.  Red and extra count as
+    ordinary colors; a red-red edge is reported separately (legal mid-run, a
+    violation in final output)."""
+    cu = colors[g.edges_u]
+    cv = colors[g.edges_v]
     equal = (cu == cv) & (cu != UNCOLORED)
     red_pair = equal & (cu == RED)
     clash = equal & (cu != RED)

@@ -144,6 +144,27 @@ def test_certify_rejects_bad_threshold():
     assert main(["certify", "--r", "4", "--p", "3", "--threshold", "1.5"]) == 2
 
 
+@pytest.mark.parametrize("mode", ["certify", "integrate"])
+def test_rk4_is_the_only_method(mode):
+    with pytest.raises(SystemExit) as exc:
+        main([mode, "--r", "4", "--p", "3", "--method", "rk4"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda ctl: ctl.update(method="euler"), id="euler"),
+    pytest.param(lambda ctl: ctl.pop("method"), id="missing"),
+])
+def test_verify_rejects_a_certificate_not_made_by_rk4(cert_path, tmp_path, capsys,
+                                                      mutate):
+    raw = json.loads(open(cert_path).read())
+    mutate(raw["control"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["verify", "--cert", str(bad)]) == 2
+    assert "control.method" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------
@@ -156,6 +177,7 @@ def test_integrate_emits_selfdescribing_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     comments = [ln for ln in lines if ln.startswith("#")]
     assert any("r=4" in ln for ln in comments)
+    assert "# method=rk4" in comments
     header = next(ln for ln in lines if not ln.startswith("#"))
     assert header.startswith("time,g,remainder,z_0_2")
     first = lines[lines.index(header) + 1].split(",")
@@ -242,6 +264,21 @@ def test_simulate_rejects_mismatched_certificate(cert_path):
 def test_simulate_rejects_odd_pairing():
     assert main(["simulate", "--r", "3", "--p", "2", "--epsilon", "0.05",
                  "--n", "2001", "--steps", "5"]) == 2
+
+
+# Without the cap these died with an allocation traceback, or filled memory
+# first; with it each exits 2 before any graph array exists.
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["simulate", "--epsilon", "0.1", "--n", "99999999999999"], "n=",
+                 id="simulate-n"),
+    pytest.param(["sweep", "--epsilons", "0.1", "--seeds", "1,2", "--jobs", "2",
+                  "--n", "99999999999999"], "n=", id="sweep-n"),
+    pytest.param(["simulate", "--epsilon", "0.1", "--graph-kind", "tree-ball",
+                  "--radius", "40"], "radius=", id="tree-ball-radius"),
+])
+def test_graph_size_is_capped(capsys, argv, named):
+    assert main([*argv, "--r", "4", "--p", "3", "--steps", "1"]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_simulate_tree_ball_graph(capsys):
@@ -335,9 +372,9 @@ def test_sweep_names_every_improper_cell(tmp_path, capsys, monkeypatch):
     real = cli.verify_proper
     checked = []
 
-    def second_cell_bad(state):
-        checked.append(state)
-        report = real(state)
+    def second_cell_bad(graph, colors):
+        checked.append(colors)
+        report = real(graph, colors)
         if len(checked) == 2:
             report.violations.append((0, 1))
         return report

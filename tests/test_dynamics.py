@@ -20,7 +20,6 @@ from treecolor.dynamics import (
     cascade_type_delta,
     default_tuning,
     drift,
-    euler_step,
     expected_cascade_size,
     remainder_growth,
     size_biased_law,
@@ -267,43 +266,6 @@ def test_drift_matches_padded_index_reference():
             z = random_subcritical(rng, cfg)
             closed = np.array(list(drift(z, tuning).values()))
             assert np.abs(closed - _padded_index_drift(cfg, z.vec, wvec)).max() <= 1e-12
-
-
-def test_euler_step_frozen():
-    tuning = default_tuning(CFG43, epsilon=0.01)
-    stepped, clamped = euler_step(TypeDistribution.initial(CFG43), tuning)
-    assert stepped[(4, 3)] == pytest.approx(0.99921875, abs=1e-15)
-    assert stepped[(3, 2)] == pytest.approx(0.000625, abs=1e-15)
-    assert clamped == 0
-
-
-def test_euler_step_requires_epsilon():
-    with pytest.raises(ConfigurationError):
-        euler_step(TypeDistribution.initial(CFG43), default_tuning(CFG43))
-
-
-def test_euler_step_clamps_and_reports():
-    # Near-critical state with a big step: the robbing term drains faster
-    # than mass is available, so several entries undershoot below -1e-9.
-    # (4,3) has no in-space sources, so nothing offsets its drain.
-    tuning = default_tuning(CFG43, epsilon=0.25)
-    z = TypeDistribution.from_dict(
-        CFG43,
-        {
-            VertexType(4, 2): 0.0133,
-            VertexType(3, 3): 0.0181,
-            VertexType(4, 3): 1e-6,
-            VertexType(0, 2): 0.02,
-        },
-    )
-    assert cascade_growth(z) > 0.98  # robbing amplification ~1/(1-g)
-    stepped, clamped = euler_step(z, tuning)
-    assert clamped == 3
-    assert stepped[(4, 3)] == 0.0
-    assert stepped.vec.min() >= 0.0
-    # a sane step size on the same state clamps nothing
-    _, none_clamped = euler_step(z, default_tuning(CFG43, epsilon=1e-3))
-    assert none_clamped == 0
 
 
 def test_distribution_validation():

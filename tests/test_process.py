@@ -495,7 +495,7 @@ def test_complete_remainder_colors_everything():
     rep = complete_remainder(st)
     assert np.all(st.color != UNCOLORED)
     assert rep.failures == 0
-    assert not verify_proper(st).violations
+    assert not verify_proper(st.graph, st.color).violations
 
 
 def test_complete_remainder_infeasible_component_goes_red():
@@ -524,7 +524,7 @@ def test_buffer_rounds_colors_ball_of_red():
     assert rep.failures == 0 and rep.rounds >= 1
     target = [v for v in (3, 4, 5, 6)]
     assert all(st.color[v] >= 0 for v in target)
-    assert not verify_proper(st).violations
+    assert not verify_proper(st.graph, st.color).violations
 
 
 def test_tidy_noop_without_red():
@@ -547,7 +547,7 @@ def test_tidy_recolors_red_ball():
     rep = tidy_to_proper(st)
     assert rep.red_before == 3
     assert np.all(st.color >= 0)
-    check = verify_proper(st)
+    check = verify_proper(st.graph, st.color)
     assert check.ok
     assert rep.extra_used <= 5  # |B_1| of the red triangle
 
@@ -560,14 +560,14 @@ def test_tidy_requires_total_coloring():
 
 def test_verify_proper_reports_bad_edges():
     st = make_state("4 4\n0 1\n1 2\n2 3\n")
-    assert verify_proper(st).ok  # all uncolored
+    assert verify_proper(st.graph, st.color).ok  # all uncolored
     st.color[0] = 0
     st.color[1] = 0
-    rep = verify_proper(st)
+    rep = verify_proper(st.graph, st.color)
     assert rep.violations == [(0, 1)]
     st.color[2] = RED
     st.color[3] = RED
-    rep = verify_proper(st)
+    rep = verify_proper(st.graph, st.color)
     assert rep.violations == [(0, 1)]
     assert rep.red_red == [(2, 3)]
 

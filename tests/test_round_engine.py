@@ -226,7 +226,7 @@ def test_engine_keeps_invariants_and_pipeline_ends_proper(case):
     assert not (st.color == UNCOLORED).any()
     assert_bookkeeping_recomputes(st)
     tidy_to_proper(st)
-    assert verify_proper(st).ok
+    assert verify_proper(st.graph, st.color).ok
 
 
 @pytest.mark.parametrize("modified", [False, True])

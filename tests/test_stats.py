@@ -16,8 +16,8 @@ from treecolor.dynamics import (
     size_biased_law,
 )
 from treecolor.errors import ConfigurationError, InsufficientDataError
-from treecolor.graphs import gen_regular_graph, parse_fixture
-from treecolor.process import ColoringState, run_phase1
+from treecolor.graphs import gen_regular_graph, gen_tree_ball, parse_fixture
+from treecolor.process import UNCOLORED, ColoringState, run_phase1
 from treecolor.stats import (
     cascade_tail_fit,
     collect_run_stats,
@@ -203,6 +203,19 @@ def test_component_histogram_counts_every_component():
     assert sum(s * k for s, k in comp.histogram.items()) == int(
         (state.color == -1).sum()
     )
+
+
+def test_forest_identity_on_a_tree_ball():
+    # In a forest, components = vertices - edges, so the mean component size
+    # is 1/(1 - dbar/2) exactly, dbar being the mean uncolored degree of an
+    # uncolored vertex.  The uncolored part of a tree ball is a forest.
+    state = ColoringState(gen_tree_ball(4, 7), CFG43, seed=3)
+    run_phase1(state, default_tuning(CFG43, epsilon=0.05), 150)
+    comp = component_stats(state)
+    dbar = float(state.uncolored_deg[state.color == UNCOLORED].mean())
+    assert comp.count > 1
+    assert comp.mean_size == pytest.approx(18.46798, abs=1e-5)
+    assert comp.mean_size == pytest.approx(1.0 / (1.0 - dbar / 2.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from treecolor.certify import _integrate
 from treecolor.dynamics import (
     PaletteConfig,
     TuningParams,
@@ -266,6 +267,17 @@ def test_drift_matches_padded_index_reference():
             z = random_subcritical(rng, cfg)
             closed = np.array(list(drift(z, tuning).values()))
             assert np.abs(closed - _padded_index_drift(cfg, z.vec, wvec)).max() <= 1e-12
+
+
+def test_euler_step_frozen():
+    # one Euler step of size epsilon from the fresh state, on the
+    # integrator's Euler branch: z + eps * F(z), nothing clamped
+    tuning = default_tuning(CFG43, epsilon=0.01)
+    traj = _integrate(CFG43, tuning, tuning.epsilon, tuning.epsilon, 1, None, euler=True)
+    stepped = traj.state_at(1)
+    assert stepped[(4, 3)] == pytest.approx(0.99921875, abs=1e-15)
+    assert stepped[(3, 2)] == pytest.approx(0.000625, abs=1e-15)
+    assert traj.clamp_events == 0
 
 
 def test_distribution_validation():

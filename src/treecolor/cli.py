@@ -20,6 +20,7 @@ fields or as leading `#` comment lines.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -72,7 +73,6 @@ from .stats import (
     component_stats,
     red_scaling,
     stats_csv,
-    summary_json,
     trajectory_distance,
 )
 
@@ -170,8 +170,6 @@ def _add_control_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--step", type=float, default=None, help="integration step")
     sub.add_argument("--max-time", type=float, default=None,
                      help="integration horizon")
-    sub.add_argument("--halvings", type=int, default=None,
-                     help="step-halving refinements for certification")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,6 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     cert = subs.add_parser("certify", help="emit a subcriticality certificate")
     _add_palette_flags(cert)
     _add_control_flags(cert)
+    cert.add_argument("--halvings", type=int, default=None,
+                      help="step-halving refinements")
     cert.add_argument("--threshold", type=float, default=0.99999)
     cert.add_argument("--out", default=None, help="certificate JSON path")
     cert.add_argument("--config", default=None, help="key=value config file")
@@ -267,7 +267,7 @@ def _tuning_for(args, epsilon=None) -> TuningParams:
 
 
 def _control_for(args) -> IntegrationControl:
-    given = {"step": args.step, "max_time": args.max_time, "halvings": args.halvings}
+    given = {k: vars(args).get(k) for k in ("step", "max_time", "halvings")}
     return IntegrationControl(**{k: v for k, v in given.items() if v is not None})
 
 
@@ -282,6 +282,16 @@ def _comment_block(config: dict) -> str:
     lines = [f"# {k}={config[k]}" for k in config]
     lines.insert(0, f"# treecolor {__version__}")
     return "\n".join(lines) + "\n"
+
+
+def _emit(args, text: str, what: str) -> None:
+    """Write `text` to `--out` and say so, or else to stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {args.out} ({what})")
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +341,7 @@ def cmd_integrate(args) -> int:
                repr(float(traj.remainder_values[i]))]
         row += [repr(float(x)) for x in traj.states[i]]
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out} ({len(traj.times)} samples)")
-    else:
-        sys.stdout.write(text)
+    _emit(args, "\n".join(lines) + "\n", f"{len(traj.times)} samples")
     if traj.aborted:
         print(f"integration aborted: {traj.abort_reason}")
     if args.threshold is not None:
@@ -376,9 +380,14 @@ def _resolve_steps(args, epsilon: float):
 
 def _build_graph(args):
     if args.graph_kind == "tree-ball":
+        for flag, value in (("--n", args.n), ("--graph-seed", args.graph_seed)):
+            if value is not None:
+                raise ConfigurationError(f"{flag} does not apply to tree-ball graphs")
         if args.radius is None:
             raise ConfigurationError("tree-ball graphs need --radius")
         return gen_tree_ball(args.r, args.radius)
+    if args.radius is not None:
+        raise ConfigurationError("--radius applies only to tree-ball graphs")
     if args.n is None:
         raise ConfigurationError("random-regular graphs need --n")
     graph_seed = args.graph_seed if args.graph_seed is not None else args.seed
@@ -411,22 +420,26 @@ def run_pipeline(graph: Graph, tuning: TuningParams, steps: int, seed: int,
     return RunResult(state, stats, comp, completion, tidy, proper)
 
 
-def cmd_simulate(args) -> int:
-    steps, cert = _resolve_steps(args, args.epsilon)
-    tuning = _tuning_for(args, epsilon=args.epsilon)
-    graph = _build_graph(args)
-    state, stats, comp, completion, tidy, proper = run_pipeline(
-        graph, tuning, steps, args.seed, args.modified)
-
+def summary_json(args, run: RunResult, cert) -> str:
+    """The run's summary JSON: phase-1 tallies, the final fractions after
+    tidy-up, the later stages, the resolved configuration and, given a
+    certified certificate, the trajectory distance."""
+    state, stats, comp, completion, tidy, proper = run
     counts = state.counts()
-    extra_fields = {
-        # the stats block describes phase 1; these describe the later stages
+    body = {
+        "r": stats.r,
+        "p": stats.p,
+        "epsilon": stats.epsilon,
+        "n": stats.n,
+        "steps": stats.steps,
+        "final_uncolored_frac": counts["uncolored"] / stats.n,
+        "final_red_frac": counts["red"] / stats.n,
+        "final_extra_frac": counts["extra"] / stats.n,
+        "total_cascades": sum(len(s) for s in stats.cascade_sizes),
+        "buffer_colored_per_round": list(stats.buffer_colored_per_round),
         "component_histogram": {str(k): v for k, v in sorted(comp.histogram.items())},
         "violations": len(proper.violations) + len(proper.red_red),
         "failure_counts": {"completion": completion.failures, "tidy": tidy.failures},
-        "final_uncolored_frac": counts["uncolored"] / graph.n,
-        "final_red_frac": counts["red"] / graph.n,
-        "final_extra_frac": counts["extra"] / graph.n,
         "red_before_tidy": tidy.red_before,
         "completion_components": completion.components,
         "completion_colored": completion.colored,
@@ -438,25 +451,33 @@ def cmd_simulate(args) -> int:
         "config": _config_echo(args, [
             "r", "p", "epsilon", "n", "steps", "seed", "graph-seed",
             "graph-kind", "radius", "modified", "weight", "cert",
-        ]) | {"resolved_steps": steps},
+        ]) | {"resolved_steps": stats.steps},
     }
     if cert is not None and cert.certified:
-        extra_fields["trajectory_distance"] = trajectory_distance(stats, cert)
+        body["trajectory_distance"] = trajectory_distance(stats, cert)
+    return json.dumps(body, indent=2) + "\n"
+
+
+def cmd_simulate(args) -> int:
+    steps, cert = _resolve_steps(args, args.epsilon)
+    tuning = _tuning_for(args, epsilon=args.epsilon)
+    graph = _build_graph(args)
+    run = run_pipeline(graph, tuning, steps, args.seed, args.modified)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(stats_csv(stats))
-    text = summary_json(stats, extra_fields=extra_fields)
+            fh.write(stats_csv(run.stats))
+    text = summary_json(args, run, cert)
     if args.summary:
         with open(args.summary, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.dump:
-        write_coloring(state, args.dump)
+        write_coloring(run.state, args.dump)
         with open(args.dump + ".graph", "w", encoding="utf-8") as fh:
             fh.write(write_fixture(graph))
     sys.stdout.write(text)
-    if not proper.ok:
-        bad = (proper.violations + proper.red_red)[:10]
+    if not run.proper.ok:
+        bad = (run.proper.violations + run.proper.red_red)[:10]
         print(f"final coloring is NOT proper: {len(bad)}+ bad edges, e.g. {bad}")
         return EXIT_FAILURE
     return EXIT_OK
@@ -509,13 +530,7 @@ def cmd_sweep(args) -> int:
     for row in results:
         lines.append(f"{row['epsilon']!r},{row['seed']},{row['red_frac']!r},"
                      f"{row['steps']}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out} ({len(results)} cells)")
-    else:
-        sys.stdout.write(text)
+    _emit(args, "\n".join(lines) + "\n", f"{len(results)} cells")
 
     by_eps: dict[float, list[float]] = {}
     for row in results:
@@ -573,6 +588,8 @@ def _verify_dump(args) -> int:
 def cmd_verify(args) -> int:
     if (args.cert is None) == (args.dump is None):
         raise ConfigurationError("verify needs exactly one of --cert or --dump")
+    if args.cert and args.graph is not None:
+        raise ConfigurationError("--graph applies only to --dump")
     if args.cert:
         cert = load_certificate(args.cert)
         verify_certificate(cert)

@@ -30,6 +30,12 @@ class VertexType(NamedTuple):
     c: int
 
 
+# Largest degree r.  The drift keeps dense square matrices over the
+# (r+1)(p-1) types, so r <= 32 bounds them at 1,023 types (8.4 MB each), and
+# a vertex's seen colors fit one int64 bitmask only while p <= 63.
+MAX_R = 32
+
+
 @dataclass(frozen=True)
 class PaletteConfig:
     """Degree r of the regular graph and palette size p."""
@@ -42,6 +48,8 @@ class PaletteConfig:
             raise ConfigurationError("r and p must be integers")
         if self.r < 3:
             raise ConfigurationError(f"degree r must be >= 3, got {self.r}")
+        if self.r > MAX_R:
+            raise ConfigurationError(f"degree r must be <= {MAX_R}, got {self.r}")
         if not (2 <= self.p <= self.r):
             raise ConfigurationError(
                 f"palette size p must satisfy 2 <= p <= r, got p={self.p}, r={self.r}"

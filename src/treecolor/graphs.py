@@ -3,8 +3,8 @@
 Random regular graphs come from the configuration model (pairing half-edges,
 then repairing self-loops and parallel edges with degree-preserving edge
 swaps).  Balls in the regular tree are available for branch-independence
-experiments; their degree-1 boundary distorts type statistics, so callers
-exclude boundary vertices from distribution estimates.
+experiments; their degree-1 boundary, `Graph.boundary`, distorts type
+statistics, so the type distribution leaves it out; other graphs have none.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
 
     @property
     def m(self) -> int:

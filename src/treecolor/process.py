@@ -225,15 +225,14 @@ class ColoringState:
             return None
         return VertexType(int(self.uncolored_deg[v]), int(self.avail_count[v]))
 
-    def empirical_distribution(self, exclude: np.ndarray | None = None) -> TypeDistribution:
-        """Fraction of all vertices sitting at each type, from the type
-        counts.  `exclude` drops the given vertices from both numerator and
-        denominator (tree-ball boundaries distort the statistics)."""
+    def empirical_distribution(self) -> TypeDistribution:
+        """Fraction of the vertices off `graph.boundary` sitting at each type,
+        from the type counts.  Only a tree ball has a boundary: its degree-1
+        leaves would distort the statistics."""
+        boundary = self.graph.boundary
         counts = np.array(self.type_counts, dtype=np.int64)
-        denom = self.graph.n
-        if exclude is not None and len(exclude):
-            counts -= np.bincount(self.type_index[exclude], minlength=len(counts))
-            denom -= len(exclude)
+        counts -= np.bincount(self.type_index[boundary], minlength=len(counts))
+        denom = self.graph.n - len(boundary)
         return TypeDistribution(self.cfg, counts[:self.untyped].astype(np.float64) / denom)
 
     def counts(self) -> dict[str, int]:
@@ -598,15 +597,14 @@ def run_phase1(state: ColoringState, tuning: TuningParams, steps: int,
     empirical type distribution before any step and after each step."""
     if steps < 0:
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
-    exclude = state.graph.boundary if state.graph.kind == "tree_ball" else None
     reports: list[StepReport] = []
-    dists = [state.empirical_distribution(exclude=exclude)]
+    dists = [state.empirical_distribution()]
     for _ in range(steps):
         report = greedy_step(state, tuning)
         if modified:
             report.buffer = buffer_rounds(state)
         reports.append(report)
-        dists.append(state.empirical_distribution(exclude=exclude))
+        dists.append(state.empirical_distribution())
     state.check_invariants()
     return reports, dists
 
@@ -649,17 +647,23 @@ def _starvation_guards(state: ColoringState, sub: list[int]) -> list[int]:
                   if k >= int(state.avail_count[u]))
 
 
-def _commit_component(engine: _RoundEngine, comp: list[int]) -> bool:
+def _commit_component(engine: _RoundEngine, comp: list[int],
+                      report: BufferReport | CompletionReport) -> bool:
     """List-color `comp` from its available colors, or make it all RED if the
-    solver fails, and commit it in bulk; returns whether it was colored.  Bulk
-    commits earn no rule-3 credit (touch=False): an outside vertex bordering
-    one component twice is itself a cycle artifact."""
+    solver fails, and commit it in bulk; returns whether it was colored.  The
+    component, and a failure with its new reds, are tallied on `report`.
+    Bulk commits earn no rule-3 credit (touch=False): an outside vertex
+    bordering one component twice is itself a cycle artifact."""
     state = engine.state
     lists = {v: state.available_colors(v) for v in comp}
     status, assignment = color_component(state.graph, comp, lists)
     colored = status == COLORED
     for v in comp:
         engine.commit(v, assignment[v] if colored else RED, touch=False)
+    report.components += 1
+    if not colored:
+        report.failures += 1
+        report.red_created += len(comp)
     return colored
 
 
@@ -712,7 +716,6 @@ def buffer_rounds(state: ColoringState) -> BufferReport:
             if not live:
                 continue
             for sub in connected_components(state.graph, live):
-                report.components += 1
                 # An outside vertex bordering the component as many times as
                 # it has colors left could be starved by the commit (on a
                 # tree it borders once and can lose only one).  Absorb such
@@ -720,11 +723,8 @@ def buffer_rounds(state: ColoringState) -> BufferReport:
                 sub = sub + _starvation_guards(state, sub)
                 for v in sub:
                     engine.cascade_of[v] = prov
-                if _commit_component(engine, sub):
+                if _commit_component(engine, sub, report):
                     colored_this_round += len(sub)
-                else:
-                    report.failures += 1
-                    report.red_created += len(sub)
                 engine.run_rounds([])
         colored_this_round += round_report.rule1 + round_report.rule2
         report.red_created += round_report.rule3 + round_report.rule4
@@ -745,12 +745,8 @@ def complete_remainder(state: ColoringState) -> CompletionReport:
         return report
     engine = _RoundEngine(state, StepReport(step=state.step))
     for comp in connected_components(state.graph, [int(v) for v in targets]):
-        report.components += 1
-        if _commit_component(engine, comp):
+        if _commit_component(engine, comp, report):
             report.colored += len(comp)
-        else:
-            report.failures += 1
-            report.red_created += len(comp)
     state.check_invariants()
     return report
 

@@ -8,7 +8,6 @@ fraction, the size-biased neighbor law, and remainder component statistics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,7 +37,6 @@ __all__ = [
     "ComponentStats",
     "component_stats",
     "stats_csv",
-    "summary_json",
 ]
 
 
@@ -56,7 +54,6 @@ class RunStats:
     n: int
     distributions: list[TypeDistribution]
     red_fracs: list[float]
-    extra_fracs: list[float]
     active_counts: list[int]
     cascade_sizes: list[list[int]]
     buffer_colored_per_round: list[int] = field(default_factory=list)
@@ -90,9 +87,7 @@ def collect_run_stats(
         )
     n = state.graph.n
     red = 0
-    extra = 0
     red_fracs = [red / n]
-    extra_fracs = [extra / n]
     active_counts: list[int] = []
     cascade_sizes: list[list[int]] = []
     buffer_rounds: list[int] = []
@@ -105,7 +100,6 @@ def collect_run_stats(
                     buffer_rounds.append(0)
                 buffer_rounds[j] += colored
         red_fracs.append(red / n)
-        extra_fracs.append(extra / n)
         active_counts.append(rep.active)
         cascade_sizes.append(sorted(c.total_colored for c in rep.cascades))
     for frac, z in zip(red_fracs, distributions):
@@ -118,7 +112,6 @@ def collect_run_stats(
         n=n,
         distributions=list(distributions),
         red_fracs=red_fracs,
-        extra_fracs=extra_fracs,
         active_counts=active_counts,
         cascade_sizes=cascade_sizes,
         buffer_colored_per_round=buffer_rounds,
@@ -243,16 +236,14 @@ def neighbor_type_law(
     vertex (among vertices having one), and report the empirical law plus its
     total-variation distance to the size-biased law q at the empirical state.
 
-    Boundary vertices of tree-ball graphs are excluded from both roles, the
-    same way the per-step distribution snapshots exclude them.
+    Boundary vertices of tree-ball graphs are excluded from both roles, as
+    they are from `ColoringState.empirical_distribution`.
     """
     if samples <= 0:
         raise ConfigurationError(f"samples must be positive, got {samples}")
     g = state.graph
     okay = state.color == UNCOLORED
-    if len(g.boundary):
-        okay = okay.copy()
-        okay[g.boundary] = False
+    okay[g.boundary] = False
     nbr_count = np.zeros(g.n, dtype=np.int64)
     np.add.at(nbr_count, g.edges_u, okay[g.edges_v])
     np.add.at(nbr_count, g.edges_v, okay[g.edges_u])
@@ -268,10 +259,7 @@ def neighbor_type_law(
         t = state.vertex_type(u)
         counts[t] = counts.get(t, 0) + 1
     law = {t: c / samples for t, c in counts.items()}
-    z_hat = state.empirical_distribution(
-        exclude=g.boundary if len(g.boundary) else None
-    )
-    q = size_biased_law(z_hat)
+    q = size_biased_law(state.empirical_distribution())
     space = type_space(state.cfg)
     tv = 0.5 * sum(abs(law.get(t, 0.0) - q.get(t, 0.0)) for t in space.types)
     return law, tv
@@ -310,8 +298,8 @@ def stats_csv(stats: RunStats) -> str:
     """Render the per-step table: one row per step boundary, fixed header,
     one z column per type in canonical order."""
     space = type_space(PaletteConfig(stats.r, stats.p))
-    header = ["step", "time", "uncolored_frac", "red_frac", "extra_frac",
-              "active", "mean_cascade", "max_cascade"]
+    header = ["step", "time", "uncolored_frac", "red_frac", "active",
+              "mean_cascade", "max_cascade"]
     header += [f"z_{t.d}_{t.c}" for t in space.types]
     lines = [",".join(header)]
     for k, z in enumerate(stats.distributions):
@@ -327,7 +315,6 @@ def stats_csv(stats: RunStats) -> str:
             repr(stats.time(k)),
             repr(float(z.mass())),
             repr(stats.red_fracs[k]),
-            repr(stats.extra_fracs[k]),
             str(active),
             repr(mean_casc),
             str(max_casc),
@@ -335,22 +322,3 @@ def stats_csv(stats: RunStats) -> str:
         row += [repr(float(z[t])) for t in space.types]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def summary_json(stats: RunStats, extra_fields: dict | None = None) -> str:
-    """Final-run summary as a JSON text block."""
-    body: dict = {
-        "r": stats.r,
-        "p": stats.p,
-        "epsilon": stats.epsilon,
-        "n": stats.n,
-        "steps": stats.steps,
-        "final_uncolored_frac": float(stats.distributions[-1].mass()),
-        "final_red_frac": stats.red_fracs[-1],
-        "final_extra_frac": stats.extra_fracs[-1],
-        "total_cascades": sum(len(s) for s in stats.cascade_sizes),
-        "buffer_colored_per_round": list(stats.buffer_colored_per_round),
-    }
-    if extra_fields:
-        body.update(extra_fields)
-    return json.dumps(body, indent=2, sort_keys=False) + "\n"

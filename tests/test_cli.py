@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, artifacts, determinism, config files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -151,6 +152,36 @@ def test_rk4_is_the_only_method(mode):
     assert exc.value.code == 2
 
 
+def test_halvings_is_a_certify_flag():
+    # integrate runs one step size, so step halving has nothing to act on
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--r", "4", "--p", "3", "--halvings", "1"])
+    assert exc.value.code == 2
+
+
+# Without the cap each of these built the dense (r+1)(p-1)-square drift
+# matrices, about 298 GiB for r=100000, and died with a traceback.
+@pytest.mark.parametrize("source", ["certify", "simulate", "config", "certificate"])
+def test_degree_is_capped(cert_path, tmp_path, capsys, source):
+    huge = ["--r", "100000", "--p", "3"]
+    if source == "certify":
+        argv = ["certify", *huge]
+    elif source == "simulate":
+        argv = ["simulate", *huge, "--epsilon", "0.1", "--n", "100", "--steps", "1"]
+    elif source == "config":
+        config = tmp_path / "huge.cfg"
+        config.write_text("r=100000\np=3\n", encoding="utf-8")
+        argv = ["certify", "--config", str(config)]
+    else:
+        raw = json.loads(open(cert_path).read())
+        raw["cfg"]["r"] = 100000
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["verify", "--cert", str(bad)]
+    assert main(argv) == 2
+    assert "degree r must be <= 32, got 100000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mutate", [
     pytest.param(lambda ctl: ctl.update(method="euler"), id="euler"),
     pytest.param(lambda ctl: ctl.pop("method"), id="missing"),
@@ -279,6 +310,54 @@ def test_simulate_rejects_odd_pairing():
 def test_graph_size_is_capped(capsys, argv, named):
     assert main([*argv, "--r", "4", "--p", "3", "--steps", "1"]) == 2
     assert named in capsys.readouterr().err
+
+
+# A graph flag the chosen graph never reads is a mistake in the command line.
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["simulate", "--n", "100", "--radius", "3"], "--radius",
+                 id="random-regular-radius"),
+    pytest.param(["simulate", "--graph-kind", "tree-ball", "--radius", "3",
+                  "--n", "100"], "--n", id="tree-ball-n"),
+    pytest.param(["simulate", "--graph-kind", "tree-ball", "--radius", "3",
+                  "--graph-seed", "1"], "--graph-seed", id="tree-ball-graph-seed"),
+    pytest.param(["verify", "--cert", STORED_CERT43, "--graph", "unused.graph"],
+                 "--graph", id="verify-cert-graph"),
+])
+def test_graph_flags_that_do_nothing_are_rejected(capsys, argv, named):
+    if argv[0] == "simulate":
+        argv = [*argv, "--r", "4", "--p", "3", "--epsilon", "0.1", "--steps", "1"]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+# sha256 of the summary and of the per-step CSV.  Both were recorded before
+# one function built the whole summary; the CSV digest is of that CSV with
+# its fifth column, extra_frac (always 0), cut out.
+@pytest.mark.parametrize("argv, summary_digest, csv_digest", [
+    pytest.param(
+        ["--r", "4", "--p", "3", "--cert", "perfbench/certs/cert43.json", "--seed", "1"],
+        "fd042342ed4ae4a0269c57ae4e09210dfc37c18ad3b21cc5d0d2396aaa6a0868",
+        "a8c2dd3200d325ed3c08b10b2434beddf8951eeb218c40c579353263daec3361",
+        id="greedy-43"),
+    pytest.param(
+        ["--r", "6", "--p", "4", "--cert", "perfbench/certs/cert64.json", "--seed", "3",
+         "--modified"],
+        "9dc1f45d3bd89e6548b6ffe1527af0926ce12849f0fcc445fa660faaf5e26f1a",
+        "ccb991d826403e92f89ee35db673be3bac1d2939d5fd7e3b755d752b73afe4fd",
+        id="modified-64"),
+])
+def test_simulate_outputs_pinned(tmp_path, monkeypatch, argv, summary_digest,
+                                 csv_digest):
+    monkeypatch.chdir(ROOT)  # the summary echoes the --cert path as given
+    summary, csv = tmp_path / "summary.json", tmp_path / "steps.csv"
+    assert main(["simulate", *argv, "--epsilon", "0.05", "--n", "2000",
+                 "--summary", str(summary), "--out", str(csv)]) == 0
+    assert "trajectory_distance" in json.loads(summary.read_text())
+    assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_digest
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
 
 
 def test_simulate_tree_ball_graph(capsys):

@@ -6,6 +6,8 @@ cascade laws) use seeded Monte Carlo sweeps at the tolerances stated in the
 module docs.
 """
 
+import itertools
+import math
 import time
 
 import numpy as np
@@ -297,18 +299,30 @@ def test_monotone_colored_set_and_invariants():
     st.check_invariants()
 
 
-def test_color_symmetry_under_palette_permutation():
-    perm = {0: 1, 1: 2, 2: 0}
-    graph_seed, steps = 17, 30
-    tuning = default_tuning(CFG43, epsilon=0.08)
+# Greedy runs over the certified window, (4,3) and (6,4), for every palette
+# permutation.  Modified mode is left out on purpose: its buffer rounds draw
+# no randomness, and the list-coloring search tries the lowest listed color
+# first, so they are not expected to commute with a relabeling.
+@pytest.mark.parametrize("cfg, window, seed, perm", [
+    pytest.param(cfg, window, seed, dict(enumerate(perm)),
+                 id=f"r{cfg.r}p{cfg.p}-seed{seed}-{''.join(map(str, perm))}")
+    for cfg, window in ((CFG43, 9.848), (CFG64, 113.153))
+    for seed in (5, 6, 7)
+    for perm in itertools.permutations(range(cfg.p))
+])
+def test_color_symmetry_under_palette_permutation(cfg, window, seed, perm):
+    graph_seed, epsilon = 17, 0.08
+    steps = math.ceil(window / epsilon)
+    tuning = default_tuning(cfg, epsilon=epsilon)
 
-    recorder = RecordingRandomness(ProcessRandomness(5))
-    base = ColoringState(gen_regular_graph(300, 4, seed=graph_seed), CFG43, rng=recorder)
+    recorder = RecordingRandomness(ProcessRandomness(seed))
+    base = ColoringState(gen_regular_graph(300, cfg.r, seed=graph_seed), cfg, rng=recorder)
     for _ in range(steps):
         greedy_step(base, tuning)
 
     replay = PermutedRandomness(recorder, perm)
-    relabeled = ColoringState(gen_regular_graph(300, 4, seed=graph_seed), CFG43, rng=replay)
+    relabeled = ColoringState(gen_regular_graph(300, cfg.r, seed=graph_seed), cfg,
+                              rng=replay)
     for _ in range(steps):
         greedy_step(relabeled, tuning)
 

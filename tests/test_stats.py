@@ -9,6 +9,7 @@ import pytest
 from helpers import mean_trajectory_distance
 
 from treecolor.certify import Certificate, certify
+from treecolor.cli import main
 from treecolor.dynamics import (
     PaletteConfig,
     VertexType,
@@ -25,7 +26,6 @@ from treecolor.stats import (
     neighbor_type_law,
     red_scaling,
     stats_csv,
-    summary_json,
     trajectory_distance,
 )
 
@@ -237,7 +237,7 @@ def test_run_stats_fractions_and_histogram():
         b >= a for a, b in zip(stats.red_fracs, stats.red_fracs[1:])
     )
     for k, z in enumerate(stats.distributions):
-        total = z.mass() + stats.red_fracs[k] + stats.extra_fracs[k]
+        total = z.mass() + stats.red_fracs[k]
         assert total <= 1.0 + 1e-12
     hist = stats.cascade_histogram()
     assert sum(hist.values()) == sum(len(s) for s in stats.cascade_sizes)
@@ -248,7 +248,7 @@ def test_stats_csv_shape_and_values():
     text = stats_csv(stats)
     lines = text.strip().split("\n")
     assert lines[0] == (
-        "step,time,uncolored_frac,red_frac,extra_frac,active,"
+        "step,time,uncolored_frac,red_frac,active,"
         "mean_cascade,max_cascade,"
         + ",".join(f"z_{d}_{c}" for d in range(5) for c in (2, 3))
     )
@@ -257,11 +257,11 @@ def test_stats_csv_shape_and_values():
     assert first[0] == "0"
     assert float(first[1]) == 0.0
     assert float(first[2]) == 1.0
-    assert first[5] == "0"
+    assert first[4] == "0"
     for line in lines[1:]:
         cells = line.split(",")
-        assert len(cells) == 18
-        fracs = [float(x) for x in cells[2:5]]
+        assert len(cells) == 17
+        fracs = [float(x) for x in cells[2:4]]
         assert all(0.0 <= f <= 1.0 for f in fracs)
     # z columns carry the type distribution: fresh run starts at z_4_3 = 1
     assert float(lines[1].split(",")[-1]) == 1.0
@@ -275,15 +275,29 @@ def test_stats_csv_roundtrips_exact_floats():
     assert float(row[1]) == stats.time(2)
 
 
-def test_summary_json_is_valid_and_complete():
-    _, stats = run_stats_for(500, 10)
-    text = summary_json(stats, extra_fields={"seed": 3})
+def test_summary_json_is_valid_and_complete(tmp_path):
+    path = tmp_path / "summary.json"
+    assert main(["simulate", "--r", "4", "--p", "3", "--epsilon", "0.05",
+                 "--n", "500", "--steps", "10", "--seed", "3",
+                 "--summary", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
     assert text.endswith("\n")
     body = json.loads(text)
+    assert list(body) == [
+        "r", "p", "epsilon", "n", "steps", "final_uncolored_frac",
+        "final_red_frac", "final_extra_frac", "total_cascades",
+        "buffer_colored_per_round", "component_histogram", "violations",
+        "failure_counts", "red_before_tidy", "completion_components",
+        "completion_colored", "tidy_erased", "uncolored_component_count",
+        "uncolored_component_mean", "uncolored_component_max", "proper", "config",
+    ]
     assert body["r"] == 4 and body["p"] == 3
     assert body["steps"] == 10
-    assert body["seed"] == 3
-    assert 0.0 <= body["final_uncolored_frac"] <= 1.0
+    assert body["config"]["seed"] == 3
+    # the final fractions describe the coloring after phase 2 and tidy-up
+    assert body["final_uncolored_frac"] == 0.0
+    assert body["final_red_frac"] == 0.0
+    assert 0.0 <= body["final_extra_frac"] <= 1.0
 
 
 # ---------------------------------------------------------------------------

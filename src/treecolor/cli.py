@@ -100,10 +100,7 @@ def _parse_weight(text: str) -> tuple[VertexType, float]:
 
 def _read_config_file(path: str) -> list[tuple[str, str]]:
     """Ordered key=value pairs; blank lines and #-comments skipped."""
-    try:
-        raw = read_text(path, ConfigurationError)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file: {exc}") from None
+    raw = read_text(path, ConfigurationError)
     pairs = []
     for lineno, line in enumerate(raw.splitlines(), 1):
         line = line.strip()
@@ -245,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--dump", default=None, help="coloring dump to verify")
     ver.add_argument("--graph", default=None,
                      help="graph fixture for --dump (default: DUMP.graph)")
-    ver.add_argument("--bound", type=float, default=0.05,
-                     help="maximum allowed extra-color fraction")
+    ver.add_argument("--bound", type=float, default=None,
+                     help="maximum allowed extra-color fraction for --dump (default 0.05)")
     ver.add_argument("--config", default=None, help="key=value config file")
 
     return parser
@@ -561,10 +558,7 @@ def cmd_sweep(args) -> int:
 def _verify_dump(args) -> int:
     n, r, p, colors = read_coloring(args.dump)
     graph_path = args.graph if args.graph else args.dump + ".graph"
-    try:
-        graph, _ = parse_fixture(read_text(graph_path, ConfigurationError))
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read graph fixture: {exc}") from None
+    graph, _ = parse_fixture(read_text(graph_path, ConfigurationError))
     if (graph.n, graph.r) != (n, r):
         raise ConfigurationError(
             f"dump has n={n}, r={r} but graph has n={graph.n}, r={graph.r}"
@@ -572,15 +566,16 @@ def _verify_dump(args) -> int:
     # a dump lists every vertex with a color in [0, p], so no edge is red-red
     clash = verify_proper(graph, colors).violations
     extra_frac = float((colors == p).sum()) / n if n else 0.0
+    bound = 0.05 if args.bound is None else args.bound
     if clash:
         print(f"{args.dump}: {len(clash)} violating edges")
         for u, v in clash[:10]:
             print(f"  edge ({u},{v}): both colored {int(colors[u])}")
         return EXIT_FAILURE
     print(f"{args.dump}: proper, extra-color fraction {extra_frac:.6g} "
-          f"(bound {args.bound:g})")
-    if extra_frac > args.bound:
-        print(f"extra-color fraction exceeds the bound {args.bound:g}")
+          f"(bound {bound:g})")
+    if extra_frac > bound:
+        print(f"extra-color fraction exceeds the bound {bound:g}")
         return EXIT_FAILURE
     return EXIT_OK
 
@@ -588,9 +583,10 @@ def _verify_dump(args) -> int:
 def cmd_verify(args) -> int:
     if (args.cert is None) == (args.dump is None):
         raise ConfigurationError("verify needs exactly one of --cert or --dump")
-    if args.cert and args.graph is not None:
-        raise ConfigurationError("--graph applies only to --dump")
     if args.cert:
+        for flag, value in (("--graph", args.graph), ("--bound", args.bound)):
+            if value is not None:
+                raise ConfigurationError(f"{flag} applies only to --dump")
         cert = load_certificate(args.cert)
         verify_certificate(cert)
         if not cert.certified:

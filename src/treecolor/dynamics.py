@@ -296,7 +296,7 @@ def remainder_growth(z: TypeDistribution) -> float:
     return float(growth_rates(z.space, z.vec)[1])
 
 
-def _type_index(z: TypeDistribution, t: VertexType) -> int:
+def _space_index(z: TypeDistribution, t: VertexType) -> int:
     t = VertexType(*t)
     if t not in z.space.index:
         raise ConfigurationError(f"type {t} outside type space for {z.cfg}")
@@ -306,7 +306,7 @@ def _type_index(z: TypeDistribution, t: VertexType) -> int:
 def branch_type_delta(z: TypeDistribution, t: VertexType) -> float:
     """Expected net change of the type-t vertex count caused by one branch
     hanging off a freshly activated vertex (forced cascade included)."""
-    i = _type_index(z, t)
+    i = _space_index(z, t)
     return float(z.space.kernel[i] @ z.vec / _slack(z.space, z.vec))
 
 
@@ -329,7 +329,7 @@ def expected_cascade_size(z: TypeDistribution, s: VertexType) -> float:
     """Expected number of vertices colored when a type-s vertex activates:
     1 + deg(s) * forced_fraction / (1 - growth)."""
     space = z.space
-    d = space.types[_type_index(z, s)].d
+    d = space.types[_space_index(z, s)].d
     return 1.0 + d * float(space.forced_row @ z.vec) / _slack(space, z.vec)
 
 

@@ -32,7 +32,6 @@ class Graph:
     indices: np.ndarray
     edges_u: np.ndarray
     edges_v: np.ndarray
-    kind: str  # random_regular | tree_ball | fixture
     boundary: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -57,7 +56,7 @@ def _build_csr(n: int, eu: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, np.n
     return indptr, indices
 
 
-def _make_graph(n: int, r: int, eu: np.ndarray, ev: np.ndarray, kind: str,
+def _make_graph(n: int, r: int, eu: np.ndarray, ev: np.ndarray,
                 boundary: np.ndarray | None = None) -> Graph:
     swap = eu > ev
     eu2 = np.where(swap, ev, eu).astype(np.int64)
@@ -67,7 +66,6 @@ def _make_graph(n: int, r: int, eu: np.ndarray, ev: np.ndarray, kind: str,
     indptr, indices = _build_csr(n, eu2, ev2)
     return Graph(
         n=n, r=r, indptr=indptr, indices=indices, edges_u=eu2, edges_v=ev2,
-        kind=kind,
         boundary=np.empty(0, dtype=np.int64) if boundary is None else boundary,
     )
 
@@ -101,14 +99,13 @@ def gen_regular_graph(n: int, r: int, seed: int) -> Graph:
         return a * n + b if a < b else b * n + a
 
     m = len(eu)
-    edge_set: set[int] = set()
-    bad: list[int] = []
-    for i in range(m):
-        a, b = int(eu[i]), int(ev[i])
-        if a == b or key(a, b) in edge_set:
-            bad.append(i)
-        else:
-            edge_set.add(key(a, b))
+    # a pairing is bad if it is a self-loop or repeats an earlier pairing
+    keys = np.minimum(eu, ev) * n + np.maximum(eu, ev)
+    is_bad = np.ones(m, dtype=bool)
+    is_bad[np.unique(keys, return_index=True)[1]] = False
+    is_bad |= eu == ev
+    edge_set: set[int] = set(keys[~is_bad].tolist())
+    bad: list[int] = np.flatnonzero(is_bad).tolist()
 
     sweeps = 0
     while bad:
@@ -141,7 +138,7 @@ def gen_regular_graph(n: int, r: int, seed: int) -> Graph:
                 still_bad.append(i)
         bad = still_bad
 
-    graph = _make_graph(n, r, eu, ev, "random_regular")
+    graph = _make_graph(n, r, eu, ev)
     degs = graph.degrees()
     if not np.all(degs == r):
         raise GenerationError("internal: repaired pairing is not regular")
@@ -180,7 +177,7 @@ def gen_tree_ball(r: int, radius: int) -> Graph:
     return _make_graph(
         next_vertex, r,
         np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64),
-        "tree_ball", boundary=boundary,
+        boundary=boundary,
     )
 
 
@@ -242,8 +239,7 @@ def parse_fixture(text: str) -> tuple[Graph, list[tuple[int, int]]]:
         eu.append(u)
         ev.append(v)
     graph = _make_graph(
-        n, r, np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64), "fixture"
-    )
+        n, r, np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64))
     degs = graph.degrees()
     if len(degs) and degs.max() > r:
         raise ConfigurationError(

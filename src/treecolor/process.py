@@ -8,14 +8,14 @@ are both replaced by red.  The modified mode adds buffer rounds that relieve
 red neighborhoods, and the final phases complete and tidy the coloring.
 
 A `ColoringState` holds the graph, the palette, the randomness, the step
-counter and four per-vertex arrays: color, uncolored degree, the mask of
-palette colors seen among neighbors and the available-color count, plus
-per-type vertex counts.  Every commit (presets, greedy steps, buffer rounds,
-traced cascades and phase 2) goes through `_RoundEngine.commit`, which keeps
-all of them in step with the colors; the tidy-up only rewrites colors of a
-finished run.  Buffer rounds and phase 2 commit whole components through
-one helper, which list-colors a component with `listcolor.color_component`
-or turns it red.
+counter and three per-vertex arrays: the color, the mask of palette colors
+seen among neighbors and a type code that encodes an uncolored vertex's
+type (d, c), plus the number of vertices at each code.  Every commit
+(presets, greedy steps, buffer rounds, traced cascades and phase 2) goes
+through `_RoundEngine.commit`, which keeps all of them in step with the
+colors; the tidy-up only rewrites colors of a finished run.  Buffer rounds
+and phase 2 commit whole components through one helper, which list-colors a
+component with `listcolor.color_component` or turns it red.
 
 All randomness is a pure function of (seed, step, purpose, vertex) through
 counter-based streams, so a seed plus the step counter fully determines every
@@ -101,8 +101,6 @@ class CascadeRecord:
     root_type: VertexType
     generations: list[dict[VertexType, int]] = field(default_factory=list)
     total_colored: int = 0
-    reds: int = 0
-    collision: bool = False
 
     def _tally(self, gen: int, t: VertexType) -> None:
         while len(self.generations) <= gen:
@@ -112,7 +110,6 @@ class CascadeRecord:
 
 @dataclass
 class StepReport:
-    step: int
     active: int = 0
     rule1: int = 0
     rule2: int = 0
@@ -152,7 +149,6 @@ class CompletionReport:
 class TidyReport:
     red_before: int = 0
     erased: int = 0
-    extra_used: int = 0
     failures: int = 0
 
 
@@ -170,16 +166,23 @@ class ProperReport:
 # State
 # ---------------------------------------------------------------------------
 
+def _code(cfg: PaletteConfig, d, c):
+    """Type code of d uncolored neighbors and c available colors; d = r+1,
+    c = 0 is the code of every colored vertex.  Works on arrays too."""
+    return d * (cfg.p + 1) + c
+
+
 class ColoringState:
     """Mutable coloring of one graph, with the incremental bookkeeping the
-    process rules need: per-vertex color, uncolored degree, the bitmask of
-    palette colors seen among neighbors, and the available-color count.
-    Every commit, presets included, goes through a `_RoundEngine`.
+    process rules need: per-vertex color, the bitmask of palette colors seen
+    among neighbors, and the type code.  Every commit, presets included,
+    goes through a `_RoundEngine`.
 
-    `type_index[v]` is the index of v's type in the type space, or
-    `untyped` (one past its end) if v is colored or has fewer than two
-    colors; `type_counts` counts the vertices at each index.  `fresh_reds`
-    lists the vertices turned red since buffer rounds last looked."""
+    An uncolored vertex with d uncolored neighbors and c available colors
+    (0 <= c <= p) has code d(p+1) + c; every colored vertex has the one
+    code past them, `colored_code` = (r+1)(p+1).  `type_counts` counts the
+    vertices at each code.  `fresh_reds` lists the vertices turned red since
+    buffer rounds last looked."""
 
     def __init__(self, graph: Graph, cfg: PaletteConfig, seed: int = 0,
                  presets: list[tuple[int, int]] | None = None,
@@ -195,15 +198,16 @@ class ColoringState:
         self.step = 0
         n = graph.n
         self.color = np.full(n, UNCOLORED, dtype=np.int16)
-        self.uncolored_deg = degs.astype(np.int64)
         self.seen_mask = np.zeros(n, dtype=np.int64)
-        self.avail_count = np.full(n, cfg.p, dtype=np.int64)
-        self.untyped = type_space(cfg).size
-        self.type_index = (degs * (cfg.p - 1) + (cfg.p - 2)).astype(np.intp)
-        self.type_counts = np.bincount(self.type_index,
-                                       minlength=self.untyped + 1).tolist()
+        self.colored_code = _code(cfg, cfg.r + 1, 0)
+        self.type_code = _code(cfg, degs, cfg.p).astype(np.intp)
+        self.type_counts = np.bincount(self.type_code,
+                                       minlength=self.colored_code + 1).tolist()
+        # the code of each type of the type space, in its canonical order
+        self.space_codes = np.array([_code(cfg, t.d, t.c) for t in type_space(cfg).types],
+                                    dtype=np.intp)
         self.fresh_reds: list[int] = []
-        engine = _RoundEngine(self, StepReport(step=0))
+        engine = _RoundEngine(self, StepReport())
         for v, c in presets or []:
             if not (0 <= c < cfg.p):
                 raise ConfigurationError(f"preset color {c} for vertex {v} invalid")
@@ -223,7 +227,7 @@ class ColoringState:
         colored.  Red neighbors reduce the degree but never remove a color."""
         if self.color[v] != UNCOLORED:
             return None
-        return VertexType(int(self.uncolored_deg[v]), int(self.avail_count[v]))
+        return VertexType(*divmod(int(self.type_code[v]), self.cfg.p + 1))
 
     def empirical_distribution(self) -> TypeDistribution:
         """Fraction of the vertices off `graph.boundary` sitting at each type,
@@ -231,9 +235,9 @@ class ColoringState:
         leaves would distort the statistics."""
         boundary = self.graph.boundary
         counts = np.array(self.type_counts, dtype=np.int64)
-        counts -= np.bincount(self.type_index[boundary], minlength=len(counts))
+        counts -= np.bincount(self.type_code[boundary], minlength=len(counts))
         denom = self.graph.n - len(boundary)
-        return TypeDistribution(self.cfg, counts[:self.untyped].astype(np.float64) / denom)
+        return TypeDistribution(self.cfg, counts[self.space_codes].astype(np.float64) / denom)
 
     def counts(self) -> dict[str, int]:
         c = self.color
@@ -256,19 +260,22 @@ class ColoringState:
             return (f"edge ({int(g.edges_u[i])},{int(g.edges_v[i])}) joins two "
                     f"vertices colored {int(cu[i])}")
         uncolored = self.color == UNCOLORED
-        if uncolored.any() and int(self.avail_count[uncolored].min()) < 2:
-            v = int(np.nonzero(uncolored & (self.avail_count < 2))[0][0])
-            return f"vertex {v} has {int(self.avail_count[v])} available colors"
+        avail = p - sum((self.seen_mask >> b) & 1 for b in range(p))
+        starved = uncolored & (avail < 2)
+        if starved.any():
+            v = int(np.nonzero(starved)[0][0])
+            return f"vertex {v} has {int(avail[v])} available colors"
         parts = self.counts()
         if sum(parts.values()) != g.n:
             return f"color counts {parts} do not add up to n={g.n}"
-        types = np.where(uncolored & (self.avail_count >= 2),
-                         self.uncolored_deg * (p - 1) + self.avail_count - 2,
-                         self.untyped)
-        if (not np.array_equal(types, self.type_index)
-                or np.bincount(types, minlength=self.untyped + 1).tolist()
+        both = uncolored[g.edges_u] & uncolored[g.edges_v]
+        deg = (np.bincount(g.edges_u[both], minlength=g.n)
+               + np.bincount(g.edges_v[both], minlength=g.n))
+        codes = np.where(uncolored, _code(self.cfg, deg, avail), self.colored_code)
+        if (not np.array_equal(codes, self.type_code)
+                or np.bincount(codes, minlength=len(self.type_counts)).tolist()
                 != self.type_counts):
-            return "type indices or type counts differ from a recount"
+            return "type codes or type counts differ from a recount"
         return None
 
     def _local_violation(self, around: list[int]) -> str | None:
@@ -284,8 +291,10 @@ class ColoringState:
                 c_u = self.color[u]
                 if c_u == c and 0 <= c < p:
                     return f"edge ({min(u, v)},{max(u, v)}) joins two vertices colored {c}"
-                if c_u == UNCOLORED and self.avail_count[u] < 2:
-                    return f"vertex {u} has {int(self.avail_count[u])} available colors"
+                if c_u == UNCOLORED:
+                    left = int(self.type_code[u]) % (p + 1)
+                    if left < 2:
+                        return f"vertex {u} has {left} available colors"
         return None
 
     def check_invariants(self, around: list[int] | None = None) -> None:
@@ -365,38 +374,34 @@ class _RoundEngine:
         self.committed.append(v)
         if c == RED:
             st.fresh_reds.append(v)
-        self._retype(v, st.untyped)
+        self._retype(v, st.colored_code)
         bit = 0 if c == RED else 1 << c
+        base = st.cfg.p + 1
         for u in st.graph.neighbors(v).tolist():
-            if undo is not None:
-                undo.append((st.uncolored_deg, u, int(st.uncolored_deg[u])))
-            st.uncolored_deg[u] -= 1
             if st.color[u] != UNCOLORED:
                 continue
             if touch:
                 self._touch(u, v)
             else:
                 self.dirty.append(u)
+            code = int(st.type_code[u]) - base  # one uncolored neighbor less
             if bit and not (st.seen_mask[u] & bit):
                 if undo is not None:
                     undo.append((st.seen_mask, u, int(st.seen_mask[u])))
-                    undo.append((st.avail_count, u, int(st.avail_count[u])))
                 st.seen_mask[u] |= bit
-                st.avail_count[u] -= 1
+                code -= 1
                 self._reducer[u] = v
-            c_u = int(st.avail_count[u])
-            self._retype(u, int(st.uncolored_deg[u]) * (st.cfg.p - 1) + c_u - 2
-                         if c_u >= 2 else st.untyped)
+            self._retype(u, code)
 
     def _retype(self, v: int, t: int) -> None:
-        """Move v to type index t, keeping `type_counts` in step."""
+        """Move v to type code t, keeping `type_counts` in step."""
         st = self.state
-        old = int(st.type_index[v])
+        old = int(st.type_code[v])
         if self.undo is not None:
-            self.undo.append((st.type_index, v, old))
+            self.undo.append((st.type_code, v, old))
             self.undo.append((st.type_counts, old, st.type_counts[old]))
             self.undo.append((st.type_counts, t, st.type_counts[t]))
-        st.type_index[v] = t
+        st.type_code[v] = t
         st.type_counts[old] -= 1
         st.type_counts[t] += 1
 
@@ -414,13 +419,6 @@ class _RoundEngine:
         rec = self.report.cascades[self.cascade_of[v]]
         rec._tally(self.gen_of[v], pre_type)
         rec.total_colored += 1
-
-    def _record_red(self, cause: int) -> None:
-        if self.scoped or cause not in self.cascade_of:
-            return
-        rec = self.report.cascades[self.cascade_of[cause]]
-        rec.reds += 1
-        rec.collision = True
 
     def _inherit(self, v: int, parent: int) -> None:
         if parent not in self.cascade_of:
@@ -465,6 +463,7 @@ class _RoundEngine:
         later rounds alternate rule 3, rule 2, rule 4 until nothing moves."""
         st = self.state
         report = self.report
+        base = st.cfg.p + 1
         pending = initial_pending
         first_round = bool(initial_pending)
         while True:
@@ -481,14 +480,13 @@ class _RoundEngine:
                     # Starvation only arises from bulk commits (two vertices
                     # of one solver-colored component eating v's last two
                     # colors through a short cycle); treat it like a collision.
-                    starved = st.avail_count[v] == 0
+                    starved = st.type_code[v] % base == 0
                     if starved or v in self._collided:
                         cause = (self._reducer[v] if starved
                                  else self._toucher[v])
                         self._inherit(v, cause)
                         self.commit(v, RED)
                         report.rule3 += 1
-                        self._record_red(cause)
                         progressed = True
                         for u in st.graph.neighbors(v).tolist():
                             if st.color[u] == UNCOLORED:
@@ -499,13 +497,13 @@ class _RoundEngine:
                 pending = []
                 queued: set[int] = set()
                 for v in scheduled_src + self.dirty:
-                    if (st.color[v] != UNCOLORED or st.avail_count[v] != 1
+                    if (st.color[v] != UNCOLORED or st.type_code[v] % base != 1
                             or v in queued):
                         continue
                     queued.add(v)
                     forced = st.available_colors(v)[0]
                     self._inherit(v, self._reducer[v])
-                    pre = VertexType(int(st.uncolored_deg[v]) + 1, 2)
+                    pre = VertexType(int(st.type_code[v]) // base + 1, 2)
                     pending.append((v, forced, pre))
                 self.dirty = []
             if not pending and not progressed:
@@ -515,7 +513,6 @@ class _RoundEngine:
                 for v in doomed:
                     self.commit(v, RED)
                     report.rule4 += 1
-                    self._record_red(v)
                     progressed = True
                 for v, c, pre in survivors:
                     self.commit(v, c)
@@ -545,11 +542,12 @@ def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
         raise ConfigurationError("tuning has no activation rate epsilon")
     rng = state.rng
     i = state.step
-    report = StepReport(step=i)
+    report = StepReport()
 
-    # rate per type index; the untyped slot (colored vertices) has rate 0
-    rate = np.append(tuning.epsilon * tuning.vector(), 0.0)
-    mask = rng.activation_mask(i, rate[state.type_index])
+    # rate per type code; the colored code and codes with c < 2 have rate 0
+    rate = np.zeros(len(state.type_counts))
+    rate[state.space_codes] = tuning.epsilon * tuning.vector()
+    mask = rng.activation_mask(i, rate[state.type_code])
     # a scripted adapter may name colored vertices
     actives = [v for v in np.flatnonzero(mask).tolist() if state.color[v] == UNCOLORED]
     report.active = len(actives)
@@ -577,7 +575,7 @@ def trace_cascade(state: ColoringState, v: int, rng: np.random.Generator) -> Cas
         raise ConfigurationError(f"vertex {v} is already colored")
     undo: list = []
     reds_before = len(state.fresh_reds)
-    report = StepReport(step=state.step)
+    report = StepReport()
     engine = _RoundEngine(state, report, undo_log=undo)
     engine.start_cascade(v)
     avail = state.available_colors(v)
@@ -643,8 +641,9 @@ def _starvation_guards(state: ColoringState, sub: list[int]) -> list[int]:
         for u in state.graph.neighbors(v).tolist():
             if u not in vset and state.color[u] == UNCOLORED:
                 borders[u] = borders.get(u, 0) + 1
+    base = state.cfg.p + 1
     return sorted(u for u, k in borders.items()
-                  if k >= int(state.avail_count[u]))
+                  if k >= int(state.type_code[u]) % base)
 
 
 def _commit_component(engine: _RoundEngine, comp: list[int],
@@ -707,7 +706,7 @@ def buffer_rounds(state: ColoringState) -> BufferReport:
                 parent[find(o)] = find(owners[0])
             roots.append(owners[0])
 
-        round_report = StepReport(step=state.step)
+        round_report = StepReport()
         engine = _RoundEngine(state, round_report, scoped=True)
         colored_this_round = 0
         for piece, root in zip(pieces, roots):
@@ -743,7 +742,7 @@ def complete_remainder(state: ColoringState) -> CompletionReport:
     targets = np.nonzero(state.color == UNCOLORED)[0]
     if not len(targets):
         return report
-    engine = _RoundEngine(state, StepReport(step=state.step))
+    engine = _RoundEngine(state, StepReport())
     for comp in connected_components(state.graph, [int(v) for v in targets]):
         if _commit_component(engine, comp, report):
             report.colored += len(comp)
@@ -796,7 +795,6 @@ def tidy_to_proper(state: ColoringState) -> TidyReport:
             report.failures += 1
             for v in comp:
                 state.color[v] = extra if was_red[v] else prev[v]
-    report.extra_used = int((state.color == extra).sum())
     return report
 
 

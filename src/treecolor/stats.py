@@ -87,7 +87,7 @@ def collect_run_stats(
         )
     n = state.graph.n
     red = 0
-    red_fracs = [red / n]
+    reds = [red]
     active_counts: list[int] = []
     cascade_sizes: list[list[int]] = []
     buffer_rounds: list[int] = []
@@ -99,19 +99,21 @@ def collect_run_stats(
                 while len(buffer_rounds) <= j:
                     buffer_rounds.append(0)
                 buffer_rounds[j] += colored
-        red_fracs.append(red / n)
+        reds.append(red)
         active_counts.append(rep.active)
         cascade_sizes.append(sorted(c.total_colored for c in rep.cascades))
-    for frac, z in zip(red_fracs, distributions):
-        if z.mass() + frac > 1.0 + 1e-12:
-            raise ConfigurationError("uncolored and red fractions exceed 1")
+    # z is a fraction of the vertices off the boundary, reds of all n
+    interior = n - len(state.graph.boundary)
+    for k, z in zip(reds, distributions):
+        if round(z.mass() * interior) + k > n:
+            raise ConfigurationError("uncolored and red vertices exceed n")
     return RunStats(
         r=state.cfg.r,
         p=state.cfg.p,
         epsilon=float(epsilon),
         n=n,
         distributions=list(distributions),
-        red_fracs=red_fracs,
+        red_fracs=[k / n for k in reds],
         active_counts=active_counts,
         cascade_sizes=cascade_sizes,
         buffer_colored_per_round=buffer_rounds,

@@ -290,7 +290,8 @@ def test_acceptance_09_component_law():
     closed = 1.0 / (1.0 - m)
     ratio = comp.mean_size / closed
     unc = st.color == UNCOLORED
-    dbar = float(st.uncolored_deg[unc].mean())
+    g = st.graph
+    dbar = 2 * int((unc[g.edges_u] & unc[g.edges_v]).sum()) / int(unc.sum())
     forest_mean = 1.0 / (1.0 - dbar / 2.0)
     sizes = np.array(sorted(comp.histogram))
     counts = np.array([comp.histogram[int(s)] for s in sizes], dtype=np.float64)

@@ -322,6 +322,8 @@ def test_graph_size_is_capped(capsys, argv, named):
                   "--graph-seed", "1"], "--graph-seed", id="tree-ball-graph-seed"),
     pytest.param(["verify", "--cert", STORED_CERT43, "--graph", "unused.graph"],
                  "--graph", id="verify-cert-graph"),
+    pytest.param(["verify", "--cert", STORED_CERT43, "--bound", "0.5"],
+                 "--bound", id="verify-cert-bound"),
 ])
 def test_graph_flags_that_do_nothing_are_rejected(capsys, argv, named):
     if argv[0] == "simulate":
@@ -574,6 +576,17 @@ def test_non_utf8_input_names_the_file(finished_dump, tmp_path, capsys, reader):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("reader", ["config", "graph"])
+def test_missing_input_file_names_the_path(finished_dump, tmp_path, capsys, reader):
+    absent = str(tmp_path / "absent.txt")
+    argv = {
+        "config": ["simulate", "--config", absent],
+        "graph": ["verify", "--dump", str(finished_dump), "--graph", absent],
+    }[reader]
+    assert main(argv) == 2
+    assert absent in capsys.readouterr().err
 
 
 def test_verify_needs_exactly_one_target(cert_path, finished_dump):

@@ -6,6 +6,7 @@ cascade laws) use seeded Monte Carlo sweeps at the tolerances stated in the
 module docs.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -57,7 +58,7 @@ CFG64 = PaletteConfig(6, 4)
 def test_gen_regular_simple_and_regular():
     for n, r in [(10, 4), (50, 3), (2000, 6)]:
         g = gen_regular_graph(n, r, seed=7)
-        assert g.n == n and g.r == r and g.kind == "random_regular"
+        assert g.n == n and g.r == r
         assert np.all(g.degrees() == r)
         assert np.all(g.edges_u < g.edges_v)  # no self-loops, canonical order
         pairs = set(zip(g.edges_u.tolist(), g.edges_v.tolist()))
@@ -74,6 +75,17 @@ def test_gen_regular_deterministic():
                 and np.array_equal(a.edges_v, c.edges_v))
 
 
+@pytest.mark.parametrize("n, r, seed, digest", [
+    (100000, 4, 5, "64f648ac71877a34ad02ff8581e73fbb15896cf886c3a6bd3073f534267f8bfe"),
+    (20000, 6, 7, "66376daa5c7403f682336f3f0046ea18fb881da048debfa3101f94e754e2ce27"),
+    (600, 4, 11, "396c767319a075b48585bed7f12e1da4f85b3f0d2e89b5c89e906a1801171dea"),
+    (400, 6, 11, "1328e75c2a4fcad1e6c36874e06465a47c838759aeed4bdd1af43e676177b5c5"),
+])
+def test_gen_regular_edges_pinned(n, r, seed, digest):
+    g = gen_regular_graph(n, r, seed)
+    assert hashlib.sha256(g.edges_u.tobytes() + g.edges_v.tobytes()).hexdigest() == digest
+
+
 def test_gen_regular_rejects_bad_configs():
     with pytest.raises(ConfigurationError):
         gen_regular_graph(5, 3, seed=0)  # odd half-edge count
@@ -85,7 +97,6 @@ def test_tree_ball_shape():
     g = gen_tree_ball(4, 3)
     # levels 1, 4, 12, 36
     assert g.n == 1 + 4 + 12 + 36
-    assert g.kind == "tree_ball"
     assert len(g.boundary) == 36
     degs = g.degrees()
     assert np.all(degs[g.boundary] == 1)
@@ -295,7 +306,7 @@ def test_monotone_colored_set_and_invariants():
         assert np.all(now[seen])  # colored set never shrinks
         seen = now
         uncolored = st.color == UNCOLORED
-        assert np.all(st.avail_count[uncolored] >= 2)
+        assert all(st.vertex_type(v).c >= 2 for v in np.flatnonzero(uncolored))
     st.check_invariants()
 
 
@@ -388,7 +399,7 @@ def test_nearsighted_branches_uncorrelated():
 def test_trace_cascade_fresh_state():
     st = ColoringState(gen_regular_graph(60, 4, seed=4), CFG43, seed=0)
     rec = trace_cascade(st, 5, np.random.default_rng(0))
-    assert rec.total_colored == 1 and rec.reds == 0 and not rec.collision
+    assert rec.total_colored == 1
     assert rec.root == 5 and rec.root_type == VertexType(4, 3)
     assert np.all(st.color == UNCOLORED)  # state restored
 
@@ -398,18 +409,18 @@ def test_trace_cascade_restores_midrun_state():
     run_phase1(st, default_tuning(CFG43, epsilon=0.05), steps=120)
     before = {
         "color": st.color.copy(),
-        "deg": st.uncolored_deg.copy(),
         "mask": st.seen_mask.copy(),
-        "avail": st.avail_count.copy(),
+        "code": st.type_code.copy(),
+        "counts": list(st.type_counts),
     }
     rng = np.random.default_rng(42)
     roots = np.nonzero(st.color == UNCOLORED)[0]
     for v in roots[:200]:
         trace_cascade(st, int(v), rng)
     assert np.array_equal(st.color, before["color"])
-    assert np.array_equal(st.uncolored_deg, before["deg"])
     assert np.array_equal(st.seen_mask, before["mask"])
-    assert np.array_equal(st.avail_count, before["avail"])
+    assert np.array_equal(st.type_code, before["code"])
+    assert st.type_counts == before["counts"]
     st.check_invariants()
 
 
@@ -549,7 +560,7 @@ def test_tidy_noop_without_red():
         pytest.skip("run produced red vertices; covered elsewhere")
     before = st.color.copy()
     rep = tidy_to_proper(st)
-    assert rep.red_before == 0 and rep.extra_used == 0
+    assert rep.red_before == 0 and not (st.color == st.cfg.p).any()
     assert np.array_equal(st.color, before)
 
 
@@ -563,7 +574,7 @@ def test_tidy_recolors_red_ball():
     assert np.all(st.color >= 0)
     check = verify_proper(st.graph, st.color)
     assert check.ok
-    assert rep.extra_used <= 5  # |B_1| of the red triangle
+    assert int((st.color == st.cfg.p).sum()) <= 5  # |B_1| of the red triangle
 
 
 def test_tidy_requires_total_coloring():

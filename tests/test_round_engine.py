@@ -167,23 +167,25 @@ def random_presets(rng: np.random.Generator, graph: Graph,
 def assert_bookkeeping_recomputes(st: ColoringState) -> None:
     """The incremental arrays equal a recount from the colors alone."""
     st.check_invariants()
+    r, p = st.cfg.r, st.cfg.p
     uncolored = st.color == UNCOLORED
+    codes = []
     for v in range(st.graph.n):
+        if not uncolored[v]:
+            assert st.vertex_type(v) is None
+            codes.append((r + 1) * (p + 1))
+            continue
         nbrs = st.graph.neighbors(v)
-        assert st.uncolored_deg[v] == int(uncolored[nbrs].sum())
-        if uncolored[v]:
-            mask = 0
-            for c in st.color[nbrs]:
-                if c >= 0:
-                    mask |= 1 << int(c)
-            assert st.seen_mask[v] == mask
-            assert st.avail_count[v] == st.cfg.p - bin(mask).count("1")
-    space = type_space(st.cfg)
-    types = [space.index[VertexType(int(st.uncolored_deg[v]), int(st.avail_count[v]))]
-             if uncolored[v] and st.avail_count[v] >= 2 else space.size
-             for v in range(st.graph.n)]
-    assert st.type_index.tolist() == types
-    assert st.type_counts == [types.count(t) for t in range(space.size + 1)]
+        mask = 0
+        for c in st.color[nbrs]:
+            if c >= 0:
+                mask |= 1 << int(c)
+        assert st.seen_mask[v] == mask
+        t = VertexType(int(uncolored[nbrs].sum()), p - bin(mask).count("1"))
+        assert t.c >= 2 and st.vertex_type(v) == t
+        codes.append(t.d * (p + 1) + t.c)
+    assert st.type_code.tolist() == codes
+    assert st.type_counts == [codes.count(k) for k in range((r + 1) * (p + 1) + 1)]
 
 
 def random_state(rng: np.random.Generator):
@@ -195,8 +197,8 @@ def random_state(rng: np.random.Generator):
 
 
 def snapshot(st: ColoringState) -> list:
-    """The four per-vertex arrays, then the type bookkeeping and new reds."""
-    arrays = (st.color, st.uncolored_deg, st.seen_mask, st.avail_count, st.type_index)
+    """The per-vertex arrays, then the type counts and new reds."""
+    arrays = (st.color, st.seen_mask, st.type_code)
     return [a.tobytes() for a in arrays] + [list(st.type_counts), list(st.fresh_reds)]
 
 
@@ -257,7 +259,21 @@ def test_full_check_recounts_type_bookkeeping():
         st.check_invariants()
     st.type_counts[0] -= 1
     v = int(np.flatnonzero(st.color == UNCOLORED)[0])
-    st.type_index[v] = st.untyped
+    code = int(st.type_code[v])
+    st.type_code[v] = st.colored_code
+    with pytest.raises(InternalConsistencyError, match="type"):
+        st.check_invariants()
+    st.type_code[v] = code
+    st.check_invariants()
+    # one code off by one uncolored neighbor, with the counts made to agree
+    v = next(u for u in np.flatnonzero(st.color == UNCOLORED).tolist()
+             if st.vertex_type(u).d > 0)
+    old = int(st.type_code[v])
+    new = old - (st.cfg.p + 1)
+    st.type_code[v] = new
+    st.type_counts[old] -= 1
+    st.type_counts[new] += 1
+    st.check_invariants(around=np.flatnonzero(st.color != UNCOLORED).tolist())
     with pytest.raises(InternalConsistencyError, match="type"):
         st.check_invariants()
 
@@ -275,11 +291,10 @@ def test_local_check_raises_in_the_step_of_a_planted_fault(monkeypatch):
                        if st.color[u] == UNCOLORED), None)
         if victim is None or c == RED:
             return commit(self, v, c, touch)
-        seen, avail = int(st.seen_mask[victim]), int(st.avail_count[victim])
+        seen, code = int(st.seen_mask[victim]), int(st.type_code[victim])
         commit(self, v, c, touch)
-        st.seen_mask[victim], st.avail_count[victim] = seen, avail
-        self._retype(victim, type_space(st.cfg).index[
-            VertexType(int(st.uncolored_deg[victim]), avail)])
+        st.seen_mask[victim] = seen
+        self._retype(victim, code - (st.cfg.p + 1))  # one neighbor less, no color
 
     monkeypatch.setattr(process._RoundEngine, "commit", faulty_commit)
     st = ColoringState(gen_regular_graph(600, 4, seed=11), CFG43, seed=5)

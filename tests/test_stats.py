@@ -18,7 +18,7 @@ from treecolor.dynamics import (
 )
 from treecolor.errors import ConfigurationError, InsufficientDataError
 from treecolor.graphs import gen_regular_graph, gen_tree_ball, parse_fixture
-from treecolor.process import UNCOLORED, ColoringState, run_phase1
+from treecolor.process import UNCOLORED, ColoringState, StepReport, run_phase1
 from treecolor.stats import (
     cascade_tail_fit,
     collect_run_stats,
@@ -212,7 +212,8 @@ def test_forest_identity_on_a_tree_ball():
     state = ColoringState(gen_tree_ball(4, 7), CFG43, seed=3)
     run_phase1(state, default_tuning(CFG43, epsilon=0.05), 150)
     comp = component_stats(state)
-    dbar = float(state.uncolored_deg[state.color == UNCOLORED].mean())
+    g, unc = state.graph, state.color == UNCOLORED
+    dbar = 2 * int((unc[g.edges_u] & unc[g.edges_v]).sum()) / int(unc.sum())
     assert comp.count > 1
     assert comp.mean_size == pytest.approx(18.46798, abs=1e-5)
     assert comp.mean_size == pytest.approx(1.0 / (1.0 - dbar / 2.0), rel=1e-12)
@@ -226,6 +227,18 @@ def test_collect_rejects_mismatched_lengths():
     state, stats = run_stats_for(500, 10)
     with pytest.raises(ConfigurationError):
         collect_run_stats(state, 0.05, [], stats.distributions)
+
+
+def test_collect_compares_counts_on_a_tree_ball():
+    # The type distribution is over the 5 interior vertices, reds over all
+    # 17: all 12 leaves red beside an uncolored interior is 17 vertices.
+    state = ColoringState(gen_tree_ball(4, 2), CFG43)
+    z = state.empirical_distribution()
+    assert z.mass() == 1.0 and state.graph.n == 17
+    stats = collect_run_stats(state, 0.05, [StepReport(rule3=12)], [z, z])
+    assert stats.red_fracs == [0.0, 12 / 17]
+    with pytest.raises(ConfigurationError, match="exceed n"):
+        collect_run_stats(state, 0.05, [StepReport(rule3=13)], [z, z])
 
 
 def test_run_stats_fractions_and_histogram():

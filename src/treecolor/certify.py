@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -93,26 +93,23 @@ class StopTimeResult:
 
 
 def integrate(
-    cfg: PaletteConfig,
     tuning: TuningParams,
     control: IntegrationControl,
     stop_at_remainder_below: float | None = None,
 ) -> Trajectory:
-    """Integrate the drift ODE from the fresh state with a fixed step.
+    """Integrate the drift ODE of `tuning`'s palette from the fresh state
+    with a fixed step.
 
     Runs until max_time, until growth reaches 1 - 1e-6 (recorded as an abort,
     not raised), until the positive-degree mass is exhausted, or, when
     stop_at_remainder_below is given, until the first sample whose remainder
     growth is below that value.
     """
-    if tuning.cfg != cfg:
-        raise ConfigurationError("tuning and palette configs differ")
-    return _integrate(cfg, tuning, control.step, control.max_time,
+    return _integrate(tuning, control.step, control.max_time,
                       control.sample_stride, stop_at_remainder_below)
 
 
 def _integrate(
-    cfg: PaletteConfig,
     tuning: TuningParams,
     h: float,
     max_time: float,
@@ -123,6 +120,7 @@ def _integrate(
     """`integrate` with the control's fields unpacked.  RK4 unless `euler`
     is set; only the Euler comparison sets it, and only it takes steps above
     the certifier's 0.1 cap."""
+    cfg = tuning.cfg
     space = type_space(cfg)
     field = drift_field(space, tuning.vector())
 
@@ -257,6 +255,44 @@ def _decimate_indices(n: int, limit: int) -> np.ndarray:
     return idx
 
 
+def _verdict(
+    refinements: list[dict[str, Any]], threshold: float
+) -> tuple[str, str | None, dict[str, float | None]]:
+    """The certification rule, which `certify` applies and
+    `verify_certificate` applies again: the status, the failure (None when
+    certified) and the five summary numbers, from the refinement entries.
+
+    Certified means: every refinement found a finite stopping time,
+    consecutive stopping times agree to 1%, and both margins at the finest
+    step are positive.
+    """
+    failure = None
+    missed = [e for e in refinements if not e["found"]]
+    if missed:
+        failure = "no stable stopping time: " + "; ".join(
+            str(e.get("reason")) for e in missed
+        )
+    else:
+        r_values = [e["r"] for e in refinements]
+        if any(abs(cur - prev) > 0.01 * abs(prev)
+               for prev, cur in zip(r_values, r_values[1:])):
+            failure = f"stopping time unstable under step halving: {r_values}"
+    summary = dict.fromkeys(("r", "max_g_on_0_r", "remainder_growth_at_r",
+                             "margin_g", "margin_remainder"))
+    if failure is None:
+        fin = refinements[-1]
+        summary.update(
+            r=fin["r"],
+            max_g_on_0_r=fin["max_g_on_0_r"],
+            remainder_growth_at_r=fin["remainder_growth_at_r"],
+            margin_g=threshold - fin["max_g_on_0_r"],
+            margin_remainder=threshold - fin["remainder_growth_at_r"],
+        )
+        if not (summary["margin_g"] > 0.0 and summary["margin_remainder"] > 0.0):
+            failure = "nonpositive margin"
+    return ("failed" if failure else "certified"), failure, summary
+
+
 def certify(
     cfg: PaletteConfig,
     tuning: TuningParams,
@@ -264,11 +300,9 @@ def certify(
     control: IntegrationControl = IntegrationControl(),
 ) -> Certificate:
     """Run the integration at the configured step and at each halved step,
-    and certify if every run finds a stable stopping time with margins.
-
-    Certified means: every refinement found a finite stopping time, growth and
-    remainder margins are positive, and consecutive stopping times agree to 1%.
-    """
+    and judge the runs by `_verdict`.  `cfg` must be `tuning.cfg`."""
+    if tuning.cfg != cfg:
+        raise ConfigurationError("tuning and palette configs differ")
     if not (0.0 < threshold <= 1.0):
         raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
     refinements = []
@@ -276,7 +310,7 @@ def certify(
         # keep samples on the base grid so stopping times are comparable
         refined = replace(control, step=control.step / (2 ** k),
                           sample_stride=control.sample_stride * (2 ** k))
-        traj = integrate(cfg, tuning, refined, stop_at_remainder_below=threshold)
+        traj = integrate(tuning, refined, stop_at_remainder_below=threshold)
         result = find_stop_time(traj, threshold)
         entry: dict[str, Any] = {"step": refined.step, "found": result.found}
         if result.found:
@@ -289,20 +323,7 @@ def certify(
             if result.violation_time is not None:
                 entry["violation_time"] = result.violation_time
         refinements.append(entry)
-
-    failure = None
-    if not all(e["found"] for e in refinements):
-        failure = "no stable stopping time: " + "; ".join(
-            str(e.get("reason")) for e in refinements if not e["found"]
-        )
-    else:
-        r_values = [e["r"] for e in refinements]
-        for prev, cur in zip(r_values, r_values[1:]):
-            if abs(cur - prev) > 0.01 * abs(prev):
-                failure = (
-                    f"stopping time unstable under step halving: {r_values}"
-                )
-                break
+    status, failure, summary = _verdict(refinements, threshold)
 
     # samples come from the finest refinement, the last one run
     keep = _decimate_indices(len(traj.times), MAX_STORED_SAMPLES)
@@ -315,20 +336,6 @@ def certify(
         "states": traj.states[keep].tolist(),
     }
 
-    if failure is None:
-        fin = refinements[-1]
-        r_time = fin["r"]
-        max_g = fin["max_g_on_0_r"]
-        rem_at_r = fin["remainder_growth_at_r"]
-        margin_g = threshold - max_g
-        margin_rem = threshold - rem_at_r
-        status = "certified" if margin_g > 0.0 and margin_rem > 0.0 else "failed"
-        if status == "failed":
-            failure = "nonpositive margin"
-    else:
-        r_time = max_g = rem_at_r = margin_g = margin_rem = None
-        status = "failed"
-
     space = type_space(cfg)
     return Certificate(
         schema_version="1",
@@ -337,11 +344,7 @@ def certify(
         tuning=dict(tuning.weights),
         control=control,
         threshold=threshold,
-        r=r_time,
-        max_g_on_0_r=max_g,
-        remainder_growth_at_r=rem_at_r,
-        margin_g=margin_g,
-        margin_remainder=margin_rem,
+        **summary,
         samples=samples,
         refinements=refinements,
         diagnostics={
@@ -383,42 +386,18 @@ def _dump_json(value: Any) -> str:
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    payload = {
-        "schema_version": cert.schema_version,
-        "status": cert.status,
-        "cfg": {"r": cert.cfg.r, "p": cert.cfg.p},
-        "tuning": {f"{t.d},{t.c}": float(w) for t, w in sorted(cert.tuning.items())},
-        "control": {"method": "rk4", **asdict(cert.control)},
-        "threshold": cert.threshold,
-        "r": cert.r,
-        "max_g_on_0_r": cert.max_g_on_0_r,
-        "remainder_growth_at_r": cert.remainder_growth_at_r,
-        "margin_g": cert.margin_g,
-        "margin_remainder": cert.margin_remainder,
-        "samples": cert.samples,
-        "refinements": cert.refinements,
-        "diagnostics": cert.diagnostics,
-        "metadata": cert.metadata,
-    }
+    payload = {f.name: getattr(cert, f.name) for f in fields(Certificate)}
+    payload.update(
+        cfg={"r": cert.cfg.r, "p": cert.cfg.p},
+        tuning={f"{t.d},{t.c}": float(w) for t, w in sorted(cert.tuning.items())},
+        control={"method": "rk4", **asdict(cert.control)},
+    )
     return _dump_json(payload) + "\n"
 
 
 def save_certificate(cert: Certificate, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(certificate_to_json(cert))
-
-
-_TOP_FIELDS = {
-    "schema_version": str,
-    "status": str,
-    "cfg": dict,
-    "tuning": dict,
-    "control": dict,
-    "samples": dict,
-    "refinements": list,
-}
-_NULLABLE_FIELDS = ("r", "max_g_on_0_r", "remainder_growth_at_r", "margin_g",
-                    "margin_remainder")
 
 
 def _number(value: Any, name: str) -> float:
@@ -433,6 +412,21 @@ def _number(value: Any, name: str) -> float:
     return float(value)
 
 
+def _field_value(f: Field, value: Any) -> Any:
+    """A top-level JSON value checked against its field's annotation (kept
+    as text by this module's `from __future__ import annotations`): a
+    `float` field holds a finite number, or null where None is allowed; a
+    `str` field text; a `list` field a list; every other field an object."""
+    if f.type.startswith("float"):
+        if value is None and f.type.endswith("None"):
+            return None
+        return _number(value, f.name)
+    kind = str if f.type == "str" else list if f.type.startswith("list") else dict
+    if not isinstance(value, kind):
+        raise CertificateParseError(f"field {f.name!r} has wrong type")
+    return value
+
+
 def _parse_type_key(key: str) -> VertexType:
     parts = key.split(",")
     if len(parts) != 2:
@@ -445,7 +439,9 @@ def _parse_type_key(key: str) -> VertexType:
 
 def load_certificate(path: str) -> Certificate:
     """Parse a certificate file; malformed content raises CertificateParseError
-    naming the offending field.  No recomputation happens here."""
+    naming the offending field.  The fields of `Certificate` are the schema,
+    and each one without a default is required.  No recomputation happens
+    here."""
     text = read_text(path, CertificateParseError)
     try:
         raw = json.loads(text)
@@ -453,34 +449,29 @@ def load_certificate(path: str) -> Certificate:
         raise CertificateParseError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise CertificateParseError("top level: expected an object")
-    for name in (*_TOP_FIELDS, "threshold", *_NULLABLE_FIELDS):
-        if name not in raw:
-            raise CertificateParseError(f"missing field {name!r}")
-    for name, typ in _TOP_FIELDS.items():
-        if not isinstance(raw[name], typ):
-            raise CertificateParseError(f"field {name!r} has wrong type")
-    summary = {
-        name: None if raw[name] is None else _number(raw[name], name)
-        for name in _NULLABLE_FIELDS
-    }
-    cfg_raw = raw["cfg"]
-    if "r" not in cfg_raw or "p" not in cfg_raw:
-        raise CertificateParseError("cfg: missing r or p")
+    schema = fields(Certificate)
+    for f in schema:
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise CertificateParseError(f"missing field {f.name!r}")
+    values = {f.name: _field_value(f, raw[f.name]) for f in schema if f.name in raw}
+    if values["status"] not in ("certified", "failed"):
+        raise CertificateParseError(f"status: unknown value {values['status']!r}")
+    cfg_raw = values["cfg"]
     for name in ("r", "p"):
-        if type(cfg_raw[name]) is not int:
+        if type(cfg_raw.get(name)) is not int:
             raise CertificateParseError(
-                f"cfg.{name}: expected an integer, got {cfg_raw[name]!r}"
+                f"cfg.{name}: expected an integer, got {cfg_raw.get(name)!r}"
             )
     try:
-        cfg = PaletteConfig(cfg_raw["r"], cfg_raw["p"])
+        cfg = values["cfg"] = PaletteConfig(cfg_raw["r"], cfg_raw["p"])
     except ConfigurationError as exc:
         raise CertificateParseError(f"cfg: {exc}") from None
-    ctl_raw = raw["control"]
+    ctl_raw = values["control"]
     if ctl_raw.get("method") != "rk4":
         raise CertificateParseError(
             f"control.method: expected 'rk4', got {ctl_raw.get('method')!r}")
     try:
-        control = IntegrationControl(
+        control = values["control"] = IntegrationControl(
             step=_number(ctl_raw["step"], "control.step"),
             max_time=_number(ctl_raw["max_time"], "control.max_time"),
             sample_stride=ctl_raw["sample_stride"],
@@ -488,10 +479,10 @@ def load_certificate(path: str) -> Certificate:
         )
     except (KeyError, ConfigurationError) as exc:
         raise CertificateParseError(f"control: {exc}") from None
-    tuning = {
-        _parse_type_key(k): _number(v, f"tuning.{k}") for k, v in raw["tuning"].items()
+    values["tuning"] = {
+        _parse_type_key(k): _number(v, f"tuning.{k}") for k, v in values["tuning"].items()
     }
-    samples = raw["samples"]
+    samples = values["samples"]
     for name in ("times", "g", "remainder", "states"):
         if name not in samples or not isinstance(samples[name], list):
             raise CertificateParseError(f"samples.{name}: missing or wrong type")
@@ -507,27 +498,31 @@ def load_certificate(path: str) -> Certificate:
             raise CertificateParseError(f"samples.states[{i}]: wrong length")
         for j, value in enumerate(row):
             _number(value, f"samples.states[{i}][{j}]")
-    if raw["status"] not in ("certified", "failed"):
-        raise CertificateParseError(f"status: unknown value {raw['status']!r}")
-    return Certificate(
-        schema_version=raw["schema_version"],
-        status=raw["status"],
-        cfg=cfg,
-        tuning=tuning,
-        control=control,
-        threshold=_number(raw["threshold"], "threshold"),
-        **summary,
-        samples=samples,
-        refinements=raw["refinements"],
-        diagnostics=raw.get("diagnostics", {}),
-        metadata=raw.get("metadata", {}),
-    )
+    # what `_verdict` reads, one entry per refinement
+    entries = values["refinements"]
+    if len(entries) != control.halvings + 1:
+        raise CertificateParseError(
+            f"refinements: expected {control.halvings + 1} entries "
+            f"(halvings + 1), got {len(entries)}")
+    for i, entry in enumerate(entries):
+        name = f"refinements[{i}]"
+        if not isinstance(entry, dict):
+            raise CertificateParseError(f"{name}: expected an object")
+        _number(entry.get("step"), f"{name}.step")
+        if type(entry.get("found")) is not bool:
+            raise CertificateParseError(
+                f"{name}.found: expected true or false, got {entry.get('found')!r}")
+        if entry["found"]:
+            for key in ("r", "max_g_on_0_r", "remainder_growth_at_r"):
+                _number(entry.get(key), f"{name}.{key}")
+    return Certificate(**values)
 
 
 def verify_certificate(cert: Certificate) -> None:
     """Check the stored states, recompute growth and remainder at every
-    stored sample and recheck the certified claims.  Raises
-    CertificateVerificationError on any mismatch."""
+    stored sample, derive the status and summary from the refinements again
+    by `_verdict` (they must match exactly) and tie a certified summary to
+    the samples.  Raises CertificateVerificationError on any mismatch."""
     space = type_space(cert.cfg)
     times = np.asarray(cert.samples["times"], dtype=np.float64)
     states = np.asarray(cert.samples["states"], dtype=np.float64).reshape(-1, space.size)
@@ -568,28 +563,22 @@ def verify_certificate(cert: Certificate) -> None:
             )
     if not (np.diff(times) > 0).all():
         raise CertificateVerificationError("sample times are not increasing")
-    if cert.status == "certified":
-        for name in _NULLABLE_FIELDS:
-            if getattr(cert, name) is None:
-                raise CertificateVerificationError(f"certified but {name} is null")
-        if not (cert.margin_g > 0.0 and cert.margin_remainder > 0.0):
-            raise CertificateVerificationError("certified but margins not positive")
-        if not abs(cert.threshold - cert.max_g_on_0_r - cert.margin_g) <= 1e-12:
-            raise CertificateVerificationError("margin_g inconsistent")
-        rem_margin = cert.threshold - cert.remainder_growth_at_r
-        if not abs(rem_margin - cert.margin_remainder) <= 1e-12:
-            raise CertificateVerificationError("margin_remainder inconsistent")
-        upto = times <= cert.r + 1e-12
-        if not upto.any():
-            raise CertificateVerificationError("no stored samples at or before r")
-        if not float(g_stored[upto].max()) <= cert.max_g_on_0_r + 1e-9:
+    status, _, summary = _verdict(cert.refinements, cert.threshold)
+    for name, derived in {"status": status, **summary}.items():
+        if getattr(cert, name) != derived:
             raise CertificateVerificationError(
-                "stored growth exceeds max_g_on_0_r before r"
+                f"stored {name} {getattr(cert, name)!r} does not follow from the "
+                f"refinements ({derived!r})"
             )
+    if cert.status == "certified":
         # the crossing sample itself must be stored and match
         at_r = np.isclose(times, cert.r, rtol=0.0, atol=1e-12)
         if not at_r.any():
             raise CertificateVerificationError("crossing sample for r not stored")
+        if not float(g_stored[times <= cert.r + 1e-12].max()) <= cert.max_g_on_0_r + 1e-9:
+            raise CertificateVerificationError(
+                "stored growth exceeds max_g_on_0_r before r"
+            )
         idx = int(np.nonzero(at_r)[0][0])
         if not abs(rem_stored[idx] - cert.remainder_growth_at_r) <= 1e-9:
             raise CertificateVerificationError(
@@ -600,7 +589,6 @@ def verify_certificate(cert: Certificate) -> None:
 
 
 def euler_ode_compare(
-    cfg: PaletteConfig,
     tuning: TuningParams,
     epsilon: float,
     control: IntegrationControl = IntegrationControl(),
@@ -610,20 +598,18 @@ def euler_ode_compare(
     step is at most eps/10."""
     if not (0.0 < epsilon <= 0.2):
         raise ConfigurationError(f"epsilon must be in (0, 0.2], got {epsilon}")
-    if tuning.cfg != cfg:
-        raise ConfigurationError("tuning and palette configs differ")
     # reference step divides eps exactly so sample times align by index
     substeps = max(10, int(math.ceil(epsilon / control.step - 1e-12)))
     ref_step = epsilon / substeps
     ref_control = replace(control, step=ref_step, sample_stride=1)
-    ref = integrate(cfg, tuning, ref_control, stop_at_remainder_below=DEFAULT_THRESHOLD)
+    ref = integrate(tuning, ref_control, stop_at_remainder_below=DEFAULT_THRESHOLD)
     if ref.aborted and ref.abort_reason == "supercritical":
         raise ComparisonFailureError("reference trajectory went supercritical")
     result = find_stop_time(ref, DEFAULT_THRESHOLD)
     # no crossing (e.g. zero weights) is not an error: compare over what ran
     stop_time = result.time if result.found else float(ref.times[-1])
 
-    euler = _integrate(cfg, tuning, epsilon, stop_time + 1e-12, 1, None, euler=True)
+    euler = _integrate(tuning, epsilon, stop_time + 1e-12, 1, None, euler=True)
     if euler.abort_reason == "supercritical":
         raise ComparisonFailureError("euler sequence went supercritical")
     # Euler point n sits at reference index n * substeps

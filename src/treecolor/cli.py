@@ -31,6 +31,8 @@ import numpy as np
 
 from . import __version__
 from .certify import (
+    DEFAULT_THRESHOLD,
+    Certificate,
     IntegrationControl,
     certify,
     integrate,
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_control_flags(cert)
     cert.add_argument("--halvings", type=int, default=None,
                       help="step-halving refinements")
-    cert.add_argument("--threshold", type=float, default=0.99999)
+    cert.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     cert.add_argument("--out", default=None, help="certificate JSON path")
     cert.add_argument("--config", default=None, help="key=value config file")
 
@@ -296,10 +298,9 @@ def _emit(args, text: str, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_certify(args) -> int:
-    cfg = PaletteConfig(args.r, args.p)
     tuning = _tuning_for(args)
-    control = _control_for(args)
-    cert = certify(cfg, tuning, threshold=args.threshold, control=control)
+    cfg = tuning.cfg
+    cert = certify(cfg, tuning, threshold=args.threshold, control=_control_for(args))
     if args.out:
         save_certificate(cert, args.out)
         print(f"wrote {args.out}")
@@ -324,11 +325,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    cfg = PaletteConfig(args.r, args.p)
     tuning = _tuning_for(args)
     control = _control_for(args)
-    traj = integrate(cfg, tuning, control, stop_at_remainder_below=args.threshold)
-    space = type_space(cfg)
+    traj = integrate(tuning, control, stop_at_remainder_below=args.threshold)
+    space = type_space(tuning.cfg)
     config = _config_echo(args, ["r", "p", "threshold", "weight"])
     config.update(method="rk4", step=control.step, max_time=control.max_time)
     lines = [_comment_block(config).rstrip("\n")]
@@ -350,29 +350,39 @@ def cmd_integrate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_steps(args, epsilon: float):
-    """Step count plus the certificate, when one was given; a certificate
-    is verified before anything is read from it."""
-    if epsilon <= 0.0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    cert = None
-    if args.cert:
-        cert = load_certificate(args.cert)
-        verify_certificate(cert)
-    if args.steps is not None:
-        if args.steps < 0:
-            raise ConfigurationError(f"steps must be >= 0, got {args.steps}")
-        return args.steps, cert
-    if cert is None:
-        raise ConfigurationError("need --steps or --cert to fix the run length")
-    if not cert.certified or cert.r is None:
-        raise ConfigurationError(f"{args.cert} is not a certified certificate")
-    if (cert.cfg.r, cert.cfg.p) != (args.r, args.p):
+def _run_certificate(args, tuning: TuningParams) -> Certificate | None:
+    """The `--cert` certificate, if given: verified, then required to be
+    made for the run's degree, palette and weights."""
+    if not args.cert:
+        return None
+    cert = load_certificate(args.cert)
+    verify_certificate(cert)
+    if cert.cfg != tuning.cfg:
         raise ConfigurationError(
             f"certificate is for ({cert.cfg.r},{cert.cfg.p}), "
             f"run is ({args.r},{args.p})"
         )
-    return math.ceil(cert.r / epsilon), cert
+    for t in sorted(set(cert.tuning) | set(tuning.weights)):
+        if cert.tuning.get(t) != tuning.weights.get(t):
+            raise ConfigurationError(
+                f"certificate tuning differs from the run's at type {t.d},{t.c}: "
+                f"weight {cert.tuning.get(t)!r} vs {tuning.weights.get(t)!r}")
+    return cert
+
+
+def _resolve_steps(args, epsilon: float, cert: Certificate | None) -> int:
+    """`--steps`, or else ceil(R / epsilon) for the certificate's R."""
+    if epsilon <= 0.0:
+        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    if args.steps is not None:
+        if args.steps < 0:
+            raise ConfigurationError(f"steps must be >= 0, got {args.steps}")
+        return args.steps
+    if cert is None:
+        raise ConfigurationError("need --steps or --cert to fix the run length")
+    if not cert.certified:
+        raise ConfigurationError(f"{args.cert} is not a certified certificate")
+    return math.ceil(cert.r / epsilon)
 
 
 def _build_graph(args):
@@ -456,8 +466,9 @@ def summary_json(args, run: RunResult, cert) -> str:
 
 
 def cmd_simulate(args) -> int:
-    steps, cert = _resolve_steps(args, args.epsilon)
     tuning = _tuning_for(args, epsilon=args.epsilon)
+    cert = _run_certificate(args, tuning)
+    steps = _resolve_steps(args, args.epsilon, cert)
     graph = _build_graph(args)
     run = run_pipeline(graph, tuning, steps, args.seed, args.modified)
 
@@ -504,9 +515,10 @@ def cmd_sweep(args) -> int:
         ) from None
     if not epsilons or not seeds:
         raise ConfigurationError("need at least one epsilon and one seed")
+    cert = _run_certificate(args, _tuning_for(args))
     cells = []  # in (epsilon, seed) order, which the output keeps
     for eps in sorted(set(epsilons)):
-        steps, _ = _resolve_steps(args, eps)
+        steps = _resolve_steps(args, eps, cert)
         tuning = _tuning_for(args, epsilon=eps)  # validates eps * max weight
         for seed in sorted(set(seeds)):
             graph_seed = args.graph_seed if args.graph_seed is not None else seed

@@ -200,8 +200,8 @@ def test_acceptance_04_initial_analytics_exact():
 
 def test_acceptance_05_euler_order():
     t0 = time.perf_counter()
-    d1 = euler_ode_compare(CFG43, default_tuning(CFG43), 0.02)
-    d2 = euler_ode_compare(CFG43, default_tuning(CFG43), 0.01)
+    d1 = euler_ode_compare(default_tuning(CFG43), 0.02)
+    d2 = euler_ode_compare(default_tuning(CFG43), 0.01)
     secs = time.perf_counter() - t0
     ratio = d1 / d2
     ok = 1.7 <= ratio <= 2.3 and secs < 60.0

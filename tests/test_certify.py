@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -59,15 +60,15 @@ def test_integration_control_validation():
         IntegrationControl(halvings=-1)
 
 
-def test_integrate_rejects_mismatched_tuning():
-    with pytest.raises(ConfigurationError):
-        integrate(PaletteConfig(6, 4), TUNING43, IntegrationControl(max_time=0.01))
+def test_certify_rejects_mismatched_tuning():
+    with pytest.raises(ConfigurationError, match="differ"):
+        certify(PaletteConfig(6, 4), TUNING43, control=IntegrationControl(max_time=0.01))
 
 
 def test_first_euler_step_matches_drift():
     # one explicit Euler step from the fresh state: z + h * F(z)
     for h in (1e-3, 0.01):
-        traj = _integrate(CFG43, TUNING43, h, h, 1, None, euler=True)
+        traj = _integrate(TUNING43, h, h, 1, None, euler=True)
         assert len(traj.times) == 2
         state = traj.state_at(1)
         assert abs(state[(4, 3)] - (1.0 - h * 0.078125)) < 1e-15
@@ -78,19 +79,19 @@ def test_first_euler_step_matches_drift():
 def test_euler_integrator_clamps_and_counts():
     # Euler at h=0.1 overshoots once on the way to t=40: the undershoot is
     # counted and clipped, so every stored state stays nonnegative
-    traj = _integrate(CFG43, TUNING43, 0.1, 40.0, 1, None, euler=True)
+    traj = _integrate(TUNING43, 0.1, 40.0, 1, None, euler=True)
     assert not traj.aborted
     assert traj.times[-1] == pytest.approx(40.0)
     assert traj.clamp_events == 1
     assert traj.states.min() >= 0.0
     # RK4 on the same grid clamps nothing
-    assert integrate(CFG43, TUNING43, IntegrationControl(step=0.1, max_time=40.0)).clamp_events == 0
+    assert integrate(TUNING43, IntegrationControl(step=0.1, max_time=40.0)).clamp_events == 0
 
 
 def test_zero_weights_constant_trajectory():
     space = type_space(CFG43)
     zero = TuningParams(CFG43, {t: 0.0 for t in space.types})
-    traj = integrate(CFG43, zero, IntegrationControl(step=5e-3, max_time=0.05))
+    traj = integrate(zero, IntegrationControl(step=5e-3, max_time=0.05))
     initial = TypeDistribution.initial(CFG43).vec
     assert np.array_equal(traj.states, np.tile(initial, (len(traj.times), 1)))
     assert np.all(traj.g_values == 0.0)
@@ -98,7 +99,7 @@ def test_zero_weights_constant_trajectory():
 
 
 def test_trajectory_samples_recomputable():
-    traj = integrate(CFG43, TUNING43, IntegrationControl(step=1e-3, max_time=2.0, sample_stride=5))
+    traj = integrate(TUNING43, IntegrationControl(step=1e-3, max_time=2.0, sample_stride=5))
     assert traj.times[0] == 0.0
     assert np.all(np.diff(traj.times) > 0)
     assert np.array_equal(traj.states[0], TypeDistribution.initial(CFG43).vec)
@@ -111,14 +112,14 @@ def test_trajectory_samples_recomputable():
 
 
 def test_monotone_mass_along_trajectory():
-    traj = integrate(CFG43, TUNING43, IntegrationControl(step=1e-3, max_time=3.0))
+    traj = integrate(TUNING43, IntegrationControl(step=1e-3, max_time=3.0))
     masses = traj.states.sum(axis=1)
     assert np.all(np.diff(masses) <= 1e-9)
     assert traj.states.min() >= 0.0
 
 
 def test_sample_stride_and_final_point():
-    traj = integrate(CFG43, TUNING43, IntegrationControl(step=1e-3, max_time=0.05, sample_stride=7))
+    traj = integrate(TUNING43, IntegrationControl(step=1e-3, max_time=0.05, sample_stride=7))
     # samples at multiples of the stride plus the final step
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.050)
@@ -127,9 +128,9 @@ def test_sample_stride_and_final_point():
 
 def test_rk4_halved_step_richardson():
     h, T = 0.1, 8.0
-    ref = integrate(CFG43, TUNING43, IntegrationControl(step=h / 32, max_time=T, sample_stride=32))
-    coarse = integrate(CFG43, TUNING43, IntegrationControl(step=h, max_time=T, sample_stride=1))
-    fine = integrate(CFG43, TUNING43, IntegrationControl(step=h / 2, max_time=T, sample_stride=2))
+    ref = integrate(TUNING43, IntegrationControl(step=h / 32, max_time=T, sample_stride=32))
+    coarse = integrate(TUNING43, IntegrationControl(step=h, max_time=T, sample_stride=1))
+    fine = integrate(TUNING43, IntegrationControl(step=h / 2, max_time=T, sample_stride=2))
     n = min(len(ref.times), len(coarse.times), len(fine.times))
     assert np.allclose(ref.times[:n], coarse.times[:n])
     err_coarse = np.abs(coarse.states[:n] - ref.states[:n]).max()
@@ -141,7 +142,7 @@ def test_supercritical_tuning_reports_abort():
     # weights favoring high uncolored degree drive the cascade growth past 1
     space = type_space(CFG43)
     tuning = TuningParams(CFG43, {t: 2.0 ** (2 * t.d) for t in space.types})
-    traj = integrate(CFG43, tuning, IntegrationControl(step=1e-3, max_time=30.0))
+    traj = integrate(tuning, IntegrationControl(step=1e-3, max_time=30.0))
     assert traj.aborted
     assert traj.abort_reason == "supercritical"
     result = find_stop_time(traj)
@@ -257,6 +258,21 @@ def test_certificate_bytes_stable(cert43, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# the serializer takes its field list from the `Certificate` dataclass; these
+# digests pin its bytes for the certified fixture and for the failed
+# certificate of test_certify_low_threshold_fails_with_diagnostics
+def test_certificate_bytes_pinned(cert43):
+    failed = certify(CFG43, TUNING43, threshold=0.01,
+                     control=IntegrationControl(step=1e-3, max_time=1.0, halvings=0))
+    digests = [hashlib.sha256(certificate_to_json(c).encode()).hexdigest()
+               for c in (cert43, failed)]
+    assert digests == [
+        "9c1c4ff31feef349b63e6c4c4e3539adda538ed0234c3cf260b08463e4ecbf25",
+        "fd7a7ffabae5ce43fc0d8555e58aa29d822b4593052fa3bd1ae69f8ed9227ea3",
+    ]
+    verify_certificate(failed)  # a failed status re-derives as well
+
+
 def test_certificate_field_order_and_float_format(cert43):
     text = certificate_to_json(cert43)
     assert list(json.loads(text).keys()) == [
@@ -330,8 +346,8 @@ def test_certificate_bad_type_key_named(cert43, tmp_path):
 
 
 def test_euler_ode_compare_first_order_ratio():
-    d_coarse = euler_ode_compare(CFG43, TUNING43, 0.02)
-    d_fine = euler_ode_compare(CFG43, TUNING43, 0.01)
+    d_coarse = euler_ode_compare(TUNING43, 0.02)
+    d_fine = euler_ode_compare(TUNING43, 0.01)
     assert d_coarse > 0.0
     assert 1.7 <= d_coarse / d_fine <= 2.3
 
@@ -340,7 +356,7 @@ def test_euler_ode_compare_zero_weights():
     space = type_space(CFG43)
     zero = TuningParams(CFG43, {t: 0.0 for t in space.types})
     control = IntegrationControl(step=5e-3, max_time=0.3)
-    assert euler_ode_compare(CFG43, zero, 0.05, control) == 0.0
+    assert euler_ode_compare(zero, 0.05, control) == 0.0
 
 
 def test_euler_ode_compare_reports_supercritical_euler_sequence():
@@ -351,13 +367,13 @@ def test_euler_ode_compare_reports_supercritical_euler_sequence():
         CFG43, {t: 2.0 ** (1 - t.d) if t.d != 1 else 2.0 ** -10 for t in space.types}
     )
     control = IntegrationControl(step=1e-2)
-    assert euler_ode_compare(CFG43, tuning, 0.1, control) > 0.0
+    assert euler_ode_compare(tuning, 0.1, control) > 0.0
     with pytest.raises(ComparisonFailureError, match="euler"):
-        euler_ode_compare(CFG43, tuning, 0.2, control)
+        euler_ode_compare(tuning, 0.2, control)
 
 
 def test_euler_ode_compare_epsilon_validation():
     with pytest.raises(ConfigurationError):
-        euler_ode_compare(CFG43, TUNING43, 0.25)
+        euler_ode_compare(TUNING43, 0.25)
     with pytest.raises(ConfigurationError):
-        euler_ode_compare(CFG43, TUNING43, 0.0)
+        euler_ode_compare(TUNING43, 0.0)

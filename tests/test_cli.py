@@ -103,6 +103,41 @@ def test_run_commands_verify_their_certificate(tmp_path, capsys, command):
     assert "verification failed" in capsys.readouterr().err
 
 
+# each of these verified at the parent, whose verify never read the
+# refinements that the status and summary come from
+@pytest.mark.parametrize("mutate, code", [
+    pytest.param(lambda raw: raw.update(refinements=[]), 2, id="empty"),
+    pytest.param(lambda raw: raw["refinements"][0].update(r=5.0), 1, id="r-moved"),
+    pytest.param(lambda raw: raw["refinements"][1].update(found=False), 1,
+                 id="not-found"),
+    pytest.param(lambda raw: raw.update(refinements=[1, "x"]), 2, id="not-entries"),
+    pytest.param(lambda raw: raw["refinements"][2].update(found="yes"), 2,
+                 id="found-str"),
+    pytest.param(lambda raw: raw["refinements"][2].pop("max_g_on_0_r"), 2,
+                 id="found-without-max-g"),
+])
+def test_verify_rederives_the_status_from_the_refinements(tmp_path, capsys,
+                                                          mutate, code):
+    raw = json.loads(open(STORED_CERT43).read())
+    mutate(raw)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["verify", "--cert", str(tampered)]) == code
+    assert "refinements" in capsys.readouterr().err
+
+
+# the certificate's flow is the run's only under the certificate's weights
+@pytest.mark.parametrize("command", [
+    ["simulate", "--epsilon", "0.05", "--seed", "1"],
+    ["sweep", "--epsilons", "0.05,0.1", "--seeds", "1", "--jobs", "1"],
+])
+def test_run_commands_reject_a_certificate_of_another_tuning(capsys, command):
+    assert main([*command, "--r", "4", "--p", "3", "--n", "2000",
+                 "--cert", STORED_CERT43,
+                 "--weight", "0,2=0.001", "--weight", "2,2=10"]) == 2
+    assert "tuning differs from the run's at type 0,2" in capsys.readouterr().err
+
+
 def _set_every_g_null(raw):
     raw["samples"]["g"] = [None] * len(raw["samples"]["g"])
 
@@ -482,6 +517,16 @@ def test_sweep_cell_matches_simulate(tmp_path, capsys):
     body = read_json(capsys)
     assert body["red_before_tidy"] > 0
     assert float(row.split(",")[2]) == body["red_before_tidy"] / body["n"]
+
+
+def test_sweep_verifies_its_certificate_once(monkeypatch, capsys):
+    real, calls = cli.verify_certificate, []
+    monkeypatch.setattr(cli, "verify_certificate",
+                        lambda cert: calls.append(cert) or real(cert))
+    assert main(["sweep", "--r", "4", "--p", "3", "--epsilons", "0.1,0.05",
+                 "--seeds", "1", "--n", "100", "--steps", "3", "--jobs", "1",
+                 "--cert", STORED_CERT43]) == 0
+    assert len(calls) == 1
 
 
 def test_sweep_rejects_bad_grid():

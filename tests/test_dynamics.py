@@ -273,7 +273,7 @@ def test_euler_step_frozen():
     # one Euler step of size epsilon from the fresh state, on the
     # integrator's Euler branch: z + eps * F(z), nothing clamped
     tuning = default_tuning(CFG43, epsilon=0.01)
-    traj = _integrate(CFG43, tuning, tuning.epsilon, tuning.epsilon, 1, None, euler=True)
+    traj = _integrate(tuning, tuning.epsilon, tuning.epsilon, 1, None, euler=True)
     stepped = traj.state_at(1)
     assert stepped[(4, 3)] == pytest.approx(0.99921875, abs=1e-15)
     assert stepped[(3, 2)] == pytest.approx(0.000625, abs=1e-15)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import time
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from typing import Any
 
@@ -38,6 +40,10 @@ from .errors import (
 DEFAULT_THRESHOLD = 0.99999
 GROWTH_ABORT = 1.0 - 1e-6
 MAX_STORED_SAMPLES = 2048
+# parareal: slice length, slices past the coarse crossing, settled update and
+# iteration cap; and the entries of a stack that one RK4 pass takes at once
+_SLICE = 0.05
+_MARGIN_SLICES, _CONVERGED, _MAX_ITERATIONS, _BLOCK = 2, 1e-14, 30, 16384
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,7 @@ class Trajectory:
     aborted: bool = False
     abort_reason: str | None = None
     clamp_events: int = 0
+    parareal_iterations: int | None = None  # None: integrated as one slice
 
     def state_at(self, i: int) -> TypeDistribution:
         return TypeDistribution(self.cfg, self.states[i].copy())
@@ -109,6 +116,24 @@ def integrate(
                       control.sample_stride, stop_at_remainder_below)
 
 
+def _rk4(field, h: float):
+    """The increment of one RK4 step of size h, for a state or a stack of
+    states; a large stack goes through in row blocks of about `_BLOCK`
+    entries, whose temporaries stay in cache."""
+    def increment(z: np.ndarray) -> np.ndarray:
+        if z.size > _BLOCK:
+            rows = _BLOCK // z.shape[-1]
+            return np.concatenate([increment(z[a:a + rows]) for a in range(0, len(z), rows)])
+        # stage inputs may dip microscopically below zero; evaluate on the clip
+        k1 = field(np.maximum(z, 0.0))
+        k2 = field(np.maximum(z + 0.5 * h * k1, 0.0))
+        k3 = field(np.maximum(z + 0.5 * h * k2, 0.0))
+        k4 = field(np.maximum(z + h * k3, 0.0))
+        return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return increment
+
+
 def _integrate(
     tuning: TuningParams,
     h: float,
@@ -117,85 +142,124 @@ def _integrate(
     stop_below: float | None,
     euler: bool = False,
 ) -> Trajectory:
-    """`integrate` with the control's fields unpacked.  RK4 unless `euler`
-    is set; only the Euler comparison sets it, and only it takes steps above
-    the certifier's 0.1 cap."""
-    cfg = tuning.cfg
-    space = type_space(cfg)
+    """`integrate` with the control's fields unpacked: fixed-step RK4 by
+    parareal, or as one slice where parareal gives up.  Only the Euler
+    comparison sets `euler`; it always runs as one slice, and only it takes
+    steps above the certifier's 0.1 cap."""
+    space = type_space(tuning.cfg)
     field = drift_field(space, tuning.vector())
-
-    def rhs(z: np.ndarray) -> np.ndarray:
-        # stage inputs may dip microscopically below zero; evaluate on the clip
-        return field(np.maximum(z, 0.0))
-
     n_steps = int(math.floor(max_time / h + 1e-9))
-    z = TypeDistribution.initial(cfg).vec.copy()
-    g, rem = growth_rates(space, z)
-    times, states = [0.0], [z.copy()]
-    g_values, remainder_values, step_g_max = [g], [rem], [g]
-    clamp_events = 0
-    abort_reason = None
-    stopped = False
+    below = -math.inf if stop_below is None else stop_below
+    z0 = TypeDistribution.initial(tuning.cfg).vec
+    increment = (lambda z: h * field(np.maximum(z, 0.0))) if euler else _rk4(field, h)
+    found = None if euler else _parareal(space, field, z0, h, n_steps, sample_stride, below)
+    (_, rec, clamps, error), iterations = found or (_sweep(
+        space, increment, z0[None], np.zeros(1, dtype=np.int64), n_steps, n_steps,
+        sample_stride, below), None)
+    idx, states, g, rem, peak, stop = rec
+    n = int(np.argmax(stop)) + 1 if stop.any() else len(idx)  # up to the first stop
+    abort = "supercritical" if g[n - 1] >= GROWTH_ABORT else error
+    return Trajectory(tuning.cfg, idx[:n] * h, states[:n], g[:n], rem[:n], peak[:n],
+                      abort is not None, abort, int((clamps <= idx[n - 1]).sum()),
+                      iterations)
 
-    interval_g = g
-    for i in range(1, n_steps + 1):
-        t = i * h
+
+def _sweep(space, increment, starts, first, n_fine, n_total, stride, stop_below):
+    """Advance each row of `starts`, the state at global step `first[s]` (a
+    multiple of `stride`), by up to `n_fine` steps, all rows as one stack.
+    A row records state, g, remainder and the largest g since its last record
+    at multiples of `stride`, at `n_total` and where g reaches GROWTH_ABORT;
+    it stops there, at `n_total` or at the first sample with remainder below
+    `stop_below`.  A step that raises ends the sweep, closing each live row
+    with its last accepted state.  Returns the end states, the records sorted
+    by global step (the last array marks stops), the steps that clamped an
+    undershoot, and the error ("supercritical", "mass_exhausted" or None)."""
+    z, (g, rem) = starts, growth_rates(space, starts)
+    peak, last = g.copy(), first.copy()  # since and at each row's last record
+    alive, head = np.ones(len(z), dtype=bool), first == 0
+    records = [(first[head], z[head], g[head], rem[head], g[head], ~alive[head])]
+    clamps, error = [first[:0]], None
+    for j in range(1, n_fine + 1):
+        i = first + j
         try:
-            if euler:
-                z = z + h * rhs(z)
-            else:
-                k1 = rhs(z)
-                k2 = rhs(z + 0.5 * h * k1)
-                k3 = rhs(z + 0.5 * h * k2)
-                k4 = rhs(z + h * k3)
-                z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            nxt = z + increment(z)
+            under = (nxt < -1e-9).any(axis=1)
+            np.clip(nxt, 0.0, None, out=nxt)
+            g_nxt, rem_nxt = growth_rates(space, nxt)
         except (DegenerateDistributionError, SupercriticalError) as exc:
-            # a stage evaluation blew up: report it, and close the record
-            # with the last accepted state unless it is stored already
-            abort_reason = (
-                "supercritical" if isinstance(exc, SupercriticalError)
-                else "mass_exhausted"
-            )
-            t = (i - 1) * h
-            record = times[-1] != t
-        else:
-            if (z < -1e-9).any():
-                clamp_events += 1
-            np.clip(z, 0.0, None, out=z)
-            try:
-                g, rem = growth_rates(space, z)
-            except DegenerateDistributionError:
-                abort_reason = "mass_exhausted"
-                break
-            interval_g = max(interval_g, g)
-            if g >= GROWTH_ABORT:
-                # record the offending point so diagnostics can show it
-                abort_reason = "supercritical"
-                record = True
-            else:
-                record = i % sample_stride == 0 or i == n_steps
-                stopped = record and stop_below is not None and rem < stop_below
-        if record:
-            times.append(t)
-            states.append(z.copy())
-            g_values.append(g)
-            remainder_values.append(rem)
-            step_g_max.append(interval_g)
-            interval_g = g
-        if abort_reason is not None or stopped:
+            error = ("supercritical" if isinstance(exc, SupercriticalError)
+                     else "mass_exhausted")
+            keep = alive & (last != i - 1)
+            records.append((i[keep] - 1, z[keep], g[keep], rem[keep], peak[keep],
+                            keep[keep]))
             break
+        z, g, rem = nxt, g_nxt, rem_nxt
+        if under.any():
+            clamps.append(i[under & alive])
+        np.maximum(peak, g, out=peak)
+        over, end = g >= GROWTH_ABORT, i == n_total
+        if j % stride and not (over.any() or end.any()):
+            continue
+        sample = end | (j % stride == 0)
+        stop = over | end | sample & (rem < stop_below)
+        keep = alive & (sample | over)
+        records.append((i[keep], z[keep], g[keep], rem[keep], peak[keep], stop[keep]))
+        peak[keep], last[keep] = g[keep], i[keep]
+        alive &= ~stop
+        if not alive.any():
+            break
+    order = np.argsort(np.concatenate([r[0] for r in records]), kind="stable")
+    rec = tuple(np.concatenate(column)[order] for column in zip(*records))
+    return z, rec, np.concatenate(clamps), error
 
-    return Trajectory(
-        cfg=cfg,
-        times=np.array(times),
-        states=np.array(states),
-        g_values=np.array(g_values),
-        remainder_values=np.array(remainder_values),
-        step_g_max=np.array(step_g_max),
-        aborted=abort_reason is not None,
-        abort_reason=abort_reason,
-        clamp_events=clamp_events,
-    )
+
+def _parareal(space, field, z0, h, n_steps, stride, stop_below):
+    """Fixed-step RK4 by parareal (Lions, Maday & Turinici, C. R. Acad. Sci.
+    Paris 332, 2001) over slices of about `_SLICE`: a sequential sweep of one
+    coarse RK4 step per slice corrects a fine `_sweep` of all slices as one
+    stack, U_{s+1} = F(U_s) + G_new(U_s) - G_old(U_s), until the slice
+    starts settle; then one more fine sweep runs.  The first coarse sweep
+    ends a few slices past its first crossing or growth abort.  Returns the
+    last sweep and the number of corrections, or None where one slice must
+    run instead: a stage raised, or no row stopped, or nothing settled."""
+    m = stride * max(1, round(_SLICE / (h * stride)))  # fine steps per slice
+    n_slices = -(-n_steps // m)
+    coarse, fine = _rk4(field, m * h), _rk4(field, h)
+    horizon, starts, incs = n_slices, [z0], []
+    try:
+        while len(starts) < horizon:
+            incs.append(coarse(starts[-1]))
+            starts.append(starts[-1] + incs[-1])
+            g, rem = growth_rates(space, starts[-1])
+            if horizon == n_slices and (g >= GROWTH_ABORT or rem < stop_below):
+                horizon = min(len(starts) - 1 + _MARGIN_SLICES, n_slices)
+        u, incs = np.array(starts), np.array(incs)
+        if len(u) < 2:
+            return None
+        first = np.arange(len(u), dtype=np.int64) * m
+        settled, last_update = False, math.inf
+        for sweeps in range(1, _MAX_ITERATIONS + 2):
+            run = ends, (idx, *_, stop), _, error = _sweep(
+                space, fine, u, first, m, n_steps, stride, stop_below)
+            stops = np.flatnonzero(stop)
+            if error is not None or not stops.size:
+                return None
+            # after k corrections slices 0..k start exactly: a stop in them is final
+            if settled or idx[stops[0]] <= sweeps * m:
+                return run, sweeps - 1
+            # G_new - G_old as two small differences: no state-sized rounding
+            new = u.copy()
+            for s in range(len(u) - 1):
+                inc = coarse(new[s])
+                new[s + 1] = ends[s] + ((new[s] - u[s]) + (inc - incs[s]))
+                incs[s] = inc
+            # below 100 * _CONVERGED, an update that stops shrinking is rounding
+            update = np.abs(new - u).max()
+            settled = update <= _CONVERGED or last_update <= update <= 100 * _CONVERGED
+            u, last_update = new, update
+    except (DegenerateDistributionError, SupercriticalError):
+        pass
+    return None
 
 
 def find_stop_time(traj: Trajectory, threshold: float = DEFAULT_THRESHOLD) -> StopTimeResult:
@@ -300,7 +364,9 @@ def certify(
     control: IntegrationControl = IntegrationControl(),
 ) -> Certificate:
     """Run the integration at the configured step and at each halved step,
-    and judge the runs by `_verdict`.  `cfg` must be `tuning.cfg`."""
+    and judge the runs by `_verdict`.  `cfg` must be `tuning.cfg`.  Each
+    refinement writes one line to stderr: its step, its fine steps, its
+    seconds and how it was integrated."""
     if tuning.cfg != cfg:
         raise ConfigurationError("tuning and palette configs differ")
     if not (0.0 < threshold <= 1.0):
@@ -310,7 +376,13 @@ def certify(
         # keep samples on the base grid so stopping times are comparable
         refined = replace(control, step=control.step / (2 ** k),
                           sample_stride=control.sample_stride * (2 ** k))
+        start = time.perf_counter()
         traj = integrate(tuning, refined, stop_at_remainder_below=threshold)
+        how = traj.parareal_iterations
+        print(f"certify: step {refined.step:g}: {round(traj.times[-1] / refined.step)} "
+              f"fine steps in {time.perf_counter() - start:.3f} s, "
+              + ("one slice" if how is None else f"parareal {how} iterations"),
+              file=sys.stderr)
         result = find_stop_time(traj, threshold)
         entry: dict[str, Any] = {"step": refined.step, "found": result.found}
         if result.found:
@@ -326,9 +398,8 @@ def certify(
     status, failure, summary = _verdict(refinements, threshold)
 
     # samples come from the finest refinement, the last one run
+    # a found crossing is the last sample, which decimation keeps
     keep = _decimate_indices(len(traj.times), MAX_STORED_SAMPLES)
-    if result.found and result.index not in keep:
-        keep = np.unique(np.append(keep, result.index))
     samples = {
         "times": traj.times[keep].tolist(),
         "g": traj.g_values[keep].tolist(),
@@ -520,9 +591,10 @@ def load_certificate(path: str) -> Certificate:
 
 def verify_certificate(cert: Certificate) -> None:
     """Check the stored states, recompute growth and remainder at every
-    stored sample, derive the status and summary from the refinements again
-    by `_verdict` (they must match exactly) and tie a certified summary to
-    the samples.  Raises CertificateVerificationError on any mismatch."""
+    stored sample, derive the status, summary, failure and refinement steps
+    again (they must match exactly), tie a certified summary to the samples
+    and re-integrate the flow between them.  Raises
+    CertificateVerificationError on any mismatch."""
     space = type_space(cert.cfg)
     times = np.asarray(cert.samples["times"], dtype=np.float64)
     states = np.asarray(cert.samples["states"], dtype=np.float64).reshape(-1, space.size)
@@ -561,24 +633,31 @@ def verify_certificate(cert: Certificate) -> None:
                 f"sample {i}: stored {name} {float(stored[i])!r} does not recompute "
                 f"({float(fresh[i])!r})"
             )
-    if not (np.diff(times) > 0).all():
-        raise CertificateVerificationError("sample times are not increasing")
-    status, _, summary = _verdict(cert.refinements, cert.threshold)
+    h = cert.control.step / 2 ** cert.control.halvings  # the step of the samples
+    steps = np.rint(np.diff(times) / h)
+    if not ((steps >= 1) & (np.abs(np.diff(times) / h - steps) <= 1e-6)).all():
+        raise CertificateVerificationError(
+            f"sample times do not increase by whole steps of {h!r}")
+    for k, entry in enumerate(cert.refinements):
+        if entry["step"] != cert.control.step / 2 ** k:
+            raise CertificateVerificationError(
+                f"refinements[{k}].step {entry['step']!r} is not control.step / 2**{k}")
+    status, failure, summary = _verdict(cert.refinements, cert.threshold)
     for name, derived in {"status": status, **summary}.items():
         if getattr(cert, name) != derived:
             raise CertificateVerificationError(
                 f"stored {name} {getattr(cert, name)!r} does not follow from the "
                 f"refinements ({derived!r})"
             )
+    if cert.diagnostics.get("failure") != failure:
+        raise CertificateVerificationError(
+            f"stored failure {cert.diagnostics.get('failure')!r} does not follow "
+            f"from the refinements ({failure!r})")
     if cert.status == "certified":
         # the crossing sample itself must be stored and match
         at_r = np.isclose(times, cert.r, rtol=0.0, atol=1e-12)
         if not at_r.any():
             raise CertificateVerificationError("crossing sample for r not stored")
-        if not float(g_stored[times <= cert.r + 1e-12].max()) <= cert.max_g_on_0_r + 1e-9:
-            raise CertificateVerificationError(
-                "stored growth exceeds max_g_on_0_r before r"
-            )
         idx = int(np.nonzero(at_r)[0][0])
         if not abs(rem_stored[idx] - cert.remainder_growth_at_r) <= 1e-9:
             raise CertificateVerificationError(
@@ -586,6 +665,32 @@ def verify_certificate(cert: Certificate) -> None:
             )
         if not rem_stored[idx] < cert.threshold:
             raise CertificateVerificationError("remainder at r not below threshold")
+    # the samples must lie on the flow of RK4 at h: each interval, re-run
+    # from its first sample (all as one stack), must end within h**3 of the
+    # next one, far below the O(h**4) error per unit time that the
+    # refinements compare, plus 1e-15 of rounding per step; a certified run,
+    # which ends at R, must keep g within 1e-9 of max_g_on_0_r at every step
+    order = np.argsort(-steps, kind="stable")  # so the rows still running are a prefix
+    steps, z = steps[order], states[:-1][order]
+    increment = _rk4(drift_field(space, TuningParams(cert.cfg, cert.tuning).vector()), h)
+    g_cap = cert.max_g_on_0_r + 1e-9 if cert.certified else math.inf
+    try:
+        for j in range(1, int(steps.max(initial=0)) + 1):
+            live = int(np.count_nonzero(steps >= j))
+            z[:live] = np.clip(z[:live] + increment(z[:live]), 0.0, None)
+            mass, growth = (z[:live] @ space.rate_rows[:2].T).T  # g = growth / mass
+            high = ~(growth <= g_cap * mass)
+            if high.any():
+                raise CertificateVerificationError(
+                    f"sample {int(order[np.argmax(high)])}: g exceeds max_g_on_0_r "
+                    "before the next sample")
+    except (DegenerateDistributionError, SupercriticalError) as exc:
+        raise CertificateVerificationError(f"samples do not re-integrate: {exc}") from None
+    off = ~(np.abs(z - states[1:][order]).max(axis=1, initial=0.0) <= h ** 3 + 1e-15 * steps)
+    if off.any():
+        raise CertificateVerificationError(
+            f"sample {int(order[off].min()) + 1}: state is off the flow from the sample "
+            "before it")
 
 
 def euler_ode_compare(

@@ -231,24 +231,25 @@ def _mass(space: TypeSpace, zvec: np.ndarray) -> float:
     return mass
 
 
-def _check_slack(mass: float, slack: float) -> None:
-    if not slack > 0.0:
-        raise SupercriticalError(f"cascade growth {1.0 - slack / mass:g} >= 1")
+def _check_slack(mass: np.ndarray, slack: np.ndarray) -> None:
+    if not (slack > 0.0).all():  # numpy scalars, or one per row
+        raise SupercriticalError(f"cascade growth {np.max(1.0 - slack / mass):g} >= 1")
 
 
 def _slack(space: TypeSpace, zvec: np.ndarray) -> float:
     """v·z = deg·z (1 - g), positive while forced cascades die out."""
-    slack = float(space.slack_row @ zvec)
+    slack = space.slack_row @ zvec
     _check_slack(_mass(space, zvec), slack)
-    return slack
+    return float(slack)
 
 
 def growth_rates(
     space: TypeSpace, zvec: np.ndarray
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Cascade growth g and remainder growth m of a raw state vector, or,
-    as arrays, of every row of a stack of states."""
-    mass, growth, remainder = space.rate_rows @ zvec.T
+    as arrays, of every row of a stack of states: einsum, not BLAS, so a row
+    of a stack gives the same bits as that state alone."""
+    mass, growth, remainder = np.einsum("...j,ij->i...", zvec, space.rate_rows)
     if not (mass > 0.0).all():
         raise DegenerateDistributionError(_DEGENERATE)
     return growth / mass, remainder / mass
@@ -256,18 +257,20 @@ def growth_rates(
 
 def drift_field(space: TypeSpace, wvec: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The drift F(z) = -w∘z + (u·z)/(v·z) K z on raw state vectors, with
-    u = w∘deg: activations at rate w_s z_s, each opening deg(s) branches."""
+    u = w∘deg: activations at rate w_s z_s, each opening deg(s) branches;
+    for one state or a stack of states, one per row."""
     n = space.size
     # one product gives K z, deg·z, u·z and v·z
-    ops = np.vstack([space.kernel, space.deg, wvec * space.deg, space.slack_row])
+    ops = np.vstack([space.kernel, space.deg, wvec * space.deg, space.slack_row]).T.copy()
 
     def field(zvec: np.ndarray) -> np.ndarray:
-        y = ops @ zvec
-        mass, active, slack = y[n:]
-        if not mass > 0.0:
-            raise DegenerateDistributionError(_DEGENERATE)
-        _check_slack(mass, slack)
-        return (active / slack) * y[:n] - wvec * zvec
+        y = zvec @ ops
+        mass, active, slack = y[..., n:].T
+        if not (y[..., n::2] > 0.0).all():  # deg·z and v·z
+            if not (mass > 0.0).all():
+                raise DegenerateDistributionError(_DEGENERATE)
+            _check_slack(mass, slack)
+        return (active / slack)[..., None] * y[..., :n] - wvec * zvec
 
     return field
 

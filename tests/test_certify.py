@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +41,8 @@ from treecolor.errors import (
 
 CFG43 = PaletteConfig(4, 3)
 TUNING43 = default_tuning(CFG43)
+# the module, not the `certify` function the package exports under its name
+CERTIFY = importlib.import_module("treecolor.certify")
 
 
 @pytest.fixture(scope="module")
@@ -267,8 +271,8 @@ def test_certificate_bytes_pinned(cert43):
     digests = [hashlib.sha256(certificate_to_json(c).encode()).hexdigest()
                for c in (cert43, failed)]
     assert digests == [
-        "9c1c4ff31feef349b63e6c4c4e3539adda538ed0234c3cf260b08463e4ecbf25",
-        "fd7a7ffabae5ce43fc0d8555e58aa29d822b4593052fa3bd1ae69f8ed9227ea3",
+        "ff64c9a736551f0e59cfa99ebc68c56589ea69887bee8792bd4887a5a92351b4",
+        "01a10bc29a1fff93e6ec7bbf097b68eeed0e6b5e29920eaecab7144bbcb4d408",
     ]
     verify_certificate(failed)  # a failed status re-derives as well
 
@@ -377,3 +381,63 @@ def test_euler_ode_compare_epsilon_validation():
         euler_ode_compare(TUNING43, 0.25)
     with pytest.raises(ConfigurationError):
         euler_ode_compare(TUNING43, 0.0)
+
+
+def _one_slice(run):
+    """`run()` with the slice length so long that parareal gives way to one
+    slice, the sequential integration."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CERTIFY, "_SLICE", 1e9)
+        return run()
+
+
+SUPERCRITICAL43 = TuningParams(CFG43, {t: 2.0 ** (2 * t.d) for t in type_space(CFG43).types})
+ZERO43 = TuningParams(CFG43, {t: 0.0 for t in type_space(CFG43).types})
+
+
+# parareal and one slice compute the same fixed-step RK4; only their
+# rounding differs
+@pytest.mark.parametrize("tuning, control, stop", [
+    *[pytest.param(TUNING43, IntegrationControl(step=1e-3 / 2 ** k, sample_stride=2 ** k),
+                   DEFAULT_THRESHOLD, id=f"default-43-refinement-{k}") for k in range(3)],
+    pytest.param(TUNING43, IntegrationControl(step=1e-3, sample_stride=3),
+                 DEFAULT_THRESHOLD, id="stride-3"),
+    pytest.param(SUPERCRITICAL43, IntegrationControl(step=1e-3, max_time=30.0), None,
+                 id="supercritical"),
+    pytest.param(TUNING43, IntegrationControl(step=1e-3, max_time=1.0), 0.01,
+                 id="no-crossing"),
+    pytest.param(ZERO43, IntegrationControl(step=5e-3, max_time=1.0), DEFAULT_THRESHOLD,
+                 id="zero-weights"),
+    pytest.param(TUNING43, IntegrationControl(step=0.01), DEFAULT_THRESHOLD, id="step-0.01"),
+])
+def test_parareal_matches_one_slice(tuning, control, stop):
+    fast = integrate(tuning, control, stop)
+    slow = _one_slice(lambda: integrate(tuning, control, stop))
+    assert slow.parareal_iterations is None
+    # the supercritical flow aborts in its first slice, so it runs as one slice
+    assert (fast.parareal_iterations is None) == (tuning is SUPERCRITICAL43)
+    threshold = DEFAULT_THRESHOLD if stop is None else stop
+    a, b = find_stop_time(fast, threshold), find_stop_time(slow, threshold)
+    assert (a.found, a.time, a.reason) == (b.found, b.time, b.reason)
+    assert np.array_equal(fast.times, slow.times)
+    assert ((fast.clamp_events, fast.aborted, fast.abort_reason)
+            == (slow.clamp_events, slow.aborted, slow.abort_reason))
+    for name in ("states", "g_values", "remainder_values", "step_g_max"):
+        assert np.abs(getattr(fast, name) - getattr(slow, name)).max() <= 1e-14, name
+
+
+def test_certify_reports_each_refinement_on_stderr(capsys):
+    cert = certify(CFG43, TUNING43, control=IntegrationControl(step=2e-3, halvings=1))
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    for line, entry in zip(lines, cert.refinements):
+        match = re.fullmatch(r"certify: step (\S+): (\d+) fine steps in \d+\.\d{3} s, "
+                             r"parareal \d+ iterations", line)
+        assert match, line
+        assert float(match[1]) == entry["step"]
+        assert int(match[2]) == round(entry["r"] / entry["step"])
+    _one_slice(lambda: certify(CFG43, TUNING43,
+                               control=IntegrationControl(step=2e-3, halvings=0)))
+    assert capsys.readouterr().err.endswith(" s, one slice\n")

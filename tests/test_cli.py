@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from treecolor import cli
 from treecolor.cli import main
+from treecolor.dynamics import PaletteConfig, growth_rates, type_space
 
 FAST_CERT = ["--step", "0.005", "--halvings", "1"]
 
@@ -87,6 +89,43 @@ def test_verify_checks_the_stored_states(tmp_path, capsys, mutate):
     tampered.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["verify", "--cert", str(tampered)]) == 1
     assert "verification failed" in capsys.readouterr().err
+
+
+def _move_one_state_off_the_flow(raw):
+    # mass kept, g and the remainder recomputed: only the flow shows the move
+    row = raw["samples"]["states"][1000]
+    big = np.argsort(row)[-2:]
+    row[big[0]] += 1e-6
+    row[big[1]] -= 1e-6
+    g, rem = growth_rates(type_space(PaletteConfig(4, 3)), np.array(row))
+    raw["samples"]["g"][1000], raw["samples"]["remainder"][1000] = float(g), float(rem)
+
+
+def _understate_max_g(raw):
+    # the summary and the finest refinement agree, so the verdict re-derives
+    low = raw["max_g_on_0_r"] - 1e-6
+    raw["refinements"][-1]["max_g_on_0_r"] = raw["max_g_on_0_r"] = low
+    raw["margin_g"] = raw["threshold"] - low
+
+
+# each of these verified at the parent, whose verify did not re-integrate the
+# samples and never compared a refinement's step or the stored failure
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(_move_one_state_off_the_flow, "sample 1000: state is off the flow",
+                 id="state-off-flow"),
+    pytest.param(lambda raw: raw["refinements"][0].update(step=0.5),
+                 "refinements[0].step", id="refinement-step"),
+    pytest.param(lambda raw: raw["diagnostics"].update(failure="made up"),
+                 "stored failure 'made up'", id="failure"),
+    pytest.param(_understate_max_g, "exceeds max_g_on_0_r", id="max-g-understated"),
+])
+def test_verify_rederives_the_flow_steps_and_failure(tmp_path, capsys, mutate, message):
+    raw = json.loads(open(STORED_CERT43).read())
+    mutate(raw)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["verify", "--cert", str(tampered)]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

@@ -60,9 +60,9 @@ class IntegrationControl:
             raise ConfigurationError(f"step must be in (0, 0.1], got {self.step}")
         if self.max_time <= 0.0:
             raise ConfigurationError("max_time must be positive")
-        if not isinstance(self.sample_stride, int) or self.sample_stride < 1:
+        if type(self.sample_stride) is not int or self.sample_stride < 1:
             raise ConfigurationError("sample_stride must be a positive integer")
-        if not isinstance(self.halvings, int) or self.halvings < 0:
+        if type(self.halvings) is not int or self.halvings < 0:
             raise ConfigurationError("halvings must be a nonnegative integer")
 
 
@@ -153,64 +153,64 @@ def _integrate(
     z0 = TypeDistribution.initial(tuning.cfg).vec
     increment = (lambda z: h * field(np.maximum(z, 0.0))) if euler else _rk4(field, h)
     found = None if euler else _parareal(space, field, z0, h, n_steps, sample_stride, below)
-    (_, rec, clamps, error), iterations = found or (_sweep(
+    (_, (idx, states, g, rem, peak), _, clamps, error), iterations = found or (_sweep(
         space, increment, z0[None], np.zeros(1, dtype=np.int64), n_steps, n_steps,
         sample_stride, below), None)
-    idx, states, g, rem, peak, stop = rec
-    n = int(np.argmax(stop)) + 1 if stop.any() else len(idx)  # up to the first stop
-    abort = "supercritical" if g[n - 1] >= GROWTH_ABORT else error
-    return Trajectory(tuning.cfg, idx[:n] * h, states[:n], g[:n], rem[:n], peak[:n],
-                      abort is not None, abort, int((clamps <= idx[n - 1]).sum()),
-                      iterations)
+    abort = "supercritical" if g[-1] >= GROWTH_ABORT else error
+    return Trajectory(tuning.cfg, idx * h, states, g, rem, peak, abort is not None, abort,
+                      clamps, iterations)
 
 
 def _sweep(space, increment, starts, first, n_fine, n_total, stride, stop_below):
     """Advance each row of `starts`, the state at global step `first[s]` (a
-    multiple of `stride`), by up to `n_fine` steps, all rows as one stack.
-    A row records state, g, remainder and the largest g since its last record
-    at multiples of `stride`, at `n_total` and where g reaches GROWTH_ABORT;
-    it stops there, at `n_total` or at the first sample with remainder below
+    multiple of `stride`; the rows are consecutive slices), by up to
+    `n_fine` steps, all rows as one stack.  A row records state, g,
+    remainder and the largest g since its last record (inclusive) at
+    multiples of `stride`, at `n_total` and where g reaches GROWTH_ABORT; it
+    stops there, at `n_total` or at the first sample with remainder below
     `stop_below`.  A step that raises ends the sweep, closing each live row
-    with its last accepted state.  Returns the end states, the records sorted
-    by global step (the last array marks stops), the steps that clamped an
-    undershoot, and the error ("supercritical", "mass_exhausted" or None)."""
+    with its last accepted state.  Returns the end states; the records
+    (global step, state, g, remainder, largest g) in global order up to the
+    first stop; whether a row stopped; the clamped undershoots up to there;
+    and the error ("supercritical", "mass_exhausted" or None)."""
     z, (g, rem) = starts, growth_rates(space, starts)
-    peak, last = g.copy(), first.copy()  # since and at each row's last record
-    alive, head = np.ones(len(z), dtype=bool), first == 0
-    records = [(first[head], z[head], g[head], rem[head], g[head], ~alive[head])]
-    clamps, error = [first[:0]], None
+    peak, alive, ends = g, np.ones(len(z), dtype=bool), n_total - first
+    # whole stacks: step, states, g, remainder, peak, kept rows, stopped rows
+    records, clamps, error = [(0, z, g, rem, peak, first == 0, ~alive)], [first[:0]], None
     for j in range(1, n_fine + 1):
-        i = first + j
         try:
             nxt = z + increment(z)
-            under = (nxt < -1e-9).any(axis=1)
+            if nxt.min() < -1e-9:
+                clamps.append(first[(nxt < -1e-9).any(axis=1) & alive] + j)
             np.clip(nxt, 0.0, None, out=nxt)
             g_nxt, rem_nxt = growth_rates(space, nxt)
         except (DegenerateDistributionError, SupercriticalError) as exc:
             error = ("supercritical" if isinstance(exc, SupercriticalError)
                      else "mass_exhausted")
-            keep = alive & (last != i - 1)
-            records.append((i[keep] - 1, z[keep], g[keep], rem[keep], peak[keep],
-                            keep[keep]))
+            if (j - 1) % stride:  # else each live row recorded step j - 1 (or starts there)
+                records.append((j - 1, z, g, rem, peak, alive, alive))
             break
         z, g, rem = nxt, g_nxt, rem_nxt
-        if under.any():
-            clamps.append(i[under & alive])
-        np.maximum(peak, g, out=peak)
-        over, end = g >= GROWTH_ABORT, i == n_total
+        peak = np.maximum(peak, g)
+        over, end = g >= GROWTH_ABORT, ends == j
         if j % stride and not (over.any() or end.any()):
             continue
         sample = end | (j % stride == 0)
         stop = over | end | sample & (rem < stop_below)
-        keep = alive & (sample | over)
-        records.append((i[keep], z[keep], g[keep], rem[keep], peak[keep], stop[keep]))
-        peak[keep], last[keep] = g[keep], i[keep]
-        alive &= ~stop
+        records.append((j, z, g, rem, peak, alive & (sample | over), stop))
+        if j % stride == 0:  # off the grid only rows that stop record
+            peak = g
+        alive = alive & ~stop
         if not alive.any():
             break
-    order = np.argsort(np.concatenate([r[0] for r in records]), kind="stable")
-    rec = tuple(np.concatenate(column)[order] for column in zip(*records))
-    return z, rec, np.concatenate(clamps), error
+    steps, *columns, kept, stops = map(np.array, zip(*records))
+    row, k = np.nonzero(kept.T)  # by row, then by step: by global step
+    stop = stops[k, row]
+    n = int(np.argmax(stop)) + 1 if stop.any() else len(k)
+    row, k = row[:n], k[:n]
+    idx = first[row] + steps[k]
+    rec = (idx, *(column[k, row] for column in columns))
+    return z, rec, bool(stop.any()), int((np.concatenate(clamps) <= idx[-1]).sum()), error
 
 
 def _parareal(space, field, z0, h, n_steps, stride, stop_below):
@@ -239,13 +239,12 @@ def _parareal(space, field, z0, h, n_steps, stride, stop_below):
         first = np.arange(len(u), dtype=np.int64) * m
         settled, last_update = False, math.inf
         for sweeps in range(1, _MAX_ITERATIONS + 2):
-            run = ends, (idx, *_, stop), _, error = _sweep(
+            run = ends, (idx, *_), stopped, _, error = _sweep(
                 space, fine, u, first, m, n_steps, stride, stop_below)
-            stops = np.flatnonzero(stop)
-            if error is not None or not stops.size:
+            if error is not None or not stopped:
                 return None
             # after k corrections slices 0..k start exactly: a stop in them is final
-            if settled or idx[stops[0]] <= sweeps * m:
+            if settled or idx[-1] <= sweeps * m:
                 return run, sweeps - 1
             # G_new - G_old as two small differences: no state-sized rounding
             new = u.copy()
@@ -310,13 +309,6 @@ class Certificate:
     @property
     def certified(self) -> bool:
         return self.status == "certified"
-
-
-def _decimate_indices(n: int, limit: int) -> np.ndarray:
-    if n <= limit:
-        return np.arange(n)
-    idx = np.unique(np.linspace(0, n - 1, limit).round().astype(int))
-    return idx
 
 
 def _verdict(
@@ -397,9 +389,10 @@ def certify(
         refinements.append(entry)
     status, failure, summary = _verdict(refinements, threshold)
 
-    # samples come from the finest refinement, the last one run
-    # a found crossing is the last sample, which decimation keeps
-    keep = _decimate_indices(len(traj.times), MAX_STORED_SAMPLES)
+    # samples come from the finest refinement, the last one run: all of them,
+    # or MAX_STORED_SAMPLES evenly spread that keep the last, a found crossing
+    n = len(traj.times)
+    keep = np.unique(np.linspace(0, n - 1, MAX_STORED_SAMPLES).round().astype(int))
     samples = {
         "times": traj.times[keep].tolist(),
         "g": traj.g_values[keep].tolist(),
@@ -541,15 +534,15 @@ def load_certificate(path: str) -> Certificate:
     if ctl_raw.get("method") != "rk4":
         raise CertificateParseError(
             f"control.method: expected 'rk4', got {ctl_raw.get('method')!r}")
-    try:
+    try:  # each message of IntegrationControl begins with its field's name
         control = values["control"] = IntegrationControl(
-            step=_number(ctl_raw["step"], "control.step"),
-            max_time=_number(ctl_raw["max_time"], "control.max_time"),
-            sample_stride=ctl_raw["sample_stride"],
-            halvings=ctl_raw["halvings"],
+            step=_number(ctl_raw.get("step"), "control.step"),
+            max_time=_number(ctl_raw.get("max_time"), "control.max_time"),
+            sample_stride=ctl_raw.get("sample_stride"),
+            halvings=ctl_raw.get("halvings"),
         )
-    except (KeyError, ConfigurationError) as exc:
-        raise CertificateParseError(f"control: {exc}") from None
+    except ConfigurationError as exc:
+        raise CertificateParseError(f"control.{exc}") from None
     values["tuning"] = {
         _parse_type_key(k): _number(v, f"tuning.{k}") for k, v in values["tuning"].items()
     }
@@ -638,6 +631,13 @@ def verify_certificate(cert: Certificate) -> None:
     if not ((steps >= 1) & (np.abs(np.diff(times) / h - steps) <= 1e-6)).all():
         raise CertificateVerificationError(
             f"sample times do not increase by whole steps of {h!r}")
+    # all samples but the last, which may fall anywhere up to max_time, are on the grid
+    grid = times[:-1] / (cert.control.sample_stride * cert.control.step)
+    if not (np.abs(grid - np.rint(grid)) <= 1e-6).all():
+        raise CertificateVerificationError("sample times are off the sample_stride grid")
+    if not (np.rint(times[-1] / h) <= math.floor(cert.control.max_time / h + 1e-9)):
+        raise CertificateVerificationError(
+            f"last sample time {float(times[-1])!r} is past max_time")
     for k, entry in enumerate(cert.refinements):
         if entry["step"] != cert.control.step / 2 ** k:
             raise CertificateVerificationError(

@@ -14,11 +14,13 @@ run honestly and report the measured values:
   part of the flow and produces a 0.03-0.07 spike, at every seed and step
   size tried.
 * Criterion 9 (mean component size vs 1/(1-m)): the remainder is locally a
-  forest, so its per-component mean is 1/(1 - dbar/2) exactly, and the
-  size-biased mean matches 1 + dbar/(1-m); 1/(1-m) itself is the expected
-  progeny of a single directed edge and crosses the per-component mean only
-  in a narrow coincidence window (m around 0.6-0.75).  The test reports all
-  three quantities.
+  forest, so its per-component mean is 1/(1 - dbar/2) exactly; 1/(1-m)
+  itself is the expected progeny of a single directed edge and crosses the
+  per-component mean only in a narrow coincidence window (m around
+  0.6-0.75).  The test reports these and the size-biased mean, which does
+  not match 1 + dbar/(1-m); its line reads "mean=4.66 vs 1/(1-m)=17.98
+  (m=0.944, ratio=0.26); forest identity 1/(1-dbar/2)=4.66, size-biased
+  mean=17.26 vs 1+dbar/(1-m)=29.24".
 
 Criterion 12 passes at its stated seed, but its share(>=2) statistic moves
 across the 10% bound with the process seed.  On the criterion's own graph

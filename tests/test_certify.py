@@ -426,6 +426,48 @@ def test_parareal_matches_one_slice(tuning, control, stop):
         assert np.abs(getattr(fast, name) - getattr(slow, name)).max() <= 1e-14, name
 
 
+# the record contract of a sweep where it leaves the stride grid: a stage
+# that raises closes the record with the last accepted state, recorded once;
+# a growth abort and the end of the run are recorded at the step they fall on
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_supercritical_close_is_recorded_once(stride):
+    traj = integrate(SUPERCRITICAL43,
+                     IntegrationControl(step=1e-3, max_time=30.0, sample_stride=stride))
+    assert traj.times.tolist() == [0.0, 0.001]
+    assert traj.step_g_max.tolist() == pytest.approx([0.0, 0.77326], abs=1e-5)
+    assert (traj.aborted, traj.abort_reason, traj.clamp_events) == (True, "supercritical", 0)
+
+
+@pytest.mark.parametrize("stride, steps", [(1, [0, 1, 2]), (2, [0, 2]), (3, [0, 2])])
+def test_growth_abort_is_recorded_where_it_falls(stride, steps):
+    # the state after step 2 has g = 1.017 although no stage of the step raised
+    tuning = TuningParams(CFG43, {t: 2.0 ** t.d for t in type_space(CFG43).types})
+    traj = integrate(tuning, IntegrationControl(step=0.01, max_time=30.0, sample_stride=stride))
+    assert np.rint(traj.times / 0.01).tolist() == steps
+    assert traj.g_values[-1] == traj.step_g_max[-1] == pytest.approx(1.01703, abs=1e-5)
+    assert (traj.aborted, traj.abort_reason, traj.clamp_events) == (True, "supercritical", 0)
+
+
+@pytest.mark.parametrize("max_time, n, iterations", [(0.0105, 10, None), (0.2005, 200, 2)])
+def test_end_off_the_stride_grid_is_recorded(max_time, n, iterations):
+    traj = integrate(TUNING43, IntegrationControl(step=1e-3, max_time=max_time, sample_stride=3))
+    assert np.rint(traj.times / 1e-3).tolist() == [*range(0, n, 3), n]
+    assert traj.parareal_iterations == iterations
+    assert (traj.aborted, traj.abort_reason, traj.clamp_events) == (False, None, 0)
+
+
+def test_step_g_max_is_the_largest_g_since_the_record_before_inclusive():
+    # g rises to its peak near t = 8 and falls after it; the end is off the grid
+    control = IntegrationControl(step=1e-3, max_time=12.0)
+    every = integrate(TUNING43, control)
+    strided = integrate(TUNING43, dataclasses.replace(control, sample_stride=7))
+    steps = np.rint(strided.times / 1e-3).astype(int)
+    assert steps[-1] == 12000 and steps[-2] == 11998
+    expected = [every.g_values[0]] + [every.g_values[a:b + 1].max()
+                                      for a, b in zip(steps, steps[1:])]
+    assert np.abs(strided.step_g_max - expected).max() <= 1e-14
+
+
 def test_certify_reports_each_refinement_on_stderr(capsys):
     cert = certify(CFG43, TUNING43, control=IntegrationControl(step=2e-3, halvings=1))
     out, err = capsys.readouterr()

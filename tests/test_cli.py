@@ -108,8 +108,9 @@ def _understate_max_g(raw):
     raw["margin_g"] = raw["threshold"] - low
 
 
-# each of these verified at the parent, whose verify did not re-integrate the
-# samples and never compared a refinement's step or the stored failure
+# each of these verified while verify did not re-integrate the samples and
+# never compared a refinement's step, the stored failure or the sample times
+# with the control block (the samples run to 9.848 on a grid of 1e-3)
 @pytest.mark.parametrize("mutate, message", [
     pytest.param(_move_one_state_off_the_flow, "sample 1000: state is off the flow",
                  id="state-off-flow"),
@@ -118,6 +119,10 @@ def _understate_max_g(raw):
     pytest.param(lambda raw: raw["diagnostics"].update(failure="made up"),
                  "stored failure 'made up'", id="failure"),
     pytest.param(_understate_max_g, "exceeds max_g_on_0_r", id="max-g-understated"),
+    pytest.param(lambda raw: raw["control"].update(max_time=5.0),
+                 "last sample time 9.848 is past max_time", id="max-time"),
+    pytest.param(lambda raw: raw["control"].update(sample_stride=7),
+                 "off the sample_stride grid", id="sample-stride"),
 ])
 def test_verify_rederives_the_flow_steps_and_failure(tmp_path, capsys, mutate, message):
     raw = json.loads(open(STORED_CERT43).read())
@@ -197,6 +202,11 @@ def _set_every_g_null(raw):
     pytest.param("samples.g[0]", _set_every_g_null, id="g-null"),
     pytest.param("control.step", lambda raw: raw["control"].update(step="0.005"),
                  id="step-str"),
+    # JSON true is no integer: it passed as a stride of 1 and as one halving
+    pytest.param("control.sample_stride",
+                 lambda raw: raw["control"].update(sample_stride=True), id="stride-bool"),
+    pytest.param("control.halvings", lambda raw: raw["control"].update(halvings=True),
+                 id="halvings-bool"),
 ])
 def test_verify_names_non_numeric_certificate_field(cert_path, tmp_path, capsys,
                                                     field, mutate):

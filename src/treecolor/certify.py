@@ -599,6 +599,8 @@ def verify_certificate(cert: Certificate) -> None:
     initial = TypeDistribution.initial(cert.cfg).vec
     if not (len(states) and (np.abs(states[0] - initial) <= 1e-12).all()):
         raise CertificateVerificationError("sample 0: state is not the fresh state")
+    if not times[0] == 0.0:
+        raise CertificateVerificationError(f"sample 0: time {float(times[0])!r} is not 0")
     mass = states.sum(axis=1)
     checks = (
         ("has a negative or non-finite entry",

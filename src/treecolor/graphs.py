@@ -250,8 +250,6 @@ def parse_fixture(text: str) -> tuple[Graph, list[tuple[int, int]]]:
 
 def write_fixture(graph: Graph, presets: list[tuple[int, int]] | None = None) -> str:
     lines = [f"{graph.n} {graph.r}"]
-    for u, v in zip(graph.edges_u, graph.edges_v):
-        lines.append(f"{int(u)} {int(v)}")
-    for v, c in presets or []:
-        lines.append(f"color {v} {c}")
+    lines += [f"{u} {v}" for u, v in zip(graph.edges_u.tolist(), graph.edges_v.tolist())]
+    lines += [f"color {v} {c}" for v, c in presets or []]
     return "\n".join(lines) + "\n"

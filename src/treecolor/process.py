@@ -17,9 +17,9 @@ colors; the tidy-up only rewrites colors of a finished run.  Buffer rounds
 and phase 2 commit whole components through one helper, which list-colors a
 component with `listcolor.color_component` or turns it red.
 
-All randomness is a pure function of (seed, step, purpose, vertex) through
-counter-based streams, so a seed plus the step counter fully determines every
-future draw and runs are bit-reproducible.
+All randomness is a pure function of (seed, step, purpose) through
+counter-based streams, and a color draw of its vertex too, so a seed and the
+step counter fix every future draw and runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -53,13 +53,14 @@ def extra_color(cfg: PaletteConfig) -> int:
 class ProcessRandomness:
     """Counter-based per-step randomness keyed by (seed, step, purpose).
 
-    Each (seed, step, purpose) key names one Philox stream, and vertex v
-    always reads slot v of it, so draws are independent of evaluation order.
-    The activation mask reads every slot at once.  A color draw reads only
-    slot v: Philox4x64 emits four 64-bit words per counter value, so the
-    draw advances the step's stream by v // 4 counters, takes raw word
-    v % 4 and turns it into a double with numpy's 53-bit recipe, giving the
-    value `Generator(Philox(key)).random(n)[v]` would, without drawing n.
+    Each (seed, step, purpose) key names one Philox stream.  The activation
+    draw reads its step's stream in sequence and costs O(n q) for q the
+    largest rate.  A color draw for vertex v reads only slot v of its
+    step's stream, so color draws are independent of evaluation order:
+    Philox4x64 emits four 64-bit words per counter value, so the draw
+    advances the stream by v // 4 counters, takes raw word v % 4 and turns
+    it into a double with numpy's 53-bit recipe, giving the value
+    `Generator(Philox(key)).random(n)[v]` would, without drawing n.
     """
 
     def __init__(self, seed: int):
@@ -74,9 +75,22 @@ class ProcessRandomness:
         key = np.array([self.seed, (step << 2) | purpose], dtype=np.uint64)
         return np.random.Philox(key=key)
 
-    def activation_mask(self, step: int, probs: np.ndarray) -> np.ndarray:
-        bits = self._bits(step, _PURPOSE_ACTIVATION)
-        return np.random.Generator(bits).random(len(probs)) < probs
+    def activation_mask(self, step: int, rate: np.ndarray,
+                        type_code: np.ndarray) -> np.ndarray:
+        """Sorted vertices v, each active independently with probability
+        rate[type_code[v]]: Bernoulli(q) candidates by Geometric(q) gaps, q
+        the largest rate, each kept with probability rate / q (skip
+        sampling, Devroye 1986, ch. X)."""
+        n, q = len(type_code), min(float(rate.max(initial=0.0)), 1.0)
+        if n == 0 or not q > 0.0:
+            return np.empty(0, dtype=np.int64)
+        gen = np.random.Generator(self._bits(step, _PURPOSE_ACTIVATION))
+        size = int(n * q + 4.0 * np.sqrt(n * q)) + 1  # passes n unless 4 sigma short
+        cand = np.array([-1])
+        while cand[-1] < n:
+            cand = np.concatenate([cand, cand[-1] + np.cumsum(gen.geometric(q, size))])
+        cand = cand[1:np.searchsorted(cand, n)]
+        return cand[gen.random(len(cand)) * q < rate[type_code[cand]]]
 
     def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
         if step != self._color_step:
@@ -544,12 +558,14 @@ def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
     i = state.step
     report = StepReport()
 
-    # rate per type code; the colored code and codes with c < 2 have rate 0
+    # rate per type code; the colored code, codes with c < 2 and codes with
+    # no vertex have rate 0, so the sampler's bound is the largest rate in use
     rate = np.zeros(len(state.type_counts))
     rate[state.space_codes] = tuning.epsilon * tuning.vector()
-    mask = rng.activation_mask(i, rate[state.type_code])
+    rate[np.asarray(state.type_counts) == 0] = 0.0
     # a scripted adapter may name colored vertices
-    actives = [v for v in np.flatnonzero(mask).tolist() if state.color[v] == UNCOLORED]
+    actives = [v for v in rng.activation_mask(i, rate, state.type_code).tolist()
+               if state.color[v] == UNCOLORED]
     report.active = len(actives)
 
     engine = _RoundEngine(state, report)
@@ -827,8 +843,7 @@ def write_coloring(state: ColoringState, path: str) -> None:
         raise ConfigurationError("refusing to dump: red vertices remain")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{state.graph.n} {state.graph.r} {state.cfg.p}\n")
-        for v in range(state.graph.n):
-            fh.write(f"{v} {int(state.color[v])}\n")
+        fh.write("".join(f"{v} {c}\n" for v, c in enumerate(state.color.tolist())))
 
 
 def read_coloring(path: str) -> tuple[int, int, int, np.ndarray]:

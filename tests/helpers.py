@@ -119,11 +119,9 @@ class ScriptedRandomness:
         self.activations = {s: set(vs) for s, vs in activations.items()}
         self.colors = dict(colors)
 
-    def activation_mask(self, step: int, probs: np.ndarray) -> np.ndarray:
-        mask = np.zeros(len(probs), dtype=bool)
-        for v in self.activations.get(step, ()):
-            mask[v] = True
-        return mask
+    def activation_mask(self, step: int, rate: np.ndarray,
+                        type_code: np.ndarray) -> np.ndarray:
+        return np.array(sorted(self.activations.get(step, ())), dtype=np.int64)
 
     def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
         c = self.colors[(step, v)]
@@ -142,10 +140,11 @@ class RecordingRandomness:
         self.activations: dict[int, np.ndarray] = {}
         self.choices: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
-    def activation_mask(self, step: int, probs: np.ndarray) -> np.ndarray:
-        mask = self.inner.activation_mask(step, probs)
-        self.activations[step] = mask.copy()
-        return mask
+    def activation_mask(self, step: int, rate: np.ndarray,
+                        type_code: np.ndarray) -> np.ndarray:
+        actives = self.inner.activation_mask(step, rate, type_code)
+        self.activations[step] = actives.copy()
+        return actives
 
     def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
         c = self.inner.choose_color(step, v, avail)
@@ -161,7 +160,8 @@ class PermutedRandomness:
         self.recording = recording
         self.perm = dict(perm)
 
-    def activation_mask(self, step: int, probs: np.ndarray) -> np.ndarray:
+    def activation_mask(self, step: int, rate: np.ndarray,
+                        type_code: np.ndarray) -> np.ndarray:
         return self.recording.activations[step].copy()
 
     def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:

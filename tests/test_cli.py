@@ -101,6 +101,13 @@ def _move_one_state_off_the_flow(raw):
     raw["samples"]["g"][1000], raw["samples"]["remainder"][1000] = float(g), float(rem)
 
 
+def _shift_the_window(raw):
+    # intervals, grid, max_time and the crossing all still agree
+    raw["samples"]["times"] = [t + 0.5 for t in raw["samples"]["times"]]
+    for entry in (raw, *raw["refinements"]):
+        entry["r"] += 0.5
+
+
 def _understate_max_g(raw):
     # the summary and the finest refinement agree, so the verdict re-derives
     low = raw["max_g_on_0_r"] - 1e-6
@@ -108,9 +115,10 @@ def _understate_max_g(raw):
     raw["margin_g"] = raw["threshold"] - low
 
 
-# each of these verified while verify did not re-integrate the samples and
+# each of these verified while verify did not re-integrate the samples,
 # never compared a refinement's step, the stored failure or the sample times
-# with the control block (the samples run to 9.848 on a grid of 1e-3)
+# with the control block, and let the first sample time differ from 0 (the
+# samples run to 9.848 on a grid of 1e-3)
 @pytest.mark.parametrize("mutate, message", [
     pytest.param(_move_one_state_off_the_flow, "sample 1000: state is off the flow",
                  id="state-off-flow"),
@@ -123,6 +131,7 @@ def _understate_max_g(raw):
                  "last sample time 9.848 is past max_time", id="max-time"),
     pytest.param(lambda raw: raw["control"].update(sample_stride=7),
                  "off the sample_stride grid", id="sample-stride"),
+    pytest.param(_shift_the_window, "sample 0: time 0.5 is not 0", id="window-shifted"),
 ])
 def test_verify_rederives_the_flow_steps_and_failure(tmp_path, capsys, mutate, message):
     raw = json.loads(open(STORED_CERT43).read())
@@ -419,20 +428,19 @@ def test_graph_flags_that_do_nothing_are_rejected(capsys, argv, named):
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
-# sha256 of the summary and of the per-step CSV.  Both were recorded before
-# one function built the whole summary; the CSV digest is of that CSV with
-# its fifth column, extra_frac (always 0), cut out.
+# sha256 of the summary and of the per-step CSV of two seeded runs, so a
+# change to the random stream or to either output shows here.
 @pytest.mark.parametrize("argv, summary_digest, csv_digest", [
     pytest.param(
         ["--r", "4", "--p", "3", "--cert", "perfbench/certs/cert43.json", "--seed", "1"],
-        "fd042342ed4ae4a0269c57ae4e09210dfc37c18ad3b21cc5d0d2396aaa6a0868",
-        "a8c2dd3200d325ed3c08b10b2434beddf8951eeb218c40c579353263daec3361",
+        "cc69fff801b97299e6bacd44bc10facbc94d0efb4046e52cd74da831bcebe10e",
+        "ddd486992c15f0392a82c7527c888c6e4b260dc64e8c927c6a74ef5b381c5e10",
         id="greedy-43"),
     pytest.param(
         ["--r", "6", "--p", "4", "--cert", "perfbench/certs/cert64.json", "--seed", "3",
          "--modified"],
-        "9dc1f45d3bd89e6548b6ffe1527af0926ce12849f0fcc445fa660faaf5e26f1a",
-        "ccb991d826403e92f89ee35db673be3bac1d2939d5fd7e3b755d752b73afe4fd",
+        "ae5b699ae62a808330fe8b78bcabe8c0c7c9cd8a345f7f93308ee3b3b1ede4c4",
+        "0410f47aeca9e0c6acf2a142fee55298882ca43a58e76997bcd0451da21ac61b",
         id="modified-64"),
 ])
 def test_simulate_outputs_pinned(tmp_path, monkeypatch, argv, summary_digest,

@@ -10,9 +10,10 @@ invariants after every step, a proper final coloring, and that
 `trace_cascade` leaves the state exactly as it found it.  Further tests
 check that the per-step invariant check, which looks only around a step's
 commits, raises in the step where a planted fault first breaks an
-invariant; that a color draw reads slot v of its step's Philox stream; and
-that buffer rounds, searching only from new reds, find what a search from
-every red finds.
+invariant; that a color draw reads slot v of its step's Philox stream; that
+the activation sampler activates each vertex with its type's rate, keyed by
+(seed, step); and that buffer rounds, searching only from new reds, find
+what a search from every red finds.
 """
 
 import hashlib
@@ -79,35 +80,36 @@ def _step_digest(reports) -> str:
 # ---------------------------------------------------------------------------
 
 def test_greedy_stream_pinned():
-    # 40 steps of (4,3) at n=600: 200 activations, 322 forced, 71 + 19 reds
+    # 40 steps of (4,3) at n=600: 208 activations, 301 forced, 75 + 25 reds
     st = ColoringState(gen_regular_graph(600, 4, seed=11), CFG43, seed=123)
     reports, _ = run_phase1(st, steep_tuning(CFG43, 0.25), steps=40)
     assert _sha(st.color.tobytes()) == (
-        "67c4378e856a231b8fcfc52f30312bd99ca674b374104985713e89c3d4d6ab0f")
+        "a172bc295234d63556591f5df9d7c3b5461f1cbc74d6a92ffd45d117da7071dd")
     assert _step_digest(reports) == (
-        "08396086a2b7d513e1bc9225d32eb15cda5915c8edffa547ac69f47a0c083e6b")
+        "7640577b2d0e754afa7516a9db0b9c7dac12b85b298b961e727e4a2d6dfff533")
 
 
 def test_modified_stream_pinned():
-    # 15 modified steps of (6,4) at n=400, seed 3: three buffer rounds over
-    # seven components, in which the scoped engine forces 246 vertices and
-    # makes 21 reds
+    # 15 modified steps of (6,4) at n=400, seed 3: two buffer rounds over
+    # five components, which color 383 vertices and make 7 reds
     st = ColoringState(gen_regular_graph(400, 6, seed=11), CFG64, seed=3)
     reports, _ = run_phase1(st, steep_tuning(CFG64, 0.5), steps=15, modified=True)
-    assert sum(r.buffer.rounds for r in reports) == 3
+    assert sum(r.buffer.rounds for r in reports) == 2
     assert _sha(st.color.tobytes()) == (
-        "ab74c43e7db95ea2b0b363ecbb441ffd8e2bf37ee12ffb272c0f4af21909a853")
+        "b0e4ebe551a801cce332fc3eb4f940777b2c95854932d82bfd91e5c88e07d076")
     assert _step_digest(reports) == (
-        "8b796fcec49edd48885fa4f7d447efee117864702b023b36a03c42d89f3b755d")
+        "d2f5cd245a0e321f7c0e7b489acd231939939b509d37afc06e81cebc1cd1c136")
 
 
 @pytest.mark.parametrize("r, p, n, epsilon, seed, modified, digest", [
-    # phase 2 colors 18 components (307 vertices), tidy-up erases 344
-    (4, 3, 3000, 0.05, 1, False,
-     "4e66111046d81d6009358994620a94cac54be1868b1bd9c7bad7828a8326dd9c"),
-    # phase 2 colors 12 components (26 vertices), tidy-up erases 62
-    (6, 4, 2000, 0.05, 3, True,
-     "3578b92bacc7f2e672d876b659dbb611709e0e9eaba5f213adb5dcf3ca85e57b"),
+    # phase 2 colors 22 components (246 vertices), tidy-up erases 370
+    pytest.param(4, 3, 3000, 0.05, 1, False,
+                 "0d93c350fc607125f3b2b57139e373bc0f7a20b20b020be0c42ea71aaba10abd",
+                 id="greedy-43"),
+    # phase 2 colors 13 components (28 vertices), tidy-up erases 33
+    pytest.param(6, 4, 2000, 0.05, 3, True,
+                 "703b0b76e1b31e3c732b4f4b8663c81d989e8da973f47efe95a4cf0ab09adfde",
+                 id="modified-64"),
 ])
 def test_pipeline_dump_pinned(tmp_path, r, p, n, epsilon, seed, modified, digest):
     """Phase 2 and the tidy-up, on top of phase 1, through the final dump."""
@@ -323,6 +325,46 @@ def test_choose_color_reads_slot_v_of_the_step_stream():
             assert rng.choose_color(step, v, range(2 ** 53)) == int(u[v] * 2.0 ** 53)
             for avail in ((0, 2), (0, 1, 2), (0, 1, 2, 3)):
                 assert rng.choose_color(step, v, avail) == avail[int(u[v] * len(avail))]
+
+
+@pytest.mark.parametrize("rate, type_code, steps", [
+    # three distinct nonzero rates and two codes at rate 0, interleaved
+    pytest.param([0.0, 0.05, 0.02, 0.005, 0.0],
+                 np.random.default_rng(0).permutation(np.arange(3000) % 5), 1000,
+                 id="three-rates"),
+    # q = 1, which TuningParams allows: code 0 is active at every step
+    pytest.param([1.0, 0.3, 0.0], np.arange(300) % 3, 1000, id="q-one"),
+    # one vertex: whenever it is a candidate, the first batch of gaps ends
+    # inside [0, n) and the sampler draws another batch
+    pytest.param([0.04], np.zeros(1, dtype=np.intp), 5000, id="one-vertex"),
+])
+def test_activation_sampler_law(rate, type_code, steps):
+    rate, rng = np.array(rate), ProcessRandomness(21)
+    counts = np.zeros(len(rate))
+    for step in range(steps):
+        actives = rng.activation_mask(step, rate, type_code)
+        assert (np.diff(actives) > 0).all()  # sorted and unique
+        assert ((0 <= actives) & (actives < len(type_code))).all()
+        counts += np.bincount(type_code[actives], minlength=len(rate))
+    per_code = np.bincount(type_code, minlength=len(rate))
+    mean = per_code * rate * steps
+    sigma = np.sqrt(per_code * rate * (1 - rate) * steps)
+    assert (np.abs(counts - mean) <= 5 * sigma).all(), (counts, mean, sigma)
+
+
+def test_activation_sampler_edges_and_keys():
+    rng = ProcessRandomness(5)
+    code = np.arange(1000) % 4
+    rate = np.array([0.1, 0.0, 0.3, 0.2])
+    assert len(rng.activation_mask(0, np.zeros(4), code)) == 0
+    assert len(rng.activation_mask(0, rate, code[:0])) == 0
+    # the same (seed, step) gives the same actives, whatever ran before
+    first = [rng.activation_mask(step, rate, code) for step in (3, 8)]
+    again = ProcessRandomness(5)
+    assert np.array_equal(again.activation_mask(8, rate, code), first[1])
+    assert np.array_equal(again.activation_mask(3, rate, code), first[0])
+    assert not np.array_equal(first[0], first[1])
+    assert not np.array_equal(ProcessRandomness(6).activation_mask(3, rate, code), first[0])
 
 
 def test_frontier_search_finds_what_a_full_scan_finds(monkeypatch):

@@ -553,11 +553,16 @@ def test_buffer_rounds_colors_ball_of_red():
 
 
 def test_tidy_noop_without_red():
-    st = ColoringState(gen_regular_graph(200, 4, seed=12), CFG43, seed=9)
-    run_phase1(st, default_tuning(CFG43, epsilon=0.05), steps=60)
-    complete_remainder(st)
-    if (st.color == RED).any():
-        pytest.skip("run produced red vertices; covered elsewhere")
+    # the process makes red in a few runs (red is tidied in
+    # test_tidy_recolors_red_ball); take the first process seed from 9 whose
+    # completed run has none, so the case never depends on one stream draw
+    for seed in range(9, 29):
+        st = ColoringState(gen_regular_graph(200, 4, seed=12), CFG43, seed=seed)
+        run_phase1(st, default_tuning(CFG43, epsilon=0.05), steps=60)
+        complete_remainder(st)
+        if not (st.color == RED).any():
+            break
+    assert not (st.color == RED).any(), "every run in seeds 9-28 made red"
     before = st.color.copy()
     rep = tidy_to_proper(st)
     assert rep.red_before == 0 and not (st.color == st.cfg.p).any()

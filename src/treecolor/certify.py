@@ -58,12 +58,14 @@ class IntegrationControl:
     def __post_init__(self) -> None:
         if not (0.0 < self.step <= 0.1):
             raise ConfigurationError(f"step must be in (0, 0.1], got {self.step}")
-        if self.max_time <= 0.0:
-            raise ConfigurationError("max_time must be positive")
+        if not (0.0 < self.max_time < math.inf):
+            raise ConfigurationError(f"max_time must be positive and finite, got {self.max_time}")
         if type(self.sample_stride) is not int or self.sample_stride < 1:
             raise ConfigurationError("sample_stride must be a positive integer")
         if type(self.halvings) is not int or self.halvings < 0:
             raise ConfigurationError("halvings must be a nonnegative integer")
+        if self.max_time / self.step >= 2.0 ** (63 - self.halvings):  # int64 step index
+            raise ConfigurationError(f"max_time {self.max_time} needs 2^63 finest steps or more")
 
 
 @dataclass

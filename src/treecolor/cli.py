@@ -506,6 +506,8 @@ def _sweep_cell(cell: tuple) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         epsilons = [float(x) for x in args.epsilons.split(",") if x.strip()]
         seeds = [int(x) for x in args.seeds.split(",") if x.strip()]
@@ -524,7 +526,7 @@ def cmd_sweep(args) -> int:
             graph_seed = args.graph_seed if args.graph_seed is not None else seed
             cells.append((tuning, args.n, seed, graph_seed, steps, args.modified))
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(cells)))
+    jobs = min(jobs, len(cells))
     if jobs == 1:
         results = [_sweep_cell(c) for c in cells]
     else:

@@ -87,6 +87,8 @@ def gen_regular_graph(n: int, r: int, seed: int) -> Graph:
         raise ConfigurationError(f"need n > r, got n={n}, r={r}")
     if (n * r) % 2 != 0:
         raise ConfigurationError(f"n*r must be even, got n={n}, r={r}")
+    if seed < 0:
+        raise ConfigurationError(f"graph seed must be nonnegative, got {seed}")
 
     rng = np.random.default_rng(seed)
     points = np.repeat(np.arange(n, dtype=np.int64), r)
@@ -137,6 +139,7 @@ def gen_regular_graph(n: int, r: int, seed: int) -> Graph:
             if not fixed:
                 still_bad.append(i)
         bad = still_bad
+    del points, keys, is_bad, edge_set  # let the CSR build below reuse their memory
 
     graph = _make_graph(n, r, eu, ev)
     degs = graph.degrees()

@@ -116,11 +116,6 @@ class CascadeRecord:
     generations: list[dict[VertexType, int]] = field(default_factory=list)
     total_colored: int = 0
 
-    def _tally(self, gen: int, t: VertexType) -> None:
-        while len(self.generations) <= gen:
-            self.generations.append({})
-        self.generations[gen][t] = self.generations[gen].get(t, 0) + 1
-
 
 @dataclass
 class StepReport:
@@ -130,7 +125,7 @@ class StepReport:
     rule3: int = 0
     rule4: int = 0
     rounds: int = 0
-    cascades: list[CascadeRecord] = field(default_factory=list)
+    cascade_sizes: list[int] = field(default_factory=list)  # colored, per activation
     buffer: "BufferReport | None" = None
 
     @property
@@ -347,12 +342,14 @@ class _RoundEngine:
         # serving one red cluster can never meet (the meeting would close a
         # cycle), so any such meeting on a finite graph is a geometry
         # artifact, and crediting it lets red regions feed on themselves.
-        # Unscoped engines (greedy steps, traces) record cascades instead.
+        # Greedy steps and traces are unscoped: every collision makes red.
         self.scoped = scoped
         self.dirty: list[int] = []
         self.committed: list[int] = []
         self.cascade_of: dict[int, int] = {}
-        self.gen_of: dict[int, int] = {}
+        # (vertex, pre-type code) per palette commit of `run_rounds`, in order:
+        # a root's code at activation, (d + 1, 2) for a vertex forced at (d, 1)
+        self.log: list[tuple[int, int]] = []
         # per vertex: last toucher, last commit that took a color, first provenance
         self._toucher: dict[int, int] = {}
         self._reducer: dict[int, int] = {}
@@ -419,38 +416,23 @@ class _RoundEngine:
         st.type_counts[old] -= 1
         st.type_counts[t] += 1
 
-    # -- cascade bookkeeping ---------------------------------------------------
-
-    def start_cascade(self, v: int) -> None:
-        self.cascade_of[v] = len(self.report.cascades)
-        self.gen_of[v] = 0
-        self.report.cascades.append(
-            CascadeRecord(root=v, root_type=self.state.vertex_type(v)))
-
-    def _record_colored(self, v: int, pre_type: VertexType) -> None:
-        if self.scoped or v not in self.cascade_of:
-            return
-        rec = self.report.cascades[self.cascade_of[v]]
-        rec._tally(self.gen_of[v], pre_type)
-        rec.total_colored += 1
+    # -- lineage ---------------------------------------------------------------
 
     def _inherit(self, v: int, parent: int) -> None:
-        if parent not in self.cascade_of:
-            return
-        self.cascade_of[v] = self.cascade_of[parent]
-        self.gen_of[v] = self.gen_of.get(parent, 0) + 1
+        if parent in self.cascade_of:
+            self.cascade_of[v] = self.cascade_of[parent]
 
     # -- rounds ----------------------------------------------------------------
 
-    def _screen_rule4(self, pending: list[tuple[int, int, VertexType]]):
+    def _screen_rule4(self, pending: list[tuple[int, int]]):
         """Remove adjacent pending pairs; both become red.  In scoped mode an
         adjacent pair of one lineage is a cascade folded onto itself by a
         cycle, not a collision: the lower vertex commits and the other is
         re-queued to react to it."""
-        queued = {v for v, _, _ in pending}
+        queued = {v for v, _ in pending}
         doomed: set[int] = set()
         deferred: set[int] = set()
-        for v, _, _ in pending:
+        for v, _ in pending:
             for u in self.state.graph.neighbors(v).tolist():
                 if u not in queued:
                     continue
@@ -463,16 +445,16 @@ class _RoundEngine:
                     doomed.add(u)
         deferred -= doomed
         survivors = []
-        for v, c, pre in pending:
+        for v, c in pending:
             if v in doomed:
                 continue
             if v in deferred:
                 self.dirty.append(v)
                 continue
-            survivors.append((v, c, pre))
+            survivors.append((v, c))
         return survivors, sorted(doomed)
 
-    def run_rounds(self, initial_pending: list[tuple[int, int, VertexType]]) -> None:
+    def run_rounds(self, initial_pending: list[tuple[int, int]]) -> None:
         """Round 0 commits the initial pending set (after rule-4 screening);
         later rounds alternate rule 3, rule 2, rule 4 until nothing moves."""
         st = self.state
@@ -517,24 +499,24 @@ class _RoundEngine:
                     queued.add(v)
                     forced = st.available_colors(v)[0]
                     self._inherit(v, self._reducer[v])
-                    pre = VertexType(int(st.type_code[v]) // base + 1, 2)
-                    pending.append((v, forced, pre))
+                    pending.append((v, forced))
                 self.dirty = []
             if not pending and not progressed:
                 break
             if pending:
                 survivors, doomed = self._screen_rule4(pending)
+                shift = 0 if first_round else base + 1  # read before rule-4 reds retype
+                self.log += [(v, int(st.type_code[v]) + shift) for v, _ in survivors]
                 for v in doomed:
                     self.commit(v, RED)
                     report.rule4 += 1
                     progressed = True
-                for v, c, pre in survivors:
+                for v, c in survivors:
                     self.commit(v, c)
                     if first_round:
                         report.rule1 += 1
                     else:
                         report.rule2 += 1
-                    self._record_colored(v, pre)
                     progressed = True
             if progressed:
                 report.rounds += 1
@@ -570,14 +552,17 @@ def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
 
     engine = _RoundEngine(state, report)
     pending = []
-    for v in actives:
-        engine.start_cascade(v)
+    for k, v in enumerate(actives):
+        engine.cascade_of[v] = k
         avail = state.available_colors(v)
         c = rng.choose_color(i, v, avail)
         if c not in avail:
             raise ConfigurationError(f"adapter chose unavailable color {c} for {v}")
-        pending.append((v, c, state.vertex_type(v)))
+        pending.append((v, c))
     engine.run_rounds(pending)
+    report.cascade_sizes = [0] * len(actives)
+    for v, _ in engine.log:
+        report.cascade_sizes[engine.cascade_of[v]] += 1
 
     state.step = i + 1
     state.check_invariants(around=engine.committed)
@@ -586,21 +571,28 @@ def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
 
 def trace_cascade(state: ColoringState, v: int, rng: np.random.Generator) -> CascadeRecord:
     """Run the cascade from v in isolation — no activation sampling — and
-    restore the state afterwards.  Returns the per-generation record."""
+    restore the state afterwards.  Returns the per-generation record: a
+    forced vertex is one generation past the commit that forced it."""
     if state.color[v] != UNCOLORED:
         raise ConfigurationError(f"vertex {v} is already colored")
     undo: list = []
     reds_before = len(state.fresh_reds)
-    report = StepReport()
-    engine = _RoundEngine(state, report, undo_log=undo)
-    engine.start_cascade(v)
+    engine = _RoundEngine(state, StepReport(), undo_log=undo)
     avail = state.available_colors(v)
     c = avail[int(rng.integers(len(avail)))]
-    engine.run_rounds([(v, c, state.vertex_type(v))])
-    record = report.cascades[0]
+    engine.run_rounds([(v, c)])
     for arr, idx, old in reversed(undo):
         arr[idx] = old
     del state.fresh_reds[reds_before:]
+    base = state.cfg.p + 1
+    record = CascadeRecord(v, state.vertex_type(v), total_colored=len(engine.log))
+    gen: dict[int, int] = {}
+    for u, code in engine.log:
+        g = gen[u] = gen[engine._reducer[u]] + 1 if u != v else 0
+        while len(record.generations) <= g:
+            record.generations.append({})
+        t = VertexType(*divmod(code, base))
+        record.generations[g][t] = record.generations[g].get(t, 0) + 1
     return record
 
 

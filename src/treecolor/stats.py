@@ -101,7 +101,7 @@ def collect_run_stats(
                 buffer_rounds[j] += colored
         reds.append(red)
         active_counts.append(rep.active)
-        cascade_sizes.append(sorted(c.total_colored for c in rep.cascades))
+        cascade_sizes.append(sorted(rep.cascade_sizes))
     # z is a fraction of the vertices off the boundary, reds of all n
     interior = n - len(state.graph.boundary)
     for k, z in zip(reds, distributions):

@@ -62,6 +62,13 @@ def test_integration_control_validation():
         IntegrationControl(sample_stride=0)
     with pytest.raises(ConfigurationError):
         IntegrationControl(halvings=-1)
+    for bad in (math.nan, math.inf, 1e300):
+        with pytest.raises(ConfigurationError, match="^max_time"):
+            IntegrationControl(max_time=bad)
+    # the finest step of 1e-3 halved twice fits 2^62 steps, halved thrice 2^63 does not
+    IntegrationControl(max_time=2.0 ** 62 * 2.5e-4)
+    with pytest.raises(ConfigurationError, match="^max_time"):
+        IntegrationControl(max_time=2.0 ** 62 * 2.5e-4, halvings=3)
 
 
 def test_certify_rejects_mismatched_tuning():

@@ -50,13 +50,42 @@ def test_certify_low_threshold_fails_with_diagnostics(capsys):
     assert "growth" in out  # names the binding constraint
 
 
-def test_verify_rejects_malformed_certificate(tmp_path):
+def test_verify_rejects_malformed_certificate(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["verify", "--cert", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     missing.write_text("{}", encoding="utf-8")
     assert main(["verify", "--cert", str(missing)]) == 2
+    # no certify run could have stepped this far: an int64 step index overflows
+    raw = json.loads(open(STORED_CERT43).read())
+    raw["control"]["max_time"] = 1e300
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(far)]) == 2
+    assert "control.max_time" in capsys.readouterr().err
+
+
+# Each of these ended in a traceback with exit 1, or (--jobs) ran anyway.
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["certify", "--max-time", "nan"], "max_time", id="max-time-nan"),
+    pytest.param(["certify", "--max-time", "inf"], "max_time", id="max-time-inf"),
+    pytest.param(["certify", "--max-time", "1e300"], "max_time", id="max-time-1e300"),
+    pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
+                  "--seed", "-1"], "graph seed", id="simulate-seed"),
+    pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
+                  "--graph-seed", "-2"], "graph seed", id="simulate-graph-seed"),
+    pytest.param(["sweep", "--epsilons", "0.1", "--seeds", "-1", "--n", "40",
+                  "--steps", "2", "--jobs", "1"], "graph seed", id="sweep-seeds"),
+    pytest.param(["sweep", "--epsilons", "0.1", "--seeds", "1", "--n", "40",
+                  "--steps", "2", "--jobs", "0"], "--jobs", id="sweep-jobs-0"),
+    pytest.param(["sweep", "--epsilons", "0.1", "--seeds", "1", "--n", "40",
+                  "--steps", "2", "--jobs", "-3"], "--jobs", id="sweep-jobs-negative"),
+])
+def test_malformed_run_flags_exit_2(capsys, argv, named):
+    assert main([*argv, "--r", "4", "--p", "3"]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_verify_detects_tampered_certificate(cert_path, tmp_path):

@@ -1,4 +1,5 @@
-"""Import hygiene: every module-level import in a `treecolor` module is used.
+"""Import hygiene: every module-level import in a `treecolor` module is used,
+and every private name one defines is read somewhere in the package.
 
 A name imported but never referenced is left over from code that moved or
 was deleted.  `__init__` is skipped, because it imports names to re-export
@@ -29,3 +30,41 @@ def test_module_level_imports_are_used(path):
                 for name in _bound_names(node)]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported if name not in used] == []
+
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The private functions, methods and classes defined in `tree`, the
+    methods of its private classes and its module-level `_UPPER` constants."""
+    assigns = [node for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))]
+    names = {t.id for node in assigns for t in ast.walk(node)
+             if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+             and _is_private(t.id) and t.id.isupper()}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
+            names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names |= {f.name for f in node.body if isinstance(f, ast.FunctionDef)
+                          and not f.name.endswith("__")}
+    return names
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name `tree` reads, as a variable or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_private_definitions_are_referenced(path):
+    """A private name that nothing in the package reads is dead code."""
+    used = set().union(*(_references(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in PACKAGE.glob("*.py")))
+    defined = _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(defined - used) == []

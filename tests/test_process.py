@@ -180,23 +180,24 @@ def test_rule1_single_active_fresh():
     assert rep.active == 1 and rep.rule1 == 1
     assert rep.colored == 1 and rep.new_red == 0
     assert st.color[7] == 1
-    assert len(rep.cascades) == 1 and rep.cascades[0].total_colored == 1
+    assert rep.cascade_sizes == [1]
 
 
 def test_rule2_forced_chain():
     # active 0 colors itself 0; vertex 1 (preset-adjacent to 1) drops to one
     # color and is forced; its commit forces vertex 2 in the next round.
-    st = scripted_state(
-        "6 4\n0 1\n1 2\n2 3\n1 4\n2 5\ncolor 4 1\ncolor 5 0\n",
-        {0: [0]}, {(0, 0): 0},
-    )
+    text = "6 4\n0 1\n1 2\n2 3\n1 4\n2 5\ncolor 4 1\ncolor 5 0\n"
+    st = scripted_state(text, {0: [0]}, {(0, 0): 0})
     rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1))
     assert (rep.rule1, rep.rule2, rep.new_red) == (1, 2, 0)
     assert st.color[0] == 0 and st.color[1] == 2 and st.color[2] == 1
     assert st.color[3] == UNCOLORED
-    assert rep.cascades[0].total_colored == 3
-    # generations: root, then one forced vertex per round
-    gens = rep.cascades[0].generations
+    assert rep.cascade_sizes == [3]
+    # the same chain traced (seed 11 draws color 0 for the root):
+    # generations are the root, then one forced vertex per round
+    rec = trace_cascade(make_state(text), 0, np.random.default_rng(11))
+    assert rec.total_colored == 3
+    gens = rec.generations
     assert gens[0] == {VertexType(1, 3): 1}
     assert gens[1] == {VertexType(2, 2): 1}
 

@@ -3,7 +3,8 @@
 The stream pins record sha256 digests of two seeded runs, so any change to
 the random stream or to the order of commits shows up as a failed digest;
 two more pin the final dump of a whole pipeline, phase 2 and tidy-up
-included.
+included, and three more the records `trace_cascade` returns and the
+per-step cascade sizes of a greedy run.
 The property tests drive greedy steps and scoped buffer rounds on seeded
 random small graphs (cycles, degrees below r, random presets) and check the
 invariants after every step, a proper final coloring, and that
@@ -99,6 +100,43 @@ def test_modified_stream_pinned():
         "b0e4ebe551a801cce332fc3eb4f940777b2c95854932d82bfd91e5c88e07d076")
     assert _step_digest(reports) == (
         "d2f5cd245a0e321f7c0e7b489acd231939939b509d37afc06e81cebc1cd1c136")
+
+
+@pytest.mark.parametrize("tuning, steps, digest", [
+    # halfway to the certified horizon: 2,141 colored, generations to depth 9
+    pytest.param(default_tuning(CFG43, 0.05), math.ceil(9.848 / 0.05) // 2,
+                 "7d0a81f7ce9bcd85073cbc6896444dff1a9e55eaa0506005b43a1d878c624f71",
+                 id="default"),
+    # 3,653 colored, generations to depth 13
+    pytest.param(steep_tuning(CFG43, 0.25), 10,
+                 "c09ec1871de0bb066282ee27eb30fcbfb5b0846fc7fd967eb1a2a4d38776e10f",
+                 id="steep"),
+])
+def test_trace_records_pinned(tuning, steps, digest):
+    """Root, root type, colored count and per-generation type counts of
+    1,000 traced cascades on a (4,3) state stopped mid-run at n=2e4."""
+    st = ColoringState(gen_regular_graph(20_000, 4, seed=15), CFG43, seed=150)
+    run_phase1(st, tuning, steps)
+    rng = np.random.default_rng(15)
+    rows = []
+    for v in rng.permutation(np.flatnonzero(st.color == UNCOLORED))[:1000].tolist():
+        rec = trace_cascade(st, v, rng)
+        rows.append((rec.root, tuple(rec.root_type), rec.total_colored,
+                     [sorted((t.d, t.c, k) for t, k in gen.items())
+                      for gen in rec.generations]))
+    assert _sha(repr(rows).encode()) == digest
+
+
+def test_cascade_sizes_pinned():
+    # 197 steps of (4,3) at n=3000: 799 activations color 2,671 vertices,
+    # the largest cascade 98
+    st = ColoringState(gen_regular_graph(3000, 4, seed=1), CFG43, seed=1)
+    reports, _ = run_phase1(st, default_tuning(CFG43, 0.05), 197)
+    for rep in reports:
+        assert len(rep.cascade_sizes) == rep.active
+        assert sum(rep.cascade_sizes) == rep.colored
+    assert _sha(repr([rep.cascade_sizes for rep in reports]).encode()) == (
+        "8b3ca18c1d60c0717bc1502e1e16eabb4a9f909179362614f90920e809f7aabe")
 
 
 @pytest.mark.parametrize("r, p, n, epsilon, seed, modified, digest", [

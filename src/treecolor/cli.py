@@ -57,6 +57,7 @@ from .errors import (
 )
 from .graphs import Graph, gen_regular_graph, gen_tree_ball, parse_fixture, write_fixture
 from .process import (
+    MAX_SEED,
     ColoringState,
     CompletionReport,
     ProperReport,
@@ -82,6 +83,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
+MAX_STEPS = 10 ** 6  # longest run; phase 1 keeps up to about 1 KB per step
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +377,16 @@ def _resolve_steps(args, epsilon: float, cert: Certificate | None) -> int:
     if epsilon <= 0.0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     if args.steps is not None:
-        if args.steps < 0:
-            raise ConfigurationError(f"steps must be >= 0, got {args.steps}")
+        if not 0 <= args.steps <= MAX_STEPS:
+            raise ConfigurationError(f"--steps must be in [0, {MAX_STEPS}], got {args.steps}")
         return args.steps
     if cert is None:
         raise ConfigurationError("need --steps or --cert to fix the run length")
     if not cert.certified:
         raise ConfigurationError(f"{args.cert} is not a certified certificate")
+    if cert.r / epsilon > MAX_STEPS:
+        flag = "--epsilons" if args.mode == "sweep" else "--epsilon"
+        raise ConfigurationError(f"{flag} {epsilon!r}: ceil(R/epsilon) steps exceed {MAX_STEPS}")
     return math.ceil(cert.r / epsilon)
 
 
@@ -466,6 +471,9 @@ def summary_json(args, run: RunResult, cert) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed > MAX_SEED:
+        raise ConfigurationError(
+            f"--seed {args.seed} exceeds the largest process seed {MAX_SEED}")
     tuning = _tuning_for(args, epsilon=args.epsilon)
     cert = _run_certificate(args, tuning)
     steps = _resolve_steps(args, args.epsilon, cert)
@@ -517,6 +525,9 @@ def cmd_sweep(args) -> int:
         ) from None
     if not epsilons or not seeds:
         raise ConfigurationError("need at least one epsilon and one seed")
+    if max(seeds) > MAX_SEED:
+        raise ConfigurationError(
+            f"--seeds {max(seeds)} exceeds the largest process seed {MAX_SEED}")
     cert = _run_certificate(args, _tuning_for(args))
     cells = []  # in (epsilon, seed) order, which the output keeps
     for eps in sorted(set(epsilons)):

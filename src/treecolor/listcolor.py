@@ -33,8 +33,7 @@ def connected_components(graph, vertices) -> list[list[int]]:
         queue = [start]
         while queue:
             v = queue.pop()
-            for u in graph.neighbors(v):
-                u = int(u)
+            for u in graph.neighbors(v).tolist():
                 if u in vset and u not in seen:
                     seen.add(u)
                     comp.append(u)

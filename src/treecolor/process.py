@@ -39,6 +39,7 @@ RED = -2
 
 _PURPOSE_ACTIVATION = 0
 _PURPOSE_COLOR = 1
+MAX_SEED = 2 ** 64 - 1  # a process seed is one 64-bit word of each Philox key
 
 
 def extra_color(cfg: PaletteConfig) -> int:
@@ -64,8 +65,8 @@ class ProcessRandomness:
     """
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+        if not 0 <= seed <= MAX_SEED:
+            raise ConfigurationError(f"seed must be in [0, {MAX_SEED}], got {seed}")
         self.seed = int(seed)
         self._color_step: int | None = None
         self._color_bits: np.random.Philox | None = None
@@ -191,7 +192,9 @@ class ColoringState:
     (0 <= c <= p) has code d(p+1) + c; every colored vertex has the one
     code past them, `colored_code` = (r+1)(p+1).  `type_counts` counts the
     vertices at each code.  `fresh_reds` lists the vertices turned red since
-    buffer rounds last looked."""
+    buffer rounds last looked.  `views` holds memoryviews of `color`,
+    `seen_mask`, `type_code`, `graph.indptr` and `graph.indices`: they read
+    and write plain ints, not numpy scalars, and alias the arrays."""
 
     def __init__(self, graph: Graph, cfg: PaletteConfig, seed: int = 0,
                  presets: list[tuple[int, int]] | None = None,
@@ -216,6 +219,8 @@ class ColoringState:
         self.space_codes = np.array([_code(cfg, t.d, t.c) for t in type_space(cfg).types],
                                     dtype=np.intp)
         self.fresh_reds: list[int] = []
+        self.views = tuple(memoryview(a) for a in (
+            self.color, self.seen_mask, self.type_code, graph.indptr, graph.indices))
         engine = _RoundEngine(self, StepReport())
         for v, c in presets or []:
             if not (0 <= c < cfg.p):
@@ -228,7 +233,7 @@ class ColoringState:
             raise ConfigurationError(f"presets violate an invariant: {bad}")
 
     def available_colors(self, v: int) -> tuple[int, ...]:
-        mask = int(self.seen_mask[v])
+        mask = self.views[1][v]
         return tuple(c for c in range(self.cfg.p) if not (mask >> c) & 1)
 
     def vertex_type(self, v: int) -> VertexType | None:
@@ -292,16 +297,17 @@ class ColoringState:
         neighbors.  Started from a state that met them, a run of commits to
         `around` can break them nowhere else."""
         p = self.cfg.p
+        color, _, codes, ptr, adj = self.views
         for v in around:
-            c = int(self.color[v])
+            c = color[v]
             if not (0 <= c <= p or c == RED):
                 return f"vertex {v} has color {c}"
-            for u in self.graph.neighbors(v).tolist():
-                c_u = self.color[u]
+            for u in adj[ptr[v]:ptr[v + 1]].tolist():
+                c_u = color[u]
                 if c_u == c and 0 <= c < p:
                     return f"edge ({min(u, v)},{max(u, v)}) joins two vertices colored {c}"
                 if c_u == UNCOLORED:
-                    left = int(self.type_code[u]) % (p + 1)
+                    left = codes[u] % (p + 1)
                     if left < 2:
                         return f"vertex {u} has {left} available colors"
         return None
@@ -378,43 +384,45 @@ class _RoundEngine:
         connected component twice, so bulk commits there never collide, and
         the finite graph must match."""
         st = self.state
+        color, seen, codes, ptr, adj = st.views
         undo = self.undo
         if undo is not None:
-            undo.append((st.color, v, UNCOLORED))
-        st.color[v] = c
+            undo.append((color, v, UNCOLORED))
+        color[v] = c
         self.committed.append(v)
         if c == RED:
             st.fresh_reds.append(v)
         self._retype(v, st.colored_code)
         bit = 0 if c == RED else 1 << c
         base = st.cfg.p + 1
-        for u in st.graph.neighbors(v).tolist():
-            if st.color[u] != UNCOLORED:
+        for u in adj[ptr[v]:ptr[v + 1]].tolist():
+            if color[u] != UNCOLORED:
                 continue
             if touch:
                 self._touch(u, v)
             else:
                 self.dirty.append(u)
-            code = int(st.type_code[u]) - base  # one uncolored neighbor less
-            if bit and not (st.seen_mask[u] & bit):
+            code = codes[u] - base  # one uncolored neighbor less
+            mask = seen[u]
+            if bit and not (mask & bit):
                 if undo is not None:
-                    undo.append((st.seen_mask, u, int(st.seen_mask[u])))
-                st.seen_mask[u] |= bit
+                    undo.append((seen, u, mask))
+                seen[u] = mask | bit
                 code -= 1
                 self._reducer[u] = v
             self._retype(u, code)
 
     def _retype(self, v: int, t: int) -> None:
         """Move v to type code t, keeping `type_counts` in step."""
-        st = self.state
-        old = int(st.type_code[v])
+        codes, counts = self.state.views[2], self.state.type_counts
+        old = codes[v]
         if self.undo is not None:
-            self.undo.append((st.type_code, v, old))
-            self.undo.append((st.type_counts, old, st.type_counts[old]))
-            self.undo.append((st.type_counts, t, st.type_counts[t]))
-        st.type_code[v] = t
-        st.type_counts[old] -= 1
-        st.type_counts[t] += 1
+            self.undo.append((codes, v, old))
+            self.undo.append((counts, old, counts[old]))
+            self.undo.append((counts, t, counts[t]))
+        codes[v] = t
+        counts[old] -= 1
+        counts[t] += 1
 
     # -- lineage ---------------------------------------------------------------
 
@@ -432,8 +440,9 @@ class _RoundEngine:
         queued = {v for v, _ in pending}
         doomed: set[int] = set()
         deferred: set[int] = set()
+        ptr, adj = self.state.views[3:]
         for v, _ in pending:
-            for u in self.state.graph.neighbors(v).tolist():
+            for u in adj[ptr[v]:ptr[v + 1]].tolist():
                 if u not in queued:
                     continue
                 if (self.scoped
@@ -458,6 +467,7 @@ class _RoundEngine:
         """Round 0 commits the initial pending set (after rule-4 screening);
         later rounds alternate rule 3, rule 2, rule 4 until nothing moves."""
         st = self.state
+        color, _, codes, ptr, adj = st.views
         report = self.report
         base = st.cfg.p + 1
         pending = initial_pending
@@ -471,12 +481,12 @@ class _RoundEngine:
                 scheduled_src: list[int] = []
                 while queue:
                     v = queue.popleft()
-                    if st.color[v] != UNCOLORED:
+                    if color[v] != UNCOLORED:
                         continue
                     # Starvation only arises from bulk commits (two vertices
                     # of one solver-colored component eating v's last two
                     # colors through a short cycle); treat it like a collision.
-                    starved = st.type_code[v] % base == 0
+                    starved = codes[v] % base == 0
                     if starved or v in self._collided:
                         cause = (self._reducer[v] if starved
                                  else self._toucher[v])
@@ -484,8 +494,8 @@ class _RoundEngine:
                         self.commit(v, RED)
                         report.rule3 += 1
                         progressed = True
-                        for u in st.graph.neighbors(v).tolist():
-                            if st.color[u] == UNCOLORED:
+                        for u in adj[ptr[v]:ptr[v + 1]].tolist():
+                            if color[u] == UNCOLORED:
                                 queue.append(u)
                     else:
                         scheduled_src.append(v)
@@ -493,7 +503,7 @@ class _RoundEngine:
                 pending = []
                 queued: set[int] = set()
                 for v in scheduled_src + self.dirty:
-                    if (st.color[v] != UNCOLORED or st.type_code[v] % base != 1
+                    if (color[v] != UNCOLORED or codes[v] % base != 1
                             or v in queued):
                         continue
                     queued.add(v)
@@ -506,7 +516,7 @@ class _RoundEngine:
             if pending:
                 survivors, doomed = self._screen_rule4(pending)
                 shift = 0 if first_round else base + 1  # read before rule-4 reds retype
-                self.log += [(v, int(st.type_code[v]) + shift) for v, _ in survivors]
+                self.log += [(v, codes[v] + shift) for v, _ in survivors]
                 for v in doomed:
                     self.commit(v, RED)
                     report.rule4 += 1
@@ -546,8 +556,9 @@ def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
     rate[state.space_codes] = tuning.epsilon * tuning.vector()
     rate[np.asarray(state.type_counts) == 0] = 0.0
     # a scripted adapter may name colored vertices
+    color = state.views[0]
     actives = [v for v in rng.activation_mask(i, rate, state.type_code).tolist()
-               if state.color[v] == UNCOLORED]
+               if color[v] == UNCOLORED]
     report.active = len(actives)
 
     engine = _RoundEngine(state, report)
@@ -751,7 +762,7 @@ def complete_remainder(state: ColoringState) -> CompletionReport:
     if not len(targets):
         return report
     engine = _RoundEngine(state, StepReport())
-    for comp in connected_components(state.graph, [int(v) for v in targets]):
+    for comp in connected_components(state.graph, targets.tolist()):
         if _commit_component(engine, comp, report):
             report.colored += len(comp)
     state.check_invariants()
@@ -767,27 +778,26 @@ def tidy_to_proper(state: ColoringState) -> TidyReport:
     if (state.color == UNCOLORED).any():
         raise ConfigurationError("tidy-up requires a fully colored state")
     extra = extra_color(state.cfg)
-    reds = np.nonzero(state.color == RED)[0]
+    reds = np.nonzero(state.color == RED)[0].tolist()
     report = TidyReport(red_before=len(reds))
-    if not len(reds):
+    if not reds:
         return report
 
-    region: set[int] = set(int(v) for v in reds)
+    color, _, _, ptr, adj = state.views
+    region: set[int] = set(reds)
     for v in reds:
-        for u in state.graph.neighbors(int(v)):
-            region.add(int(u))
+        region.update(adj[ptr[v]:ptr[v + 1]].tolist())
     report.erased = len(region)
-    was_red = {v: state.color[v] == RED for v in region}
-    prev = {v: int(state.color[v]) for v in region}
+    was_red = {v: color[v] == RED for v in region}
+    prev = {v: color[v] for v in region}
     for v in region:
-        state.color[v] = UNCOLORED
+        color[v] = UNCOLORED
 
     palette = tuple(range(state.cfg.p))
     lists: dict[int, tuple[int, ...]] = {}
     for v in region:
         if was_red[v]:
-            seen = {int(state.color[u]) for u in state.graph.neighbors(v)
-                    if state.color[u] != UNCOLORED}
+            seen = {color[u] for u in adj[ptr[v]:ptr[v + 1]].tolist()} - {UNCOLORED}
             lists[v] = tuple(c for c in palette if c not in seen) + (extra,)
         else:
             lists[v] = (prev[v], extra)
@@ -796,13 +806,13 @@ def tidy_to_proper(state: ColoringState) -> TidyReport:
         status, assignment = color_component(state.graph, comp, lists)
         if status == COLORED:
             for v in comp:
-                state.color[v] = assignment[v]
+                color[v] = assignment[v]
         else:
             # fallback: old colors were proper off red, so restoring them and
             # painting the reds extra can only clash where red met red
             report.failures += 1
             for v in comp:
-                state.color[v] = extra if was_red[v] else prev[v]
+                color[v] = extra if was_red[v] else prev[v]
     return report
 
 

@@ -14,6 +14,8 @@ from treecolor.cli import main
 from treecolor.dynamics import PaletteConfig, growth_rates, type_space
 
 FAST_CERT = ["--step", "0.005", "--halvings", "1"]
+STORED_CERT43 = os.path.join(os.path.dirname(__file__), "..", "perfbench", "certs",
+                             "cert43.json")
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +69,8 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys):
     assert "control.max_time" in capsys.readouterr().err
 
 
-# Each of these ended in a traceback with exit 1, or (--jobs) ran anyway.
+# Each of these ended in a traceback with exit 1, or (--jobs, the run
+# length) ran anyway.
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["certify", "--max-time", "nan"], "max_time", id="max-time-nan"),
     pytest.param(["certify", "--max-time", "inf"], "max_time", id="max-time-inf"),
@@ -78,6 +81,18 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys):
                   "--graph-seed", "-2"], "graph seed", id="simulate-graph-seed"),
     pytest.param(["sweep", "--epsilons", "0.1", "--seeds", "-1", "--n", "40",
                   "--steps", "2", "--jobs", "1"], "graph seed", id="sweep-seeds"),
+    pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
+                  "--seed", str(2 ** 64)], "--seed", id="simulate-seed-2**64"),
+    pytest.param(["sweep", "--epsilons", "0.1", "--seeds", "1,99999999999999999999999",
+                  "--n", "40", "--steps", "2", "--jobs", "1"], "--seeds",
+                 id="sweep-seeds-huge"),
+    pytest.param(["simulate", "--epsilon", "0.1", "--n", "100",
+                  "--steps", "99999999999999"], "--steps", id="simulate-steps-huge"),
+    pytest.param(["simulate", "--epsilon", "1e-9", "--n", "100", "--cert",
+                  STORED_CERT43], "--epsilon", id="simulate-cert-epsilon-tiny"),
+    pytest.param(["sweep", "--epsilons", "1e-300", "--seeds", "1", "--n", "100",
+                  "--cert", STORED_CERT43, "--jobs", "1"], "--epsilons",
+                 id="sweep-cert-epsilons-tiny"),
     pytest.param(["sweep", "--epsilons", "0.1", "--seeds", "1", "--n", "40",
                   "--steps", "2", "--jobs", "0"], "--jobs", id="sweep-jobs-0"),
     pytest.param(["sweep", "--epsilons", "0.1", "--seeds", "1", "--n", "40",
@@ -88,16 +103,17 @@ def test_malformed_run_flags_exit_2(capsys, argv, named):
     assert named in capsys.readouterr().err
 
 
+def test_largest_process_seed_runs(capsys):
+    assert main(["simulate", "--r", "4", "--p", "3", "--epsilon", "0.1", "--n", "40",
+                 "--steps", "2", "--seed", str(2 ** 64 - 1)]) == 0
+
+
 def test_verify_detects_tampered_certificate(cert_path, tmp_path):
     raw = json.loads(open(cert_path).read())
     raw["samples"]["g"][3] += 1e-3
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["verify", "--cert", str(tampered)]) == 1
-
-
-STORED_CERT43 = os.path.join(os.path.dirname(__file__), "..", "perfbench", "certs",
-                             "cert43.json")
 
 
 def _halve_every_state(raw):

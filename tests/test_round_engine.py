@@ -8,7 +8,8 @@ per-step cascade sizes of a greedy run.
 The property tests drive greedy steps and scoped buffer rounds on seeded
 random small graphs (cycles, degrees below r, random presets) and check the
 invariants after every step, a proper final coloring, and that
-`trace_cascade` leaves the state exactly as it found it.  Further tests
+`trace_cascade` leaves the state exactly as it found it, and that the
+state's memoryviews still alias its arrays after every stage.  Further tests
 check that the per-step invariant check, which looks only around a step's
 commits, raises in the step where a planted fault first breaks an
 invariant; that a color draw reads slot v of its step's Philox stream; that
@@ -285,6 +286,24 @@ def test_trace_cascade_restores_all_four_arrays(modified):
         for v in rng.permutation(roots)[:30]:
             trace_cascade(st, int(v), rng)
             assert snapshot(st) == before
+
+
+def test_views_alias_the_state_arrays():
+    """The engine reads and writes the state through `state.views`.  Were an
+    array rebound or copied after construction, those writes would go to
+    the old buffer and the array would silently fall behind."""
+    st = ColoringState(gen_regular_graph(400, 4, seed=3), CFG43, seed=4)
+
+    def assert_aliased():
+        arrays = (st.color, st.seen_mask, st.type_code, st.graph.indptr, st.graph.indices)
+        assert all(view.obj is a for view, a in zip(st.views, arrays, strict=True))
+
+    run_phase1(st, steep_tuning(CFG43, 0.25), steps=20)
+    assert_aliased()
+    complete_remainder(st)
+    assert_aliased()
+    assert tidy_to_proper(st).red_before > 0  # tidy-up has reds to rewrite
+    assert_aliased()
 
 
 # ---------------------------------------------------------------------------

@@ -471,9 +471,9 @@ def summary_json(args, run: RunResult, cert) -> str:
 
 
 def cmd_simulate(args) -> int:
-    if args.seed > MAX_SEED:
+    if not 0 <= args.seed <= MAX_SEED:
         raise ConfigurationError(
-            f"--seed {args.seed} exceeds the largest process seed {MAX_SEED}")
+            f"--seed must be a process seed in [0, {MAX_SEED}], got {args.seed}")
     tuning = _tuning_for(args, epsilon=args.epsilon)
     cert = _run_certificate(args, tuning)
     steps = _resolve_steps(args, args.epsilon, cert)
@@ -525,9 +525,10 @@ def cmd_sweep(args) -> int:
         ) from None
     if not epsilons or not seeds:
         raise ConfigurationError("need at least one epsilon and one seed")
-    if max(seeds) > MAX_SEED:
-        raise ConfigurationError(
-            f"--seeds {max(seeds)} exceeds the largest process seed {MAX_SEED}")
+    for seed in seeds:
+        if not 0 <= seed <= MAX_SEED:
+            raise ConfigurationError(
+                f"--seeds entries must be process seeds in [0, {MAX_SEED}], got {seed}")
     cert = _run_certificate(args, _tuning_for(args))
     cells = []  # in (epsilon, seed) order, which the output keeps
     for eps in sorted(set(epsilons)):

@@ -48,7 +48,7 @@ class Graph:
 def _build_csr(n: int, eu: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     heads = np.concatenate([eu, ev])
     tails = np.concatenate([ev, eu])
-    order = np.lexsort((tails, heads))
+    order = np.argsort(heads * n + tails)  # one key per directed edge: n <= MAX_N fits int64
     indices = tails[order].astype(np.int64)
     counts = np.bincount(heads, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -61,7 +61,7 @@ def _make_graph(n: int, r: int, eu: np.ndarray, ev: np.ndarray,
     swap = eu > ev
     eu2 = np.where(swap, ev, eu).astype(np.int64)
     ev2 = np.where(swap, eu, ev).astype(np.int64)
-    order = np.lexsort((ev2, eu2))
+    order = np.argsort(eu2 * n + ev2)  # unique on a simple graph
     eu2, ev2 = eu2[order], ev2[order]
     indptr, indices = _build_csr(n, eu2, ev2)
     return Graph(

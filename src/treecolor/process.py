@@ -54,27 +54,33 @@ def extra_color(cfg: PaletteConfig) -> int:
 class ProcessRandomness:
     """Counter-based per-step randomness keyed by (seed, step, purpose).
 
-    Each (seed, step, purpose) key names one Philox stream.  The activation
-    draw reads its step's stream in sequence and costs O(n q) for q the
-    largest rate.  A color draw for vertex v reads only slot v of its
-    step's stream, so color draws are independent of evaluation order:
-    Philox4x64 emits four 64-bit words per counter value, so the draw
-    advances the stream by v // 4 counters, takes raw word v % 4 and turns
-    it into a double with numpy's 53-bit recipe, giving the value
-    `Generator(Philox(key)).random(n)[v]` would, without drawing n.
+    Each (seed, step, purpose) key names one Philox stream, and one Philox
+    with its Generator serves them all: `_seek` writes the key's second
+    word and a counter into a saved state and assigns it (2-3 µs on a
+    2-core Xeon).  The activation draw reads its step's stream in sequence
+    and costs O(n q) for q the largest rate.  A color draw for vertex v
+    reads only slot v of its step's stream, so color draws are independent
+    of evaluation order: Philox4x64 emits four 64-bit words per counter
+    value, so the draw seeks to counter v // 4 and takes raw word v % 4
+    (4-6 µs a draw, the seek included), turned into a double by numpy's
+    53-bit recipe: the value `Generator(Philox(key)).random(n)[v]` would
+    give, without drawing n.
     """
 
     def __init__(self, seed: int):
         if not 0 <= seed <= MAX_SEED:
             raise ConfigurationError(f"seed must be in [0, {MAX_SEED}], got {seed}")
         self.seed = int(seed)
-        self._color_step: int | None = None
-        self._color_bits: np.random.Philox | None = None
-        self._color_start: dict | None = None
+        self._philox = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
+        self._gen = np.random.Generator(self._philox)
+        self._state = self._philox.state  # empty buffer: the next word comes from the counter
 
-    def _bits(self, step: int, purpose: int) -> np.random.Philox:
-        key = np.array([self.seed, (step << 2) | purpose], dtype=np.uint64)
-        return np.random.Philox(key=key)
+    def _seek(self, step: int, purpose: int, block: int = 0) -> None:
+        """Put the generator at counter `block` of stream (seed, step, purpose)."""
+        words = self._state["state"]
+        words["key"][1] = (step << 2) | purpose
+        words["counter"][0] = block
+        self._philox.state = self._state
 
     def activation_mask(self, step: int, rate: np.ndarray,
                         type_code: np.ndarray) -> np.ndarray:
@@ -85,23 +91,17 @@ class ProcessRandomness:
         n, q = len(type_code), min(float(rate.max(initial=0.0)), 1.0)
         if n == 0 or not q > 0.0:
             return np.empty(0, dtype=np.int64)
-        gen = np.random.Generator(self._bits(step, _PURPOSE_ACTIVATION))
+        self._seek(step, _PURPOSE_ACTIVATION)
         size = int(n * q + 4.0 * np.sqrt(n * q)) + 1  # passes n unless 4 sigma short
         cand = np.array([-1])
         while cand[-1] < n:
-            cand = np.concatenate([cand, cand[-1] + np.cumsum(gen.geometric(q, size))])
+            cand = np.concatenate([cand, cand[-1] + np.cumsum(self._gen.geometric(q, size))])
         cand = cand[1:np.searchsorted(cand, n)]
-        return cand[gen.random(len(cand)) * q < rate[type_code[cand]]]
+        return cand[self._gen.random(len(cand)) * q < rate[type_code[cand]]]
 
     def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
-        if step != self._color_step:
-            self._color_step = step
-            self._color_bits = self._bits(step, _PURPOSE_COLOR)
-            self._color_start = self._color_bits.state
-        bits = self._color_bits
-        bits.state = self._color_start
-        bits.advance(v // 4)
-        u = (int(bits.random_raw(v % 4 + 1)[-1]) >> 11) * 2.0 ** -53
+        self._seek(step, _PURPOSE_COLOR, v // 4)
+        u = (int(self._philox.random_raw(v % 4 + 1)[-1]) >> 11) * 2.0 ** -53
         idx = min(int(u * len(avail)), len(avail) - 1)
         return avail[idx]
 
@@ -221,6 +221,7 @@ class ColoringState:
         self.fresh_reds: list[int] = []
         self.views = tuple(memoryview(a) for a in (
             self.color, self.seen_mask, self.type_code, graph.indptr, graph.indices))
+        self._avail: dict[int, tuple[int, ...]] = {}  # available colors per seen mask
         engine = _RoundEngine(self, StepReport())
         for v, c in presets or []:
             if not (0 <= c < cfg.p):
@@ -234,7 +235,11 @@ class ColoringState:
 
     def available_colors(self, v: int) -> tuple[int, ...]:
         mask = self.views[1][v]
-        return tuple(c for c in range(self.cfg.p) if not (mask >> c) & 1)
+        avail = self._avail.get(mask)
+        if avail is None:
+            avail = tuple(c for c in range(self.cfg.p) if not (mask >> c) & 1)
+            self._avail[mask] = avail
+        return avail
 
     def vertex_type(self, v: int) -> VertexType | None:
         """Type (uncolored neighbors, available colors) of v, or None if
@@ -364,17 +369,6 @@ class _RoundEngine:
 
     # -- commits ---------------------------------------------------------------
 
-    def _touch(self, v: int, toucher: int) -> None:
-        """A touch's provenance is the toucher's lineage in scoped mode and the
-        toucher otherwise; v collides once two (or one without a lineage) touch it."""
-        self._toucher[v] = toucher
-        self.dirty.append(v)
-        prov = self.cascade_of.get(toucher) if self.scoped else toucher
-        if v not in self._prov_seen:
-            self._prov_seen[v] = prov
-        elif prov is None or self._prov_seen[v] != prov:
-            self._collided.add(v)
-
     def commit(self, v: int, c: int, touch: bool = True) -> None:
         """Color v with c, a palette color or RED; only a palette color is
         taken off the lists of v's uncolored neighbors.  `touch=False` marks
@@ -385,7 +379,8 @@ class _RoundEngine:
         the finite graph must match."""
         st = self.state
         color, seen, codes, ptr, adj = st.views
-        undo = self.undo
+        undo, dirty, counts = self.undo, self.dirty, st.type_counts
+        toucher, reducer, prov_seen = self._toucher, self._reducer, self._prov_seen
         if undo is not None:
             undo.append((color, v, UNCOLORED))
         color[v] = c
@@ -395,22 +390,34 @@ class _RoundEngine:
         self._retype(v, st.colored_code)
         bit = 0 if c == RED else 1 << c
         base = st.cfg.p + 1
+        # A touch's provenance is v's lineage in scoped mode and v otherwise;
+        # a neighbor collides once two (or one without a lineage) touch it.
+        prov = self.cascade_of.get(v) if self.scoped else v
         for u in adj[ptr[v]:ptr[v + 1]].tolist():
             if color[u] != UNCOLORED:
                 continue
+            dirty.append(u)
             if touch:
-                self._touch(u, v)
-            else:
-                self.dirty.append(u)
-            code = codes[u] - base  # one uncolored neighbor less
+                toucher[u] = v
+                if u not in prov_seen:
+                    prov_seen[u] = prov
+                elif prov is None or prov_seen[u] != prov:
+                    self._collided.add(u)
+            old = codes[u]
+            code = old - base  # one uncolored neighbor less
             mask = seen[u]
             if bit and not (mask & bit):
                 if undo is not None:
                     undo.append((seen, u, mask))
                 seen[u] = mask | bit
                 code -= 1
-                self._reducer[u] = v
-            self._retype(u, code)
+                reducer[u] = v
+            if undo is not None:  # as `_retype` logs it
+                undo += ((codes, u, old), (counts, old, counts[old]),
+                         (counts, code, counts[code]))
+            codes[u] = code
+            counts[old] -= 1
+            counts[code] += 1
 
     def _retype(self, v: int, t: int) -> None:
         """Move v to type code t, keeping `type_counts` in step."""

@@ -76,11 +76,17 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys):
     pytest.param(["certify", "--max-time", "inf"], "max_time", id="max-time-inf"),
     pytest.param(["certify", "--max-time", "1e300"], "max_time", id="max-time-1e300"),
     pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
-                  "--seed", "-1"], "graph seed", id="simulate-seed"),
+                  "--seed", "-1"], "--seed", id="simulate-seed"),
     pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
                   "--graph-seed", "-2"], "graph seed", id="simulate-graph-seed"),
     pytest.param(["sweep", "--epsilons", "0.1", "--seeds", "-1", "--n", "40",
-                  "--steps", "2", "--jobs", "1"], "graph seed", id="sweep-seeds"),
+                  "--steps", "2", "--jobs", "1"], "--seeds", id="sweep-seeds"),
+    pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
+                  "--seed", "-1", "--graph-seed", "3"], "--seed",
+                 id="simulate-seed-negative-with-graph-seed"),
+    pytest.param(["sweep", "--epsilons", "0.1", "--seeds=-1", "--graph-seed", "3",
+                  "--n", "40", "--steps", "2", "--jobs", "1"], "--seeds",
+                 id="sweep-seeds-negative-with-graph-seed"),
     pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
                   "--seed", str(2 ** 64)], "--seed", id="simulate-seed-2**64"),
     pytest.param(["sweep", "--epsilons", "0.1", "--seeds", "1,99999999999999999999999",

@@ -75,6 +75,15 @@ def test_gen_regular_deterministic():
                 and np.array_equal(a.edges_v, c.edges_v))
 
 
+# sha256 of indptr then indices, per (n, r, seed) of the edge pins below
+CSR_DIGESTS = {
+    (100000, 4, 5): "3fffc7085766fa21c72085e68371db53521566f317fb0e7af1a18554683be19d",
+    (20000, 6, 7): "c72625d8450c7294766d3ef408bc8f501a6e2c80b25cff5a7b914860169be84a",
+    (600, 4, 11): "8a4740e4da27fce3880fd5b19605d1bc05d3b7844b4e4af31c9bb10203ebfcea",
+    (400, 6, 11): "466ac330723725ed9c5bf6ba84fc8803e486b6267ae50aa60e2471054c45d479",
+}
+
+
 @pytest.mark.parametrize("n, r, seed, digest", [
     (100000, 4, 5, "64f648ac71877a34ad02ff8581e73fbb15896cf886c3a6bd3073f534267f8bfe"),
     (20000, 6, 7, "66376daa5c7403f682336f3f0046ea18fb881da048debfa3101f94e754e2ce27"),
@@ -84,6 +93,8 @@ def test_gen_regular_deterministic():
 def test_gen_regular_edges_pinned(n, r, seed, digest):
     g = gen_regular_graph(n, r, seed)
     assert hashlib.sha256(g.edges_u.tobytes() + g.edges_v.tobytes()).hexdigest() == digest
+    csr = hashlib.sha256(g.indptr.tobytes() + g.indices.tobytes()).hexdigest()
+    assert csr == CSR_DIGESTS[n, r, seed]
 
 
 def test_gen_regular_rejects_bad_configs():

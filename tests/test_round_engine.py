@@ -384,6 +384,26 @@ def test_choose_color_reads_slot_v_of_the_step_stream():
                 assert rng.choose_color(step, v, avail) == avail[int(u[v] * len(avail))]
 
 
+def test_rekeyed_streams_match_fresh_ones():
+    """One `ProcessRandomness` re-keys a single Philox for every stream.
+    Interleaved out of order, activation and color draws each equal what a
+    fresh generator drawing that stream alone gives, so no counter, buffer
+    or key word leaks from one stream into the next."""
+    seed, code = 9, np.arange(1000) % 4
+    rate = np.array([0.1, 0.0, 0.3, 0.2])
+    rng = ProcessRandomness(seed)
+    every = range(2 ** 53)  # the index is the draw's double, scaled to an integer
+    for step in (5, 0, 5, 70, 5):
+        for v in (999, 4, 0, 6):
+            alone = ProcessRandomness(seed).choose_color(step, v, every)
+            assert rng.choose_color(step, v, every) == alone
+        alone = ProcessRandomness(seed).activation_mask(step, rate, code)
+        assert np.array_equal(rng.activation_mask(step, rate, code), alone)
+        v = 3  # a draw straight after an activation draw left words buffered
+        assert rng.choose_color(step, v, every) == ProcessRandomness(seed).choose_color(
+            step, v, every)
+
+
 @pytest.mark.parametrize("rate, type_code, steps", [
     # three distinct nonzero rates and two codes at rate 0, interleaved
     pytest.param([0.0, 0.05, 0.02, 0.005, 0.0],

@@ -87,6 +87,7 @@ class Trajectory:
     abort_reason: str | None = None
     clamp_events: int = 0
     parareal_iterations: int | None = None  # None: integrated as one slice
+    slice_starts: np.ndarray | None = None  # z0, then the slice ends of parareal's last sweep
 
     def state_at(self, i: int) -> TypeDistribution:
         return TypeDistribution(self.cfg, self.states[i].copy())
@@ -105,6 +106,7 @@ def integrate(
     tuning: TuningParams,
     control: IntegrationControl,
     stop_at_remainder_below: float | None = None,
+    _guess: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate the drift ODE of `tuning`'s palette from the fresh state
     with a fixed step.
@@ -112,10 +114,11 @@ def integrate(
     Runs until max_time, until growth reaches 1 - 1e-6 (recorded as an abort,
     not raised), until the positive-degree mass is exhausted, or, when
     stop_at_remainder_below is given, until the first sample whose remainder
-    growth is below that value.
+    growth is below that value.  Only `certify` passes `_guess`: the
+    `slice_starts` of its previous refinement, which parareal starts from.
     """
     return _integrate(tuning, control.step, control.max_time,
-                      control.sample_stride, stop_at_remainder_below)
+                      control.sample_stride, stop_at_remainder_below, guess=_guess)
 
 
 def _rk4(field, h: float):
@@ -143,6 +146,7 @@ def _integrate(
     sample_stride: int,
     stop_below: float | None,
     euler: bool = False,
+    guess: np.ndarray | None = None,
 ) -> Trajectory:
     """`integrate` with the control's fields unpacked: fixed-step RK4 by
     parareal, or as one slice where parareal gives up.  Only the Euler
@@ -154,13 +158,13 @@ def _integrate(
     below = -math.inf if stop_below is None else stop_below
     z0 = TypeDistribution.initial(tuning.cfg).vec
     increment = (lambda z: h * field(np.maximum(z, 0.0))) if euler else _rk4(field, h)
-    found = None if euler else _parareal(space, field, z0, h, n_steps, sample_stride, below)
-    (_, (idx, states, g, rem, peak), _, clamps, error), iterations = found or (_sweep(
+    found = None if euler else _parareal(space, field, z0, h, n_steps, sample_stride, below, guess)
+    (_, (idx, states, g, rem, peak), _, clamps, error), iterations, starts = found or (_sweep(
         space, increment, z0[None], np.zeros(1, dtype=np.int64), n_steps, n_steps,
-        sample_stride, below), None)
+        sample_stride, below), None, None)
     abort = "supercritical" if g[-1] >= GROWTH_ABORT else error
     return Trajectory(tuning.cfg, idx * h, states, g, rem, peak, abort is not None, abort,
-                      clamps, iterations)
+                      clamps, iterations, starts)
 
 
 def _sweep(space, increment, starts, first, n_fine, n_total, stride, stop_below):
@@ -215,20 +219,26 @@ def _sweep(space, increment, starts, first, n_fine, n_total, stride, stop_below)
     return z, rec, bool(stop.any()), int((np.concatenate(clamps) <= idx[-1]).sum()), error
 
 
-def _parareal(space, field, z0, h, n_steps, stride, stop_below):
+def _parareal(space, field, z0, h, n_steps, stride, stop_below, guess):
     """Fixed-step RK4 by parareal (Lions, Maday & Turinici, C. R. Acad. Sci.
     Paris 332, 2001) over slices of about `_SLICE`: a sequential sweep of one
     coarse RK4 step per slice corrects a fine `_sweep` of all slices as one
     stack, U_{s+1} = F(U_s) + G_new(U_s) - G_old(U_s), until the slice
-    starts settle; then one more fine sweep runs.  The first coarse sweep
-    ends a few slices past its first crossing or growth abort.  Returns the
-    last sweep and the number of corrections, or None where one slice must
-    run instead: a stage raised, or no row stopped, or nothing settled."""
+    starts settle; then one more fine sweep runs.  The first slice starts
+    are `guess` past its row 0, which stays z0, with G_old the coarse step
+    from each; without a guess, a coarse sweep that ends a few slices past
+    its first crossing or growth abort.  Returns the last sweep, the number
+    of corrections and the starts the sweep ends on (z0, then each slice's
+    end but the last), or None where one slice must run instead: a stage
+    raised, or no row stopped, or nothing settled."""
     m = stride * max(1, round(_SLICE / (h * stride)))  # fine steps per slice
     n_slices = -(-n_steps // m)
     coarse, fine = _rk4(field, m * h), _rk4(field, h)
     horizon, starts, incs = n_slices, [z0], []
     try:
+        if guess is not None:
+            starts = [z0, *guess[1:n_slices]]
+            horizon, incs = len(starts), [coarse(s) for s in starts[:-1]]
         while len(starts) < horizon:
             incs.append(coarse(starts[-1]))
             starts.append(starts[-1] + incs[-1])
@@ -247,7 +257,7 @@ def _parareal(space, field, z0, h, n_steps, stride, stop_below):
                 return None
             # after k corrections slices 0..k start exactly: a stop in them is final
             if settled or idx[-1] <= sweeps * m:
-                return run, sweeps - 1
+                return run, sweeps - 1, np.concatenate([u[:1], ends[:-1]])
             # G_new - G_old as two small differences: no state-sized rounding
             new = u.copy()
             for s in range(len(u) - 1):
@@ -365,14 +375,16 @@ def certify(
         raise ConfigurationError("tuning and palette configs differ")
     if not (0.0 < threshold <= 1.0):
         raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
-    refinements = []
+    refinements, starts = [], None
     for k in range(control.halvings + 1):
         # keep samples on the base grid so stopping times are comparable
         refined = replace(control, step=control.step / (2 ** k),
                           sample_stride=control.sample_stride * (2 ** k))
         start = time.perf_counter()
-        traj = integrate(tuning, refined, stop_at_remainder_below=threshold)
-        how = traj.parareal_iterations
+        # the slices are `_SLICE` long at every step: refinement k's slice
+        # starts are a close guess for refinement k + 1
+        traj = integrate(tuning, refined, stop_at_remainder_below=threshold, _guess=starts)
+        how, starts = traj.parareal_iterations, traj.slice_starts
         print(f"certify: step {refined.step:g}: {round(traj.times[-1] / refined.step)} "
               f"fine steps in {time.perf_counter() - start:.3f} s, "
               + ("one slice" if how is None else f"parareal {how} iterations"),

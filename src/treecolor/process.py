@@ -852,7 +852,11 @@ def write_coloring(state: ColoringState, path: str) -> None:
         raise ConfigurationError("refusing to dump: red vertices remain")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{state.graph.n} {state.graph.r} {state.cfg.p}\n")
-        fh.write("".join(f"{v} {c}\n" for v, c in enumerate(state.color.tolist())))
+        # 16,384 lines to one "%d %d\n" template, not one f-string per line
+        for a in range(0, state.graph.n, 16384):
+            chunk = state.color[a:a + 16384]
+            ints = np.column_stack((np.arange(a, a + len(chunk)), chunk)).ravel().tolist()
+            fh.write("%d %d\n" * len(chunk) % tuple(ints))
 
 
 def read_coloring(path: str) -> tuple[int, int, int, np.ndarray]:

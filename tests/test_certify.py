@@ -278,7 +278,7 @@ def test_certificate_bytes_pinned(cert43):
     digests = [hashlib.sha256(certificate_to_json(c).encode()).hexdigest()
                for c in (cert43, failed)]
     assert digests == [
-        "ff64c9a736551f0e59cfa99ebc68c56589ea69887bee8792bd4887a5a92351b4",
+        "865e711cbd9d8a87a18ee5e17bd2fe1141a02642ec5380a7128f598fd16a30b9",
         "01a10bc29a1fff93e6ec7bbf097b68eeed0e6b5e29920eaecab7144bbcb4d408",
     ]
     verify_certificate(failed)  # a failed status re-derives as well
@@ -426,11 +426,79 @@ def test_parareal_matches_one_slice(tuning, control, stop):
     threshold = DEFAULT_THRESHOLD if stop is None else stop
     a, b = find_stop_time(fast, threshold), find_stop_time(slow, threshold)
     assert (a.found, a.time, a.reason) == (b.found, b.time, b.reason)
+    _assert_same_rk4(fast, slow)
+
+
+def _assert_same_rk4(fast, slow):
     assert np.array_equal(fast.times, slow.times)
     assert ((fast.clamp_events, fast.aborted, fast.abort_reason)
             == (slow.clamp_events, slow.aborted, slow.abort_reason))
     for name in ("states", "g_values", "remainder_values", "step_g_max"):
         assert np.abs(getattr(fast, name) - getattr(slow, name)).max() <= 1e-14, name
+
+
+def _recorded(run, warm=True):
+    """`run()` and each of its `integrate` calls as (control, stop, guess,
+    trajectory); with warm=False every call ignores its guess, as `certify`
+    ran before it passed one."""
+    calls = []
+
+    def recording(tuning, control, stop_at_remainder_below=None, _guess=None):
+        traj = integrate(tuning, control, stop_at_remainder_below, _guess if warm else None)
+        calls.append((control, stop_at_remainder_below, _guess, traj))
+        return traj
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CERTIFY, "integrate", recording)
+        return run(), calls
+
+
+# each refinement after the first starts parareal from the slice starts of
+# the one before it; the guess changes only how many corrections run
+def test_warm_started_refinements_match_one_slice():
+    _, calls = _recorded(lambda: certify(CFG43, TUNING43,
+                                         control=IntegrationControl(step=2e-3, halvings=1)))
+    assert [guess is None for _, _, guess, _ in calls] == [True, False]
+    assert calls[1][2] is calls[0][3].slice_starts
+    for control, stop, _, traj in calls:
+        _assert_same_rk4(traj, _one_slice(lambda: integrate(TUNING43, control, stop)))
+
+
+# a guess off by 1e-6 still ends on the same flow: after k corrections the
+# first k + 1 slice starts are exact, so only the number of corrections moves.
+# The short run ends in its second slice, where that exactness ends the loop.
+@pytest.mark.parametrize("cold, warm, stop", [
+    (IntegrationControl(step=2e-3), IntegrationControl(step=1e-3, sample_stride=2),
+     DEFAULT_THRESHOLD),
+    (IntegrationControl(step=1e-3, max_time=0.0605),
+     IntegrationControl(step=1e-3, max_time=0.0605), None),
+], ids=["fixture-refinement-1", "ends-in-slice-1"])
+def test_perturbed_guess_takes_more_corrections_not_another_flow(cold, warm, stop):
+    guess = integrate(TUNING43, cold, stop).slice_starts
+    perturbed = guess.copy()
+    perturbed[1:] *= 1.0 + 1e-6
+    exact = integrate(TUNING43, warm, stop, _guess=guess)
+    traj = integrate(TUNING43, warm, stop, _guess=perturbed)
+    assert traj.parareal_iterations >= exact.parareal_iterations
+    _assert_same_rk4(traj, _one_slice(lambda: integrate(TUNING43, warm, stop)))
+
+
+# a refinement after one that ran as one slice starts cold, so a tuning whose
+# refinements all fall back gives the certificate it gave without the guess
+@pytest.mark.parametrize("tuning, control, failure", [
+    # the halved step crosses at 0.005, before the flow aborts
+    (SUPERCRITICAL43, IntegrationControl(step=1e-3, max_time=30.0, halvings=1),
+     "no remainder crossing (aborted: supercritical)"),
+    (TUNING43, IntegrationControl(step=1e-3, max_time=0.04, halvings=2),
+     "no remainder crossing; no remainder crossing; no remainder crossing"),
+], ids=["supercritical", "one-slice-horizon"])
+def test_one_slice_refinements_stay_cold(tuning, control, failure):
+    cert, calls = _recorded(lambda: certify(CFG43, tuning, control=control))
+    cold, _ = _recorded(lambda: certify(CFG43, tuning, control=control), warm=False)
+    assert [traj.parareal_iterations for *_, traj in calls] == [None] * len(calls)
+    assert [guess for _, _, guess, _ in calls] == [None] * len(calls)
+    assert cert.diagnostics["failure"] == "no stable stopping time: " + failure
+    assert certificate_to_json(cert) == certificate_to_json(cold)
 
 
 # the record contract of a sweep where it leaves the stride grid: a stage
@@ -481,12 +549,16 @@ def test_certify_reports_each_refinement_on_stderr(capsys):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 2
+    iterations = []
     for line, entry in zip(lines, cert.refinements):
         match = re.fullmatch(r"certify: step (\S+): (\d+) fine steps in \d+\.\d{3} s, "
-                             r"parareal \d+ iterations", line)
+                             r"parareal (\d+) iterations", line)
         assert match, line
         assert float(match[1]) == entry["step"]
         assert int(match[2]) == round(entry["r"] / entry["step"])
+        iterations.append(int(match[3]))
+    # the second refinement starts from the first one's slice starts
+    assert iterations[1] < iterations[0]
     _one_slice(lambda: certify(CFG43, TUNING43,
                                control=IntegrationControl(step=2e-3, halvings=0)))
     assert capsys.readouterr().err.endswith(" s, one slice\n")

@@ -627,6 +627,25 @@ def test_coloring_dump_roundtrip(tmp_path):
     assert colors.max() <= extra_color(CFG43)
 
 
+def test_dumps_longer_than_one_chunk_roundtrip(tmp_path):
+    # `write_coloring` formats 16,384 lines at a time, so 20,000 vertices
+    # cross that boundary; the fixture of their 40,000 edges reads back too
+    g = gen_regular_graph(20_000, 4, seed=5)
+    text = write_fixture(g, [(7, 2)])
+    assert text == "".join([f"{g.n} {g.r}\n", *(f"{u} {v}\n" for u, v in
+                                                zip(g.edges_u.tolist(), g.edges_v.tolist())),
+                            "color 7 2\n"])
+    back, presets = parse_fixture(text)
+    assert presets == [(7, 2)]
+    assert np.array_equal(back.edges_u, g.edges_u) and np.array_equal(back.edges_v, g.edges_v)
+    st = ColoringState(g, CFG43)
+    st.color[:] = np.arange(g.n) % 3
+    path = tmp_path / "coloring.txt"
+    write_coloring(st, str(path))
+    assert path.read_text() == "20000 4 3\n" + "".join(f"{v} {v % 3}\n" for v in range(g.n))
+    assert np.array_equal(read_coloring(str(path))[3], st.color)
+
+
 def test_coloring_dump_refuses_partial_states(tmp_path):
     st = ColoringState(gen_regular_graph(20, 4, seed=2), CFG43, seed=4)
     with pytest.raises(ConfigurationError):

@@ -114,9 +114,11 @@ def integrate(
     Runs until max_time, until growth reaches 1 - 1e-6 (recorded as an abort,
     not raised), until the positive-degree mass is exhausted, or, when
     stop_at_remainder_below is given, until the first sample whose remainder
-    growth is below that value.  Only `certify` passes `_guess`: the
-    `slice_starts` of its previous refinement, which parareal starts from.
+    growth is below that value, a threshold in (0, 1].  Only `certify`
+    passes `_guess`: the `slice_starts` of its previous refinement, which
+    parareal starts from.
     """
+    _check_threshold(stop_at_remainder_below)
     return _integrate(tuning, control.step, control.max_time,
                       control.sample_stride, stop_at_remainder_below, guess=_guess)
 
@@ -273,11 +275,15 @@ def _parareal(space, field, z0, h, n_steps, stride, stop_below, guess):
     return None
 
 
+def _check_threshold(threshold: float | None) -> None:
+    if threshold is not None and not 0.0 < threshold <= 1.0:
+        raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
+
+
 def find_stop_time(traj: Trajectory, threshold: float = DEFAULT_THRESHOLD) -> StopTimeResult:
     """First sample time where remainder growth is below the threshold, valid
     only if cascade growth stayed below the threshold at every step up to it."""
-    if not (0.0 < threshold <= 1.0):
-        raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
+    _check_threshold(threshold)
     below = np.nonzero(traj.remainder_values < threshold)[0]
     if below.size == 0:
         reason = "no remainder crossing" + (
@@ -373,8 +379,6 @@ def certify(
     seconds and how it was integrated."""
     if tuning.cfg != cfg:
         raise ConfigurationError("tuning and palette configs differ")
-    if not (0.0 < threshold <= 1.0):
-        raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
     refinements, starts = [], None
     for k in range(control.halvings + 1):
         # keep samples on the base grid so stopping times are comparable

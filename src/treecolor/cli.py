@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--graph", default=None,
                      help="graph fixture for --dump (default: DUMP.graph)")
     ver.add_argument("--bound", type=float, default=None,
-                     help="maximum allowed extra-color fraction for --dump (default 0.05)")
+                     help="maximum extra-color fraction for --dump, in [0, 1] (default 0.05)")
     ver.add_argument("--config", default=None, help="key=value config file")
 
     return parser
@@ -374,8 +374,9 @@ def _run_certificate(args, tuning: TuningParams) -> Certificate | None:
 
 def _resolve_steps(args, epsilon: float, cert: Certificate | None) -> int:
     """`--steps`, or else ceil(R / epsilon) for the certificate's R."""
-    if epsilon <= 0.0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    flag = "--epsilons" if args.mode == "sweep" else "--epsilon"
+    if not epsilon > 0.0:
+        raise ConfigurationError(f"{flag} must be positive, got {epsilon!r}")
     if args.steps is not None:
         if not 0 <= args.steps <= MAX_STEPS:
             raise ConfigurationError(f"--steps must be in [0, {MAX_STEPS}], got {args.steps}")
@@ -385,7 +386,6 @@ def _resolve_steps(args, epsilon: float, cert: Certificate | None) -> int:
     if not cert.certified:
         raise ConfigurationError(f"{args.cert} is not a certified certificate")
     if cert.r / epsilon > MAX_STEPS:
-        flag = "--epsilons" if args.mode == "sweep" else "--epsilon"
         raise ConfigurationError(f"{flag} {epsilon!r}: ceil(R/epsilon) steps exceed {MAX_STEPS}")
     return math.ceil(cert.r / epsilon)
 
@@ -582,6 +582,9 @@ def cmd_sweep(args) -> int:
 
 
 def _verify_dump(args) -> int:
+    bound = 0.05 if args.bound is None else args.bound
+    if not 0.0 <= bound <= 1.0:
+        raise ConfigurationError(f"--bound must be in [0, 1], got {bound!r}")
     n, r, p, colors = read_coloring(args.dump)
     graph_path = args.graph if args.graph else args.dump + ".graph"
     graph, _ = parse_fixture(read_text(graph_path, ConfigurationError))
@@ -592,7 +595,6 @@ def _verify_dump(args) -> int:
     # a dump lists every vertex with a color in [0, p], so no edge is red-red
     clash = verify_proper(graph, colors).violations
     extra_frac = float((colors == p).sum()) / n if n else 0.0
-    bound = 0.05 if args.bound is None else args.bound
     if clash:
         print(f"{args.dump}: {len(clash)} violating edges")
         for u, v in clash[:10]:

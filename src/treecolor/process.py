@@ -343,11 +343,9 @@ class _RoundEngine:
     state's invariants), so a vertex the engine finds forced or starved was
     reduced by a commit of this engine."""
 
-    def __init__(self, state: ColoringState, report: StepReport,
-                 undo_log: list | None = None, scoped: bool = False):
+    def __init__(self, state: ColoringState, report: StepReport, scoped: bool = False):
         self.state = state
         self.report = report
-        self.undo = undo_log
         # Scoped mode restricts rules 3/4 to collisions between cascades of
         # different lineages.  Buffer rounds need it: on a tree two cascades
         # serving one red cluster can never meet (the meeting would close a
@@ -379,15 +377,15 @@ class _RoundEngine:
         the finite graph must match."""
         st = self.state
         color, seen, codes, ptr, adj = st.views
-        undo, dirty, counts = self.undo, self.dirty, st.type_counts
+        dirty, counts = self.dirty, st.type_counts
         toucher, reducer, prov_seen = self._toucher, self._reducer, self._prov_seen
-        if undo is not None:
-            undo.append((color, v, UNCOLORED))
         color[v] = c
         self.committed.append(v)
         if c == RED:
             st.fresh_reds.append(v)
-        self._retype(v, st.colored_code)
+        counts[codes[v]] -= 1
+        counts[st.colored_code] += 1
+        codes[v] = st.colored_code
         bit = 0 if c == RED else 1 << c
         base = st.cfg.p + 1
         # A touch's provenance is v's lineage in scoped mode and v otherwise;
@@ -407,29 +405,12 @@ class _RoundEngine:
             code = old - base  # one uncolored neighbor less
             mask = seen[u]
             if bit and not (mask & bit):
-                if undo is not None:
-                    undo.append((seen, u, mask))
                 seen[u] = mask | bit
                 code -= 1
                 reducer[u] = v
-            if undo is not None:  # as `_retype` logs it
-                undo += ((codes, u, old), (counts, old, counts[old]),
-                         (counts, code, counts[code]))
             codes[u] = code
             counts[old] -= 1
             counts[code] += 1
-
-    def _retype(self, v: int, t: int) -> None:
-        """Move v to type code t, keeping `type_counts` in step."""
-        codes, counts = self.state.views[2], self.state.type_counts
-        old = codes[v]
-        if self.undo is not None:
-            self.undo.append((codes, v, old))
-            self.undo.append((counts, old, counts[old]))
-            self.undo.append((counts, t, counts[t]))
-        codes[v] = t
-        counts[old] -= 1
-        counts[t] += 1
 
     # -- lineage ---------------------------------------------------------------
 
@@ -460,14 +441,8 @@ class _RoundEngine:
                     doomed.add(v)
                     doomed.add(u)
         deferred -= doomed
-        survivors = []
-        for v, c in pending:
-            if v in doomed:
-                continue
-            if v in deferred:
-                self.dirty.append(v)
-                continue
-            survivors.append((v, c))
+        self.dirty += [v for v, _ in pending if v in deferred]
+        survivors = [(v, c) for v, c in pending if v not in doomed and v not in deferred]
         return survivors, sorted(doomed)
 
     def run_rounds(self, initial_pending: list[tuple[int, int]]) -> None:
@@ -590,17 +565,34 @@ def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
 def trace_cascade(state: ColoringState, v: int, rng: np.random.Generator) -> CascadeRecord:
     """Run the cascade from v in isolation — no activation sampling — and
     restore the state afterwards.  Returns the per-generation record: a
-    forced vertex is one generation past the commit that forced it."""
+    forced vertex is one generation past the commit that forced it.
+    The engine commits only uncolored vertices, so the restore uncolors the
+    committed ones, recounts mask and code of each uncolored vertex in or next
+    to them, and copies back the type counts and fresh reds: exact when the
+    bookkeeping agreed with a recount from the colors, as `check_invariants` checks."""
     if state.color[v] != UNCOLORED:
         raise ConfigurationError(f"vertex {v} is already colored")
-    undo: list = []
-    reds_before = len(state.fresh_reds)
-    engine = _RoundEngine(state, StepReport(), undo_log=undo)
+    counts, reds_before = list(state.type_counts), len(state.fresh_reds)
+    engine = _RoundEngine(state, StepReport())
     avail = state.available_colors(v)
-    c = avail[int(rng.integers(len(avail)))]
-    engine.run_rounds([(v, c)])
-    for arr, idx, old in reversed(undo):
-        arr[idx] = old
+    engine.run_rounds([(v, avail[int(rng.integers(len(avail)))])])
+    color, seen, codes, ptr, adj = state.views
+    redo = set(engine.committed)
+    for u in engine.committed:
+        color[u] = UNCOLORED
+        redo.update(adj[ptr[u]:ptr[u + 1]].tolist())
+    for u in redo:
+        if color[u] == UNCOLORED:
+            d = mask = 0
+            for w in adj[ptr[u]:ptr[u + 1]].tolist():
+                c = color[w]
+                if c == UNCOLORED:
+                    d += 1
+                elif c >= 0:
+                    mask |= 1 << c
+            seen[u] = mask
+            codes[u] = _code(state.cfg, d, state.cfg.p - mask.bit_count())
+    state.type_counts[:] = counts
     del state.fresh_reds[reds_before:]
     base = state.cfg.p + 1
     record = CascadeRecord(v, state.vertex_type(v), total_colored=len(engine.log))
@@ -638,12 +630,9 @@ def _ball3_uncolored(state: ColoringState,
     """Uncolored vertices within graph distance 3 of the given reds, each
     labelled by the red whose breadth-first wave reached it first."""
     g = state.graph
-    dist: dict[int, int] = {}
-    owner: dict[int, int] = {}
     frontier = sorted(int(v) for v in reds)
-    for v in frontier:
-        dist[v] = 0
-        owner[v] = v
+    dist = dict.fromkeys(frontier, 0)
+    owner = {v: v for v in frontier}
     for depth in range(1, 4):
         nxt = []
         for v in frontier:

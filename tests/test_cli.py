@@ -99,13 +99,24 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys):
     pytest.param(["sweep", "--epsilons", "1e-300", "--seeds", "1", "--n", "100",
                   "--cert", STORED_CERT43, "--jobs", "1"], "--epsilons",
                  id="sweep-cert-epsilons-tiny"),
+    pytest.param(["sweep", "--epsilons", "nan", "--seeds", "1", "--n", "100",
+                  "--cert", STORED_CERT43, "--jobs", "1"], "--epsilons",
+                 id="sweep-cert-epsilons-nan"),
     pytest.param(["sweep", "--epsilons", "0.1", "--seeds", "1", "--n", "40",
                   "--steps", "2", "--jobs", "0"], "--jobs", id="sweep-jobs-0"),
     pytest.param(["sweep", "--epsilons", "0.1", "--seeds", "1", "--n", "40",
                   "--steps", "2", "--jobs", "-3"], "--jobs", id="sweep-jobs-negative"),
+    # checked before the dump is read, so the missing file is never reached
+    pytest.param(["verify", "--dump", "missing.dump", "--bound", "nan"], "--bound",
+                 id="verify-bound-nan"),
+    pytest.param(["verify", "--dump", "missing.dump", "--bound", "-1"], "--bound",
+                 id="verify-bound-negative"),
+    pytest.param(["verify", "--dump", "missing.dump", "--bound", "1.5"], "--bound",
+                 id="verify-bound-above-1"),
 ])
 def test_malformed_run_flags_exit_2(capsys, argv, named):
-    assert main([*argv, "--r", "4", "--p", "3"]) == 2
+    palette = [] if argv[0] == "verify" else ["--r", "4", "--p", "3"]
+    assert main([*argv, *palette]) == 2
     assert named in capsys.readouterr().err
 
 
@@ -287,6 +298,15 @@ def test_verify_flags_failed_status_certificate(tmp_path):
 
 def test_certify_rejects_bad_threshold():
     assert main(["certify", "--r", "4", "--p", "3", "--threshold", "1.5"]) == 2
+
+
+@pytest.mark.parametrize("threshold", ["2", "0", "nan"])
+def test_integrate_rejects_bad_threshold_before_writing(tmp_path, capsys, threshold):
+    out = tmp_path / "t.csv"
+    assert main(["integrate", "--r", "4", "--p", "3", "--threshold", threshold,
+                 "--out", str(out)]) == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["certify", "integrate"])

@@ -300,6 +300,10 @@ def test_views_alias_the_state_arrays():
 
     run_phase1(st, steep_tuning(CFG43, 0.25), steps=20)
     assert_aliased()
+    rng = np.random.default_rng(4)
+    for v in np.flatnonzero(st.color == UNCOLORED)[:20].tolist():
+        trace_cascade(st, v, rng)  # the restore writes through the views
+    assert_aliased()
     complete_remainder(st)
     assert_aliased()
     assert tidy_to_proper(st).red_before > 0  # tidy-up has reds to rewrite
@@ -353,7 +357,10 @@ def test_local_check_raises_in_the_step_of_a_planted_fault(monkeypatch):
         seen, code = int(st.seen_mask[victim]), int(st.type_code[victim])
         commit(self, v, c, touch)
         st.seen_mask[victim] = seen
-        self._retype(victim, code - (st.cfg.p + 1))  # one neighbor less, no color
+        now = int(st.type_code[victim])  # read after the commit, which moved it
+        st.type_code[victim] = code = code - (st.cfg.p + 1)  # one neighbor less, no color
+        st.type_counts[now] -= 1
+        st.type_counts[code] += 1
 
     monkeypatch.setattr(process._RoundEngine, "commit", faulty_commit)
     st = ColoringState(gen_regular_graph(600, 4, seed=11), CFG43, seed=5)

@@ -538,6 +538,13 @@ def load_certificate(path: str) -> Certificate:
     values = {f.name: _field_value(f, raw[f.name]) for f in schema if f.name in raw}
     if values["status"] not in ("certified", "failed"):
         raise CertificateParseError(f"status: unknown value {values['status']!r}")
+    if values["schema_version"] != "1":
+        raise CertificateParseError(
+            f"schema_version: expected '1', got {values['schema_version']!r}")
+    try:
+        _check_threshold(values["threshold"])
+    except ConfigurationError as exc:
+        raise CertificateParseError(str(exc)) from None
     cfg_raw = values["cfg"]
     for name in ("r", "p"):
         if type(cfg_raw.get(name)) is not int:

@@ -447,7 +447,7 @@ def summary_json(args, run: RunResult, cert) -> str:
         "final_uncolored_frac": counts["uncolored"] / stats.n,
         "final_red_frac": counts["red"] / stats.n,
         "final_extra_frac": counts["extra"] / stats.n,
-        "total_cascades": sum(len(s) for s in stats.cascade_sizes),
+        "total_cascades": sum(rep.active for rep in stats.reports),
         "buffer_colored_per_round": list(stats.buffer_colored_per_round),
         "component_histogram": {str(k): v for k, v in sorted(comp.histogram.items())},
         "violations": len(proper.violations) + len(proper.red_red),

@@ -279,7 +279,16 @@ class ColoringState:
             return (f"edge ({int(g.edges_u[i])},{int(g.edges_v[i])}) joins two "
                     f"vertices colored {int(cu[i])}")
         uncolored = self.color == UNCOLORED
-        avail = p - sum((self.seen_mask >> b) & 1 for b in range(p))
+        # a colored vertex's mask stops at its commit: recount the uncolored ones
+        mask = np.zeros(g.n, dtype=np.int64)
+        for b in range(p):
+            mask[g.edges_u[(cv == b) & (cu == UNCOLORED)]] |= 1 << b
+            mask[g.edges_v[(cu == b) & (cv == UNCOLORED)]] |= 1 << b
+        stale = uncolored & (mask != self.seen_mask)
+        if stale.any():
+            v = int(np.nonzero(stale)[0][0])
+            return f"vertex {v} has seen mask {int(self.seen_mask[v])}, a recount {int(mask[v])}"
+        avail = p - sum((mask >> b) & 1 for b in range(p))
         starved = uncolored & (avail < 2)
         if starved.any():
             v = int(np.nonzero(starved)[0][0])
@@ -318,7 +327,7 @@ class ColoringState:
         return None
 
     def check_invariants(self, around: list[int] | None = None) -> None:
-        """Check the whole state, type bookkeeping included, or with
+        """Check the whole state, masks and type bookkeeping included, or with
         `around` only what commits to those vertices can have broken."""
         bad = (self._invariant_violation() if around is None
                else self._local_violation(around))

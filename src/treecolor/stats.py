@@ -8,6 +8,7 @@ fraction, the size-biased neighbor law, and remainder component statistics.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -44,8 +45,9 @@ __all__ = [
 class RunStats:
     """Per-step record of one simulation run plus its final tallies.
 
-    `distributions` has one entry per step boundary (so one more than the
-    step lists); index k is the state after k steps at time k * epsilon.
+    `reports` are phase 1's step reports; `distributions` has one entry per
+    step boundary (so one more than the reports); index k is the state
+    after k steps at time k * epsilon.
     """
 
     r: int
@@ -54,23 +56,15 @@ class RunStats:
     n: int
     distributions: list[TypeDistribution]
     red_fracs: list[float]
-    active_counts: list[int]
-    cascade_sizes: list[list[int]]
+    reports: list[StepReport]
     buffer_colored_per_round: list[int] = field(default_factory=list)
 
     @property
     def steps(self) -> int:
-        return len(self.active_counts)
+        return len(self.reports)
 
     def time(self, k: int) -> float:
         return k * self.epsilon
-
-    def cascade_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for sizes in self.cascade_sizes:
-            for s in sizes:
-                hist[s] = hist.get(s, 0) + 1
-        return hist
 
 
 def collect_run_stats(
@@ -88,8 +82,6 @@ def collect_run_stats(
     n = state.graph.n
     red = 0
     reds = [red]
-    active_counts: list[int] = []
-    cascade_sizes: list[list[int]] = []
     buffer_rounds: list[int] = []
     for rep in reports:
         red += rep.rule3 + rep.rule4
@@ -100,8 +92,6 @@ def collect_run_stats(
                     buffer_rounds.append(0)
                 buffer_rounds[j] += colored
         reds.append(red)
-        active_counts.append(rep.active)
-        cascade_sizes.append(sorted(rep.cascade_sizes))
     # z is a fraction of the vertices off the boundary, reds of all n
     interior = n - len(state.graph.boundary)
     for k, z in zip(reds, distributions):
@@ -114,8 +104,7 @@ def collect_run_stats(
         n=n,
         distributions=list(distributions),
         red_fracs=[k / n for k in reds],
-        active_counts=active_counts,
-        cascade_sizes=cascade_sizes,
+        reports=reports,
         buffer_colored_per_round=buffer_rounds,
     )
 
@@ -138,21 +127,17 @@ def trajectory_distance(stats: RunStats, cert: Certificate) -> float:
         raise ConfigurationError("certificate has no stopping time to compare through")
     times = np.asarray(cert.samples["times"], dtype=np.float64)
     states = np.asarray(cert.samples["states"], dtype=np.float64)
-    worst = 0.0
-    for k, z in enumerate(stats.distributions):
-        t = k * stats.epsilon
-        if t > cert.r:
-            break
-        i = int(np.searchsorted(times, t))
-        if i == 0:
-            sigma = states[0]
-        elif i >= len(times):
-            sigma = states[-1]
-        else:
-            w = (t - times[i - 1]) / (times[i] - times[i - 1])
-            sigma = (1.0 - w) * states[i - 1] + w * states[i]
-        worst = max(worst, float(np.max(np.abs(z.vec - sigma))))
-    return worst
+    t = np.arange(len(stats.distributions)) * stats.epsilon
+    t = t[t <= cert.r]
+    z = np.array([d.vec for d in stats.distributions[:len(t)]])
+    # before the first sample and past the last the flow is held at its end
+    i = np.searchsorted(times, t)
+    sigma = states[np.minimum(i, len(times) - 1)]
+    inner = (i > 0) & (i < len(times))
+    i = i[inner]
+    w = ((t[inner] - times[i - 1]) / (times[i] - times[i - 1]))[:, None]
+    sigma[inner] = (1.0 - w) * states[i - 1] + w * states[i]
+    return float(np.max(np.abs(z - sigma)))
 
 
 class TailFit(NamedTuple):
@@ -279,17 +264,9 @@ def component_stats(state: ColoringState) -> ComponentStats:
     targets = [int(v) for v in np.nonzero(state.color == UNCOLORED)[0]]
     if not targets:
         return ComponentStats(0, 0.0, 0, {})
-    hist: dict[int, int] = {}
-    count = 0
-    total = 0
-    biggest = 0
-    for comp in connected_components(state.graph, targets):
-        size = len(comp)
-        hist[size] = hist.get(size, 0) + 1
-        count += 1
-        total += size
-        biggest = max(biggest, size)
-    return ComponentStats(count, total / count, biggest, hist)
+    sizes = [len(comp) for comp in connected_components(state.graph, targets)]
+    return ComponentStats(len(sizes), sum(sizes) / len(sizes), max(sizes),
+                          Counter(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +285,8 @@ def stats_csv(stats: RunStats) -> str:
         if k == 0:
             active, mean_casc, max_casc = 0, 0.0, 0
         else:
-            sizes = stats.cascade_sizes[k - 1]
-            active = stats.active_counts[k - 1]
+            rep = stats.reports[k - 1]
+            active, sizes = rep.active, rep.cascade_sizes
             mean_casc = float(np.mean(sizes)) if sizes else 0.0
             max_casc = max(sizes) if sizes else 0
         row = [

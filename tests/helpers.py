@@ -49,6 +49,30 @@ def mean_trajectory_distance(runs, cert) -> float:
     return float(np.mean([trajectory_distance(s, cert) for s in runs]))
 
 
+def trajectory_distance_reference(stats, cert) -> float:
+    """The per-step loop `trajectory_distance` used to run: for each step
+    boundary up to R, interpolate the certified flow between the samples
+    around k * epsilon (holding it at the first sample before it and at the
+    last past it), and keep the largest max-norm distance."""
+    times = np.asarray(cert.samples["times"], dtype=np.float64)
+    states = np.asarray(cert.samples["states"], dtype=np.float64)
+    worst = 0.0
+    for k, z in enumerate(stats.distributions):
+        t = k * stats.epsilon
+        if t > cert.r:
+            break
+        i = int(np.searchsorted(times, t))
+        if i == 0:
+            sigma = states[0]
+        elif i >= len(times):
+            sigma = states[-1]
+        else:
+            w = (t - times[i - 1]) / (times[i] - times[i - 1])
+            sigma = (1.0 - w) * states[i - 1] + w * states[i]
+        worst = max(worst, float(np.max(np.abs(z.vec - sigma))))
+    return worst
+
+
 def ball3_uncolored_reference(state):
     """The full-scan search buffer rounds used to run: a breadth-first
     search to depth 3 from every red vertex at once, in vertex order.

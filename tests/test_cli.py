@@ -257,6 +257,14 @@ def _set_every_g_null(raw):
     raw["samples"]["g"] = [None] * len(raw["samples"]["g"])
 
 
+def _loosen_threshold(raw):
+    # with both margins recomputed, a remainder growth of 1.2 would count as
+    # certified: the loader must hold the threshold to (0, 1]
+    raw["threshold"] = 1.5
+    raw["margin_g"] = 1.5 - raw["max_g_on_0_r"]
+    raw["margin_remainder"] = 1.5 - raw["remainder_growth_at_r"]
+
+
 @pytest.mark.parametrize("field, mutate", [
     pytest.param("tuning.4,3", lambda raw: raw["tuning"].update({"4,3": "abc"}),
                  id="tuning-str"),
@@ -278,6 +286,9 @@ def _set_every_g_null(raw):
                  lambda raw: raw["control"].update(sample_stride=True), id="stride-bool"),
     pytest.param("control.halvings", lambda raw: raw["control"].update(halvings=True),
                  id="halvings-bool"),
+    pytest.param("threshold", _loosen_threshold, id="threshold-above-1"),
+    *(pytest.param("schema_version", lambda raw, v=v: raw.update(schema_version=v),
+                   id=f"schema-{v or 'empty'}") for v in ("2", "", "banana")),
 ])
 def test_verify_names_non_numeric_certificate_field(cert_path, tmp_path, capsys,
                                                     field, mutate):
@@ -287,6 +298,16 @@ def test_verify_names_non_numeric_certificate_field(cert_path, tmp_path, capsys,
     bad.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["verify", "--cert", str(bad)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_certificate_with_a_loose_threshold(tmp_path, capsys):
+    raw = json.loads(open(STORED_CERT43).read())
+    _loosen_threshold(raw)
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["simulate", "--r", "4", "--p", "3", "--epsilon", "0.1", "--n", "100",
+                 "--steps", "3", "--cert", str(loose)]) == 2
+    assert "threshold" in capsys.readouterr().err
 
 
 def test_verify_flags_failed_status_certificate(tmp_path):

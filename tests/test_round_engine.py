@@ -12,10 +12,11 @@ invariants after every step, a proper final coloring, and that
 state's memoryviews still alias its arrays after every stage.  Further tests
 check that the per-step invariant check, which looks only around a step's
 commits, raises in the step where a planted fault first breaks an
-invariant; that a color draw reads slot v of its step's Philox stream; that
-the activation sampler activates each vertex with its type's rate, keyed by
-(seed, step); and that buffer rounds, searching only from new reds, find
-what a search from every red finds.
+invariant, and that the full check recounts the seen masks; that a color
+draw reads slot v of its step's Philox stream; that the activation sampler
+activates each vertex with its type's rate, keyed by (seed, step); and that
+buffer rounds, searching only from new reds, find what a search from every
+red finds.
 """
 
 import hashlib
@@ -341,12 +342,33 @@ def test_full_check_recounts_type_bookkeeping():
         st.check_invariants()
 
 
+@pytest.mark.parametrize("c_left", [3, 2], ids=["stale-bit-set", "seen-bit-cleared"])
+def test_full_check_recounts_seen_masks(c_left):
+    """A seen mask that disagrees with the neighbors' colors, with the type
+    code and counts made to agree with the mask, passes every recount but
+    the mask's own."""
+    st = ColoringState(gen_regular_graph(200, 4, seed=5), CFG43, seed=1)
+    run_phase1(st, steep_tuning(CFG43, 0.25), steps=5)
+    v = next(u for u in np.flatnonzero(st.color == UNCOLORED).tolist()
+             if st.vertex_type(u).c == c_left)
+    mask = int(st.seen_mask[v])  # no bit at c = 3, one at c = 2
+    st.seen_mask[v] = mask ^ (mask or 1)  # claims color 0, or forgets its one color
+    old = int(st.type_code[v])
+    new = old - 1 if c_left == 3 else old + 1
+    st.type_code[v] = new
+    st.type_counts[old] -= 1
+    st.type_counts[new] += 1
+    with pytest.raises(InternalConsistencyError, match=f"vertex {v} has seen mask"):
+        st.check_invariants()
+
+
 def test_local_check_raises_in_the_step_of_a_planted_fault(monkeypatch):
     """A commit that leaves one uncolored neighbor's list unreduced lets
-    that neighbor take the same color later.  The whole state passes the
-    full check after every step before the clash, and the step that makes
-    it raises."""
+    that neighbor take the same color later.  The full check, which
+    recounts the masks, raises after the first faulty step; the step that
+    makes the clash raises by itself."""
     commit = process._RoundEngine.commit
+    planted = []
 
     def faulty_commit(self, v, c, touch=True):
         st = self.state
@@ -361,17 +383,21 @@ def test_local_check_raises_in_the_step_of_a_planted_fault(monkeypatch):
         st.type_code[victim] = code = code - (st.cfg.p + 1)  # one neighbor less, no color
         st.type_counts[now] -= 1
         st.type_counts[code] += 1
+        planted.append(victim)
 
     monkeypatch.setattr(process._RoundEngine, "commit", faulty_commit)
     st = ColoringState(gen_regular_graph(600, 4, seed=11), CFG43, seed=5)
     tuning = steep_tuning(CFG43, 0.25)
+    greedy_step(st, tuning)
+    assert planted
+    with pytest.raises(InternalConsistencyError, match="seen mask"):
+        st.check_invariants()
     for _ in range(100):
         try:
             greedy_step(st, tuning)
         except InternalConsistencyError as exc:
             assert "joins two vertices colored" in str(exc)
             break
-        st.check_invariants()  # nothing broken yet, so nothing slipped past
     else:
         pytest.fail("the planted fault never broke an invariant")
     with pytest.raises(InternalConsistencyError):

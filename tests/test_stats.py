@@ -1,17 +1,19 @@
 """Estimator tests: synthetic oracles with known answers, trivial edge cases,
 and light end-to-end checks against short simulation runs."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from helpers import mean_trajectory_distance
+from helpers import mean_trajectory_distance, trajectory_distance_reference
 
 from treecolor.certify import Certificate, certify
 from treecolor.cli import main
 from treecolor.dynamics import (
     PaletteConfig,
+    TypeDistribution,
     VertexType,
     default_tuning,
     size_biased_law,
@@ -252,8 +254,6 @@ def test_run_stats_fractions_and_histogram():
     for k, z in enumerate(stats.distributions):
         total = z.mass() + stats.red_fracs[k]
         assert total <= 1.0 + 1e-12
-    hist = stats.cascade_histogram()
-    assert sum(hist.values()) == sum(len(s) for s in stats.cascade_sizes)
 
 
 def test_stats_csv_shape_and_values():
@@ -329,6 +329,38 @@ def test_trajectory_distance_small_early_window(cert43):
     _, stats = run_stats_for(50000, 100, eps=0.02, seed=1, graph_seed=42)
     d = trajectory_distance(stats, cert43)
     assert d <= 0.02
+
+
+@pytest.mark.parametrize("n, steps, eps, seed", [
+    (2000, 40, 0.02, 1),
+    (5000, 60, 0.05, 2),
+    (2000, 230, 0.05, 3),  # 11.5 > R: the steps past R are not compared
+])
+def test_trajectory_distance_matches_the_per_step_loop(cert43, n, steps, eps, seed):
+    _, stats = run_stats_for(n, steps, eps=eps, seed=seed, graph_seed=8)
+    assert trajectory_distance(stats, cert43) == trajectory_distance_reference(stats, cert43)
+
+
+# With every z zero the distance at step k is the largest entry of the flow
+# at k * 0.25, so rows that grow (or shrink) make the last (or first)
+# compared step the sup and each end of the interpolation decide the result.
+@pytest.mark.parametrize("times, scale, r", [
+    ([0.0, 0.5, 1.25, 2.0], [1, 2, 3, 4], 2.0),  # the sup at a sample time
+    ([0.0, 0.5, 1.25, 2.0], [1, 2, 3, 4], 1.9),  # R cuts between samples
+    ([0.25, 0.5, 1.1], [1, 2, 3], 2.0),  # held at the last sample past it
+    ([0.25, 0.5, 1.25], [3, 2, 1], 2.0),  # held at the first sample before it
+    ([0.0], [1], 1.0),  # a single sample: no interval to interpolate on
+])
+def test_trajectory_distance_matches_the_loop_at_sample_times(cert43, times, scale, r):
+    _, stats = run_stats_for(500, 8)
+    stats.epsilon = 0.25
+    stats.distributions = [TypeDistribution(CFG43, np.zeros(10))] * 9
+    row = np.random.default_rng(6).uniform(0.0, 0.05, 10)
+    cert = dataclasses.replace(cert43, r=r, samples={
+        "times": times, "states": [(s * row).tolist() for s in scale]})
+    with np.errstate(all="raise"):
+        d = trajectory_distance(stats, cert)
+    assert d == trajectory_distance_reference(stats, cert) > 0.0
 
 
 def test_trajectory_distance_rejects_mismatched_palette(cert43):

@@ -40,6 +40,9 @@ from .errors import (
 DEFAULT_THRESHOLD = 0.99999
 GROWTH_ABORT = 1.0 - 1e-6
 MAX_STORED_SAMPLES = 2048
+# most steps of the finest refinement between two stored samples: `verify`
+# re-integrates each gap, and one this long took 7.8 s on a 2-core Xeon
+MAX_SAMPLE_GAP = 2 ** 16
 # parareal: slice length, slices past the coarse crossing, settled update and
 # iteration cap; and the entries of a stack that one RK4 pass takes at once
 _SLICE = 0.05
@@ -65,7 +68,8 @@ class IntegrationControl:
         if type(self.halvings) is not int or self.halvings < 0:
             raise ConfigurationError("halvings must be a nonnegative integer")
         if self.max_time / self.step >= 2.0 ** (63 - self.halvings):  # int64 step index
-            raise ConfigurationError(f"max_time {self.max_time} needs 2^63 finest steps or more")
+            raise ConfigurationError(f"max_time {self.max_time} at halvings {self.halvings} "
+                                     "needs 2^63 finest steps or more")
 
 
 @dataclass
@@ -379,6 +383,14 @@ def certify(
     seconds and how it was integrated."""
     if tuning.cfg != cfg:
         raise ConfigurationError("tuning and palette configs differ")
+    # the samples kept of the finest refinement are this many steps apart or fewer
+    stride = control.sample_stride * 2 ** control.halvings
+    finest = math.floor(control.max_time / (control.step / 2 ** control.halvings) + 1e-9)
+    gap = math.ceil(math.ceil(finest / stride) / (MAX_STORED_SAMPLES - 1)) * stride
+    if gap > MAX_SAMPLE_GAP:
+        raise ConfigurationError(
+            f"halvings {control.halvings} at max_time {control.max_time} may store samples "
+            f"{gap} steps apart, more than verify takes ({MAX_SAMPLE_GAP})")
     refinements, starts = [], None
     for k in range(control.halvings + 1):
         # keep samples on the base grid so stopping times are comparable
@@ -437,7 +449,7 @@ def certify(
         },
         metadata={
             "generator": f"treecolor {_version}",
-            "type_order": [f"{t.d},{t.c}" for t in space.types],
+            "type_order": [str(t) for t in space.types],
         },
     )
 
@@ -471,7 +483,7 @@ def certificate_to_json(cert: Certificate) -> str:
     payload = {f.name: getattr(cert, f.name) for f in fields(Certificate)}
     payload.update(
         cfg={"r": cert.cfg.r, "p": cert.cfg.p},
-        tuning={f"{t.d},{t.c}": float(w) for t, w in sorted(cert.tuning.items())},
+        tuning={str(t): float(w) for t, w in sorted(cert.tuning.items())},
         control={"method": "rk4", **asdict(cert.control)},
     )
     return _dump_json(payload) + "\n"
@@ -507,16 +519,6 @@ def _field_value(f: Field, value: Any) -> Any:
     if not isinstance(value, kind):
         raise CertificateParseError(f"field {f.name!r} has wrong type")
     return value
-
-
-def _parse_type_key(key: str) -> VertexType:
-    parts = key.split(",")
-    if len(parts) != 2:
-        raise CertificateParseError(f"tuning: bad type key {key!r}")
-    try:
-        return VertexType(int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise CertificateParseError(f"tuning: bad type key {key!r}") from None
 
 
 def load_certificate(path: str) -> Certificate:
@@ -568,9 +570,20 @@ def load_certificate(path: str) -> Certificate:
         )
     except ConfigurationError as exc:
         raise CertificateParseError(f"control.{exc}") from None
-    values["tuning"] = {
-        _parse_type_key(k): _number(v, f"tuning.{k}") for k, v in values["tuning"].items()
-    }
+    space = type_space(cfg)
+    tuning = {}
+    for key, value in values["tuning"].items():
+        try:
+            t = VertexType.parse(key)
+            space.position(t)
+        except (ValueError, ConfigurationError):
+            raise CertificateParseError(
+                f"tuning.{key}: not a type d,c of ({cfg.r},{cfg.p})") from None
+        tuning[t] = _number(value, f"tuning.{key}")
+    missing = [t for t in space.types if t not in tuning]
+    if missing:
+        raise CertificateParseError(f"tuning.{missing[0]}: missing")
+    values["tuning"] = tuning
     samples = values["samples"]
     for name in ("times", "g", "remainder", "states"):
         if name not in samples or not isinstance(samples[name], list):
@@ -578,7 +591,6 @@ def load_certificate(path: str) -> Certificate:
     n = len(samples["times"])
     if any(len(samples[k]) != n for k in ("g", "remainder", "states")):
         raise CertificateParseError("samples: arrays have mismatched lengths")
-    space = type_space(cfg)
     for name in ("times", "g", "remainder"):
         for i, value in enumerate(samples[name]):
             _number(value, f"samples.{name}[{i}]")
@@ -658,6 +670,11 @@ def verify_certificate(cert: Certificate) -> None:
     if not ((steps >= 1) & (np.abs(np.diff(times) / h - steps) <= 1e-6)).all():
         raise CertificateVerificationError(
             f"sample times do not increase by whole steps of {h!r}")
+    if not steps.max(initial=0) <= MAX_SAMPLE_GAP:
+        i = int(np.argmax(steps))
+        raise CertificateVerificationError(
+            f"samples.times[{i}] and [{i + 1}] are {steps[i]:.0f} steps of {h!r} apart, "
+            f"more than {MAX_SAMPLE_GAP}")
     # all samples but the last, which may fall anywhere up to max_time, are on the grid
     grid = times[:-1] / (cert.control.sample_stride * cert.control.step)
     if not (np.abs(grid - np.rint(grid)) <= 1e-6).all():

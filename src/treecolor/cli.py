@@ -92,14 +92,11 @@ MAX_STEPS = 10 ** 6  # longest run; phase 1 keeps up to about 1 KB per step
 
 def _parse_weight(text: str) -> tuple[VertexType, float]:
     """Parse one `d,c=value` tuning override."""
-    lhs, sep, rhs = text.partition("=")
-    parts = lhs.split(",")
-    if not sep or len(parts) != 2:
-        raise ConfigurationError(f"weight override must look like d,c=value: {text!r}")
+    lhs, _, rhs = text.partition("=")
     try:
-        return VertexType(int(parts[0]), int(parts[1])), float(rhs)
+        return VertexType.parse(lhs), float(rhs)
     except ValueError:
-        raise ConfigurationError(f"weight override has bad numbers: {text!r}") from None
+        raise ConfigurationError(f"weight override must look like d,c=value: {text!r}") from None
 
 
 def _read_config_file(path: str) -> list[tuple[str, str]]:
@@ -258,11 +255,7 @@ def _tuning_for(args, epsilon=None) -> TuningParams:
     tuning = default_tuning(cfg, epsilon)
     if args.weight:
         weights = dict(tuning.weights)
-        for item in args.weight:
-            t, w = _parse_weight(item)
-            if t not in weights:
-                raise ConfigurationError(f"weight override for unknown type {t}")
-            weights[t] = w
+        weights.update(map(_parse_weight, args.weight))
         tuning = TuningParams(cfg, weights, epsilon)
     return tuning
 
@@ -367,7 +360,7 @@ def _run_certificate(args, tuning: TuningParams) -> Certificate | None:
     for t in sorted(set(cert.tuning) | set(tuning.weights)):
         if cert.tuning.get(t) != tuning.weights.get(t):
             raise ConfigurationError(
-                f"certificate tuning differs from the run's at type {t.d},{t.c}: "
+                f"certificate tuning differs from the run's at type {t}: "
                 f"weight {cert.tuning.get(t)!r} vs {tuning.weights.get(t)!r}")
     return cert
 
@@ -537,8 +530,8 @@ def cmd_sweep(args) -> int:
         for seed in sorted(set(seeds)):
             graph_seed = args.graph_seed if args.graph_seed is not None else seed
             cells.append((tuning, args.n, seed, graph_seed, steps, args.modified))
-    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
-    jobs = min(jobs, len(cells))
+    # fork starts every worker at the first submit: no more of them than cores
+    jobs = min(args.jobs or math.inf, len(cells), os.cpu_count() or 1)
     if jobs == 1:
         results = [_sweep_cell(c) for c in cells]
     else:

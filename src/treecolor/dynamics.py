@@ -24,10 +24,22 @@ from .errors import (
 
 class VertexType(NamedTuple):
     """Type (d, c) of an uncolored vertex: d uncolored neighbors, c colors
-    still available out of the palette."""
+    still available out of the palette.  Written `d,c`, in messages and as
+    the type key of `--weight` and of certificate tuning."""
 
     d: int
     c: int
+
+    def __str__(self) -> str:
+        return f"{self.d},{self.c}"
+
+    @classmethod
+    def parse(cls, key: str) -> "VertexType":
+        """The type whose key is `key`; any other text raises ValueError."""
+        d, c = map(int, key.split(","))
+        if str(cls(d, c)) != key:
+            raise ValueError(f"{key!r} is not a type key d,c")
+        return cls(d, c)
 
 
 # Largest degree r.  The drift keeps dense square matrices over the
@@ -98,14 +110,12 @@ class TypeSpace:
                     gain[i, self.index[src]] += prob
         self.kernel = gain * self.deg  # K
 
-    def vector_from_mapping(self, mapping: Mapping[VertexType, float]) -> np.ndarray:
-        vec = np.zeros(self.size, dtype=np.float64)
-        for t, v in mapping.items():
-            key = VertexType(*t)
-            if key not in self.index:
-                raise ConfigurationError(f"type {key} outside type space for {self.cfg}")
-            vec[self.index[key]] = float(v)
-        return vec
+    def position(self, t: Iterable[int]) -> int:
+        """Canonical index of type t; ConfigurationError if t is outside."""
+        t = VertexType(*t)
+        if t not in self.index:
+            raise ConfigurationError(f"type {t} outside type space for {self.cfg}")
+        return self.index[t]
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +161,11 @@ class TypeDistribution:
     def from_dict(
         cls, cfg: PaletteConfig, mapping: Mapping[VertexType, float]
     ) -> "TypeDistribution":
-        return cls(cfg, type_space(cfg).vector_from_mapping(mapping))
+        space = type_space(cfg)
+        vec = np.zeros(space.size, dtype=np.float64)
+        for t, v in mapping.items():
+            vec[space.position(t)] = float(v)
+        return cls(cfg, vec)
 
     def as_dict(self) -> dict[VertexType, float]:
         """The nonzero entries by type."""
@@ -161,7 +175,7 @@ class TypeDistribution:
         return float(self.vec.sum())
 
     def __getitem__(self, t: Iterable[int]) -> float:
-        return float(self.vec[self.space.index[VertexType(*t)]])
+        return float(self.vec[self.space.position(t)])
 
 
 @dataclass(frozen=True)
@@ -179,6 +193,8 @@ class TuningParams:
 
     def __post_init__(self) -> None:
         space = type_space(self.cfg)
+        for t in self.weights:
+            space.position(t)
         cleaned = {}
         for t in space.types:
             if t not in self.weights:
@@ -299,17 +315,10 @@ def remainder_growth(z: TypeDistribution) -> float:
     return float(growth_rates(z.space, z.vec)[1])
 
 
-def _space_index(z: TypeDistribution, t: VertexType) -> int:
-    t = VertexType(*t)
-    if t not in z.space.index:
-        raise ConfigurationError(f"type {t} outside type space for {z.cfg}")
-    return z.space.index[t]
-
-
 def branch_type_delta(z: TypeDistribution, t: VertexType) -> float:
     """Expected net change of the type-t vertex count caused by one branch
     hanging off a freshly activated vertex (forced cascade included)."""
-    i = _space_index(z, t)
+    i = z.space.position(t)
     return float(z.space.kernel[i] @ z.vec / _slack(z.space, z.vec))
 
 
@@ -332,7 +341,7 @@ def expected_cascade_size(z: TypeDistribution, s: VertexType) -> float:
     """Expected number of vertices colored when a type-s vertex activates:
     1 + deg(s) * forced_fraction / (1 - growth)."""
     space = z.space
-    d = space.types[_space_index(z, s)].d
+    d = space.types[space.position(s)].d
     return 1.0 + d * float(space.forced_row @ z.vec) / _slack(space, z.vec)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -80,18 +81,10 @@ def collect_run_stats(
             f"for {len(reports)} steps"
         )
     n = state.graph.n
-    red = 0
-    reds = [red]
-    buffer_rounds: list[int] = []
-    for rep in reports:
-        red += rep.rule3 + rep.rule4
-        if rep.buffer is not None:
-            red += rep.buffer.red_created
-            for j, colored in enumerate(rep.buffer.colored_per_round):
-                while len(buffer_rounds) <= j:
-                    buffer_rounds.append(0)
-                buffer_rounds[j] += colored
-        reds.append(red)
+    reds = list(accumulate((rep.new_red + (rep.buffer.red_created if rep.buffer else 0)
+                            for rep in reports), initial=0))
+    rounds = zip_longest(*(rep.buffer.colored_per_round for rep in reports if rep.buffer),
+                         fillvalue=0)
     # z is a fraction of the vertices off the boundary, reds of all n
     interior = n - len(state.graph.boundary)
     for k, z in zip(reds, distributions):
@@ -105,7 +98,7 @@ def collect_run_stats(
         distributions=list(distributions),
         red_fracs=[k / n for k in reds],
         reports=reports,
-        buffer_colored_per_round=buffer_rounds,
+        buffer_colored_per_round=[sum(colored) for colored in rounds],
     )
 
 
@@ -298,6 +291,6 @@ def stats_csv(stats: RunStats) -> str:
             repr(mean_casc),
             str(max_casc),
         ]
-        row += [repr(float(z[t])) for t in space.types]
+        row += [repr(x) for x in z.vec.tolist()]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -73,6 +73,25 @@ def trajectory_distance_reference(stats, cert) -> float:
     return worst
 
 
+def run_tallies_reference(reports):
+    """The loop `collect_run_stats` used to run: the red count after each
+    step boundary (rules 3 and 4 plus the buffer's reds), and the vertices
+    colored in each buffer round, summed over the steps that reached it."""
+    red = 0
+    reds = [red]
+    buffer_rounds: list[int] = []
+    for rep in reports:
+        red += rep.rule3 + rep.rule4
+        if rep.buffer is not None:
+            red += rep.buffer.red_created
+            for j, colored in enumerate(rep.buffer.colored_per_round):
+                while len(buffer_rounds) <= j:
+                    buffer_rounds.append(0)
+                buffer_rounds[j] += colored
+        reds.append(red)
+    return reds, buffer_rounds
+
+
 def ball3_uncolored_reference(state):
     """The full-scan search buffer rounds used to run: a breadth-first
     search to depth 3 from every red vertex at once, in vertex order.

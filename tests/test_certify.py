@@ -402,6 +402,22 @@ SUPERCRITICAL43 = TuningParams(CFG43, {t: 2.0 ** (2 * t.d) for t in type_space(C
 ZERO43 = TuningParams(CFG43, {t: 0.0 for t in type_space(CFG43).types})
 
 
+# ZERO43 never crosses, so the finest refinement runs to max_time, in 2,047 to
+# 4,095 intervals of 2 steps of 0.05 (the last off the grid at 204.75 and
+# 409.5): whatever the stored samples' largest gap, certify must refuse a cap
+# below it, so that every certificate it writes verifies
+@pytest.mark.parametrize("max_time", [204.7, 204.75, 409.4, 409.5])
+def test_certify_refuses_a_sample_gap_over_the_cap(monkeypatch, max_time):
+    control = IntegrationControl(step=0.1, max_time=max_time, halvings=1)
+    cert = certify(CFG43, ZERO43, control=control)
+    gap = int(np.rint(np.diff(cert.samples["times"]) / 0.05).max())
+    monkeypatch.setattr(CERTIFY, "MAX_SAMPLE_GAP", gap)
+    verify_certificate(cert)
+    monkeypatch.setattr(CERTIFY, "MAX_SAMPLE_GAP", gap - 1)
+    with pytest.raises(ConfigurationError, match="^halvings 1 at max_time"):
+        certify(CFG43, ZERO43, control=control)
+
+
 # parareal and one slice compute the same fixed-step RK4; only their
 # rounding differs
 @pytest.mark.parametrize("tuning, control, stop", [

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from treecolor import cli
+from treecolor.certify import _verdict
 from treecolor.cli import main
 from treecolor.dynamics import PaletteConfig, growth_rates, type_space
 
@@ -75,6 +76,12 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys):
     pytest.param(["certify", "--max-time", "nan"], "max_time", id="max-time-nan"),
     pytest.param(["certify", "--max-time", "inf"], "max_time", id="max-time-inf"),
     pytest.param(["certify", "--max-time", "1e300"], "max_time", id="max-time-1e300"),
+    pytest.param(["certify", "--halvings", "100"], "halvings", id="halvings-100"),
+    # stored samples up to 488,520 steps apart, beyond what verify re-integrates
+    pytest.param(["certify", "--step", "0.1", "--halvings", "0", "--max-time", "1e8"],
+                 "max_time", id="max-time-beyond-the-sample-gap"),
+    pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
+                  "--weight", "9,9=1"], "9,9", id="weight-outside-the-space"),
     pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
                   "--seed", "-1"], "--seed", id="simulate-seed"),
     pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
@@ -287,6 +294,9 @@ def _loosen_threshold(raw):
     pytest.param("control.halvings", lambda raw: raw["control"].update(halvings=True),
                  id="halvings-bool"),
     pytest.param("threshold", _loosen_threshold, id="threshold-above-1"),
+    pytest.param("tuning.9,9", lambda raw: raw["tuning"].update({"9,9": 1.0}),
+                 id="tuning-type-outside-the-space"),
+    pytest.param("tuning.4,3", lambda raw: raw["tuning"].pop("4,3"), id="tuning-type-missing"),
     *(pytest.param("schema_version", lambda raw, v=v: raw.update(schema_version=v),
                    id=f"schema-{v or 'empty'}") for v in ("2", "", "banana")),
 ])
@@ -298,6 +308,41 @@ def test_verify_names_non_numeric_certificate_field(cert_path, tmp_path, capsys,
     bad.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["verify", "--cert", str(bad)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_simulate_names_a_certificate_weight_outside_the_space(tmp_path, capsys):
+    raw = json.loads(open(STORED_CERT43).read())
+    raw["tuning"]["9,9"] = 1.0
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["simulate", "--r", "4", "--p", "3", "--epsilon", "0.1", "--n", "100",
+                 "--steps", "3", "--cert", str(path)]) == 2
+    assert "tuning.9,9" in capsys.readouterr().err
+
+
+# Re-integrating a gap of MAX_SAMPLE_GAP + 1 steps took about 10 s; one of
+# 2**44 steps, from the same file with 40 halvings, would never end.
+def test_verify_refuses_samples_further_apart_than_the_cap(tmp_path, capsys):
+    from treecolor.certify import MAX_SAMPLE_GAP
+
+    raw = json.loads(open(STORED_CERT43).read())
+    raw["control"].update(step=0.0625, halvings=4)
+    raw["refinements"] = [{"step": 0.0625 / 2 ** k, "found": False, "reason": "x"}
+                          for k in range(5)]
+    status, failure, summary = _verdict(raw["refinements"], raw["threshold"])
+    raw.update(status=status, **summary)
+    raw["diagnostics"]["failure"] = failure
+    samples = raw["samples"]
+    for name in ("g", "remainder", "states"):
+        samples[name] = [samples[name][0], samples[name][5]]
+    samples["times"] = [0.0, (MAX_SAMPLE_GAP + 1) * 0.0625 / 2 ** 4]
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["verify", "--cert", str(path)]) == 1
+    assert "samples.times" in capsys.readouterr().err
+    assert main(["simulate", "--r", "4", "--p", "3", "--epsilon", "0.1", "--n", "100",
+                 "--steps", "3", "--cert", str(path)]) == 1
+    assert "samples.times" in capsys.readouterr().err
 
 
 def test_simulate_rejects_a_certificate_with_a_loose_threshold(tmp_path, capsys):
@@ -676,6 +721,19 @@ def test_sweep_verifies_its_certificate_once(monkeypatch, capsys):
                  "--seeds", "1", "--n", "100", "--steps", "3", "--jobs", "1",
                  "--cert", STORED_CERT43]) == 0
     assert len(calls) == 1
+
+
+def test_sweep_workers_are_clamped_to_the_cores(tmp_path, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one core needs no worker pool")
+
+    argv = ["sweep", "--r", "4", "--p", "3", "--epsilons", "0.1", "--seeds", "1,2",
+            "--n", "40", "--steps", "2"]
+    assert main([*argv, "--jobs", "1", "--out", str(tmp_path / "one.csv")]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    assert main([*argv, "--jobs", "3", "--out", str(tmp_path / "three.csv")]) == 0
+    assert (tmp_path / "three.csv").read_text() == (tmp_path / "one.csv").read_text()
 
 
 def test_sweep_rejects_bad_grid():

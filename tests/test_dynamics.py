@@ -51,6 +51,18 @@ def test_type_space_order_and_size():
     assert type_space(CFG43) is space
 
 
+@pytest.mark.parametrize("cfg", [CFG43, CFG64, PaletteConfig(8, 5)])
+def test_type_keys_roundtrip(cfg):
+    for t in type_space(cfg).types:
+        assert VertexType.parse(str(t)) == t
+
+
+@pytest.mark.parametrize("key", ["4", "4,3,1", "a,b", "", "4,", " 4,3", "04,3", "+4,3"])
+def test_type_key_parse_rejects_other_text(key):
+    with pytest.raises(ValueError):
+        VertexType.parse(key)
+
+
 def test_palette_validation():
     with pytest.raises(ConfigurationError):
         PaletteConfig(2, 2)
@@ -201,6 +213,8 @@ def test_tuning_validation():
         TuningParams(CFG43, missing)
     with pytest.raises(ConfigurationError):
         TuningParams(CFG43, {t: 1.0 for t in space.types}, epsilon=-0.1)
+    with pytest.raises(ConfigurationError, match="type 9,9 outside"):
+        TuningParams(CFG43, {t: 1.0 for t in space.types} | {VertexType(9, 9): 1.0})
 
 
 def test_drift_frozen():

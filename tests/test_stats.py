@@ -7,7 +7,11 @@ import math
 
 import numpy as np
 import pytest
-from helpers import mean_trajectory_distance, trajectory_distance_reference
+from helpers import (
+    mean_trajectory_distance,
+    run_tallies_reference,
+    trajectory_distance_reference,
+)
 
 from treecolor.certify import Certificate, certify
 from treecolor.cli import main
@@ -20,7 +24,7 @@ from treecolor.dynamics import (
 )
 from treecolor.errors import ConfigurationError, InsufficientDataError
 from treecolor.graphs import gen_regular_graph, gen_tree_ball, parse_fixture
-from treecolor.process import UNCOLORED, ColoringState, StepReport, run_phase1
+from treecolor.process import UNCOLORED, BufferReport, ColoringState, StepReport, run_phase1
 from treecolor.stats import (
     cascade_tail_fit,
     collect_run_stats,
@@ -241,6 +245,33 @@ def test_collect_compares_counts_on_a_tree_ball():
     assert stats.red_fracs == [0.0, 12 / 17]
     with pytest.raises(ConfigurationError, match="exceed n"):
         collect_run_stats(state, 0.05, [StepReport(rule3=13)], [z, z])
+
+
+def _assert_tallies_match_the_loop(stats):
+    reds, rounds = run_tallies_reference(stats.reports)
+    assert stats.red_fracs == [k / stats.n for k in reds]
+    assert stats.buffer_colored_per_round == rounds
+
+
+def test_run_tallies_match_the_per_step_loop():
+    # buffers of unequal length, a step without one and an empty one
+    state = ColoringState(gen_regular_graph(100, 4, seed=1), CFG43)
+    reports = [StepReport(rule3=1, buffer=BufferReport(colored_per_round=[5, 2], red_created=1)),
+               StepReport(rule4=2),
+               StepReport(buffer=BufferReport(colored_per_round=[3, 1, 4])),
+               StepReport(buffer=BufferReport())]
+    empty = TypeDistribution(CFG43, np.zeros(10))
+    stats = collect_run_stats(state, 0.05, reports, [empty] * 5)
+    _assert_tallies_match_the_loop(stats)
+    assert stats.buffer_colored_per_round == [8, 3, 4]
+    assert stats.red_fracs == [0.0, 0.02, 0.04, 0.04, 0.04]
+
+
+def test_modified_run_tallies_match_the_per_step_loop():
+    state = ColoringState(gen_regular_graph(2000, 4, seed=8), CFG43, seed=8)
+    reports, dists = run_phase1(state, default_tuning(CFG43, epsilon=0.25), 40, modified=True)
+    assert len({len(rep.buffer.colored_per_round) for rep in reports}) > 1
+    _assert_tallies_match_the_loop(collect_run_stats(state, 0.25, reports, dists))
 
 
 def test_run_stats_fractions_and_histogram():

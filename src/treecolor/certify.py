@@ -97,15 +97,6 @@ class Trajectory:
         return TypeDistribution(self.cfg, self.states[i].copy())
 
 
-@dataclass
-class StopTimeResult:
-    found: bool
-    time: float | None = None
-    index: int | None = None
-    violation_time: float | None = None
-    reason: str | None = None
-
-
 def integrate(
     tuning: TuningParams,
     control: IntegrationControl,
@@ -284,26 +275,28 @@ def _check_threshold(threshold: float | None) -> None:
         raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
 
 
-def find_stop_time(traj: Trajectory, threshold: float = DEFAULT_THRESHOLD) -> StopTimeResult:
-    """First sample time where remainder growth is below the threshold, valid
-    only if cascade growth stayed below the threshold at every step up to it."""
+def find_stop_time(traj: Trajectory, threshold: float = DEFAULT_THRESHOLD) -> dict[str, Any]:
+    """The refinement entry of `traj` without its step: the first sample time
+    `r` where remainder growth is below the threshold, valid only if cascade
+    growth stayed below the threshold at every step up to it, with the
+    largest growth on [0, r] and the remainder growth at r; or else the
+    reason there is none, and the time growth reached the threshold."""
     _check_threshold(threshold)
     below = np.nonzero(traj.remainder_values < threshold)[0]
     if below.size == 0:
         reason = "no remainder crossing" + (
             f" (aborted: {traj.abort_reason})" if traj.aborted else ""
         )
-        return StopTimeResult(found=False, reason=reason)
+        return {"found": False, "reason": reason}
     idx = int(below[0])
     g_violations = np.nonzero(traj.step_g_max[: idx + 1] >= threshold)[0]
     if g_violations.size > 0:
-        bad = int(g_violations[0])
-        return StopTimeResult(
-            found=False,
-            violation_time=float(traj.times[bad]),
-            reason="growth reached threshold before remainder crossing",
-        )
-    return StopTimeResult(found=True, time=float(traj.times[idx]), index=idx)
+        return {"found": False,
+                "reason": "growth reached threshold before remainder crossing",
+                "violation_time": float(traj.times[g_violations[0]])}
+    return {"found": True, "r": float(traj.times[idx]),
+            "max_g_on_0_r": float(traj.step_g_max[: idx + 1].max()),
+            "remainder_growth_at_r": float(traj.remainder_values[idx])}
 
 
 @dataclass
@@ -383,14 +376,12 @@ def certify(
     seconds and how it was integrated."""
     if tuning.cfg != cfg:
         raise ConfigurationError("tuning and palette configs differ")
-    # the samples kept of the finest refinement are this many steps apart or fewer
+    # the finest refinement records a sample every `stride` steps or sooner
     stride = control.sample_stride * 2 ** control.halvings
-    finest = math.floor(control.max_time / (control.step / 2 ** control.halvings) + 1e-9)
-    gap = math.ceil(math.ceil(finest / stride) / (MAX_STORED_SAMPLES - 1)) * stride
-    if gap > MAX_SAMPLE_GAP:
+    if stride > MAX_SAMPLE_GAP:
         raise ConfigurationError(
-            f"halvings {control.halvings} at max_time {control.max_time} may store samples "
-            f"{gap} steps apart, more than verify takes ({MAX_SAMPLE_GAP})")
+            f"halvings {control.halvings} at sample_stride {control.sample_stride} records "
+            f"samples {stride} steps apart, more than verify takes ({MAX_SAMPLE_GAP})")
     refinements, starts = [], None
     for k in range(control.halvings + 1):
         # keep samples on the base grid so stopping times are comparable
@@ -405,24 +396,16 @@ def certify(
               f"fine steps in {time.perf_counter() - start:.3f} s, "
               + ("one slice" if how is None else f"parareal {how} iterations"),
               file=sys.stderr)
-        result = find_stop_time(traj, threshold)
-        entry: dict[str, Any] = {"step": refined.step, "found": result.found}
-        if result.found:
-            idx = result.index
-            entry["r"] = result.time
-            entry["max_g_on_0_r"] = float(traj.step_g_max[: idx + 1].max())
-            entry["remainder_growth_at_r"] = float(traj.remainder_values[idx])
-        else:
-            entry["reason"] = result.reason
-            if result.violation_time is not None:
-                entry["violation_time"] = result.violation_time
-        refinements.append(entry)
+        refinements.append({"step": refined.step, **find_stop_time(traj, threshold)})
     status, failure, summary = _verdict(refinements, threshold)
 
     # samples come from the finest refinement, the last one run: all of them,
-    # or MAX_STORED_SAMPLES evenly spread that keep the last, a found crossing
+    # or at least MAX_STORED_SAMPLES evenly spread that keep the last, a found
+    # crossing; enough that at most MAX_SAMPLE_GAP // stride records, each
+    # `stride` steps long or shorter, lie between two kept samples
     n = len(traj.times)
-    keep = np.unique(np.linspace(0, n - 1, MAX_STORED_SAMPLES).round().astype(int))
+    count = max(MAX_STORED_SAMPLES, math.ceil((n - 1) / (MAX_SAMPLE_GAP // stride)) + 1)
+    keep = np.unique(np.linspace(0, n - 1, count).round().astype(int))
     samples = {
         "times": traj.times[keep].tolist(),
         "g": traj.g_values[keep].tolist(),
@@ -578,7 +561,7 @@ def load_certificate(path: str) -> Certificate:
             space.position(t)
         except (ValueError, ConfigurationError):
             raise CertificateParseError(
-                f"tuning.{key}: not a type d,c of ({cfg.r},{cfg.p})") from None
+                f"tuning.{key}: not a type d,c of {cfg}") from None
         tuning[t] = _number(value, f"tuning.{key}")
     missing = [t for t in space.types if t not in tuning]
     if missing:
@@ -754,9 +737,8 @@ def euler_ode_compare(
     ref = integrate(tuning, ref_control, stop_at_remainder_below=DEFAULT_THRESHOLD)
     if ref.aborted and ref.abort_reason == "supercritical":
         raise ComparisonFailureError("reference trajectory went supercritical")
-    result = find_stop_time(ref, DEFAULT_THRESHOLD)
     # no crossing (e.g. zero weights) is not an error: compare over what ran
-    stop_time = result.time if result.found else float(ref.times[-1])
+    stop_time = find_stop_time(ref, DEFAULT_THRESHOLD).get("r", float(ref.times[-1]))
 
     euler = _integrate(tuning, epsilon, stop_time + 1e-12, 1, None, euler=True)
     if euler.abort_reason == "supercritical":

@@ -301,13 +301,13 @@ def cmd_certify(args) -> int:
         print(f"wrote {args.out}")
     if cert.certified:
         print(
-            f"certified ({cfg.r},{cfg.p}): R={cert.r:.6f}  "
+            f"certified {cfg}: R={cert.r:.6f}  "
             f"max g on [0,R]={cert.max_g_on_0_r:.6f}  "
             f"remainder at R={cert.remainder_growth_at_r:.6f}  "
             f"margins g={cert.margin_g:.3e} remainder={cert.margin_remainder:.3e}"
         )
         return EXIT_OK
-    print(f"certification failed ({cfg.r},{cfg.p}): "
+    print(f"certification failed {cfg}: "
           f"{cert.diagnostics.get('failure')}")
     for entry in cert.refinements:
         if entry.get("found"):
@@ -337,11 +337,11 @@ def cmd_integrate(args) -> int:
     if traj.aborted:
         print(f"integration aborted: {traj.abort_reason}")
     if args.threshold is not None:
-        result = find_stop_time(traj, args.threshold)
-        if result.found:
-            print(f"remainder crossed {args.threshold:g} at t={result.time:.6f}")
+        entry = find_stop_time(traj, args.threshold)
+        if entry["found"]:
+            print(f"remainder crossed {args.threshold:g} at t={entry['r']:.6f}")
         else:
-            print(f"no crossing: {result.reason}")
+            print(f"no crossing: {entry['reason']}")
     return EXIT_OK
 
 
@@ -354,8 +354,7 @@ def _run_certificate(args, tuning: TuningParams) -> Certificate | None:
     verify_certificate(cert)
     if cert.cfg != tuning.cfg:
         raise ConfigurationError(
-            f"certificate is for ({cert.cfg.r},{cert.cfg.p}), "
-            f"run is ({args.r},{args.p})"
+            f"certificate is for {cert.cfg}, run is {tuning.cfg}"
         )
     for t in sorted(set(cert.tuning) | set(tuning.weights)):
         if cert.tuning.get(t) != tuning.weights.get(t):
@@ -614,7 +613,7 @@ def cmd_verify(args) -> int:
             print(f"{args.cert}: consistent but status is {cert.status!r}")
             return EXIT_FAILURE
         print(
-            f"{args.cert}: verified ({cert.cfg.r},{cert.cfg.p}) "
+            f"{args.cert}: verified {cert.cfg} "
             f"R={cert.r:.6f} margins g={cert.margin_g:.3e} "
             f"remainder={cert.margin_remainder:.3e}"
         )

@@ -50,7 +50,7 @@ MAX_R = 32
 
 @dataclass(frozen=True)
 class PaletteConfig:
-    """Degree r of the regular graph and palette size p."""
+    """Degree r of the regular graph and palette size p, written `(r,p)`."""
 
     r: int
     p: int
@@ -66,6 +66,9 @@ class PaletteConfig:
             raise ConfigurationError(
                 f"palette size p must satisfy 2 <= p <= r, got p={self.p}, r={self.r}"
             )
+
+    def __str__(self) -> str:
+        return f"({self.r},{self.p})"
 
 
 class TypeSpace:
@@ -201,13 +204,14 @@ class TuningParams:
                 raise ConfigurationError(f"tuning weight missing for type {t}")
             w = float(self.weights[t])
             if not np.isfinite(w) or w < 0.0:
-                raise ConfigurationError(f"tuning weight for {t} must be >= 0, got {w}")
+                raise ConfigurationError(
+                    f"tuning weight for {t} must be finite and >= 0, got {w}")
             cleaned[t] = w
         object.__setattr__(self, "weights", cleaned)
         if self.epsilon is not None:
             eps = float(self.epsilon)
             if not np.isfinite(eps) or eps < 0.0:
-                raise ConfigurationError(f"epsilon must be >= 0, got {eps}")
+                raise ConfigurationError(f"epsilon must be finite and >= 0, got {eps}")
             wmax = max(cleaned.values())
             if eps * wmax > 1.0 + 1e-12:
                 raise ConfigurationError(

@@ -109,8 +109,7 @@ def trajectory_distance(stats: RunStats, cert: Certificate) -> float:
     seeds, average the per-seed distances."""
     if (stats.r, stats.p) != (cert.cfg.r, cert.cfg.p):
         raise ConfigurationError(
-            f"run is ({stats.r},{stats.p}) but certificate is "
-            f"({cert.cfg.r},{cert.cfg.p})"
+            f"run is ({stats.r},{stats.p}) but certificate is {cert.cfg}"
         )
     if not np.isfinite(stats.epsilon) or stats.epsilon <= 0.0:
         raise ConfigurationError(

@@ -156,9 +156,9 @@ def test_supercritical_tuning_reports_abort():
     traj = integrate(tuning, IntegrationControl(step=1e-3, max_time=30.0))
     assert traj.aborted
     assert traj.abort_reason == "supercritical"
-    result = find_stop_time(traj)
-    assert not result.found
-    assert "supercritical" in result.reason
+    entry = find_stop_time(traj)
+    assert not entry["found"]
+    assert "supercritical" in entry["reason"]
 
 
 def _synthetic_trajectory(remainder, g):
@@ -178,25 +178,24 @@ def _synthetic_trajectory(remainder, g):
 
 def test_find_stop_time_first_crossing():
     traj = _synthetic_trajectory([3.0, 2.0, 0.5], [0.0, 0.0, 0.0])
-    result = find_stop_time(traj, DEFAULT_THRESHOLD)
-    assert result.found
-    assert result.time == 2.0
-    assert result.index == 2
+    entry = find_stop_time(traj, DEFAULT_THRESHOLD)
+    assert entry["found"]
+    assert entry["r"] == 2.0
 
 
 def test_find_stop_time_growth_violation():
     traj = _synthetic_trajectory([3.0, 2.0, 0.5], [0.0, 0.99999, 0.0])
-    result = find_stop_time(traj, DEFAULT_THRESHOLD)
-    assert not result.found
-    assert result.violation_time == 1.0
-    assert "growth" in result.reason
+    entry = find_stop_time(traj, DEFAULT_THRESHOLD)
+    assert not entry["found"]
+    assert entry["violation_time"] == 1.0
+    assert "growth" in entry["reason"]
 
 
 def test_find_stop_time_no_crossing():
     traj = _synthetic_trajectory([3.0, 3.0, 3.0], [0.0, 0.0, 0.0])
-    result = find_stop_time(traj, DEFAULT_THRESHOLD)
-    assert not result.found
-    assert "no remainder crossing" in result.reason
+    entry = find_stop_time(traj, DEFAULT_THRESHOLD)
+    assert not entry["found"]
+    assert "no remainder crossing" in entry["reason"]
 
 
 def test_find_stop_time_threshold_validation():
@@ -205,7 +204,16 @@ def test_find_stop_time_threshold_validation():
         find_stop_time(traj, 0.0)
     with pytest.raises(ConfigurationError):
         find_stop_time(traj, 1.5)
-    assert find_stop_time(traj, 1.0).found
+    assert find_stop_time(traj, 1.0)["found"]
+
+
+# `certify` writes each refinement as its step, then `find_stop_time`'s entry
+# as it comes: the keys keep the order the certificate JSON has
+def test_find_stop_time_keys_follow_the_refinement_entries(cert43):
+    found = find_stop_time(_synthetic_trajectory([3.0, 0.5], [0.0, 0.0]))
+    assert [list(e) for e in cert43.refinements] == [["step", *found]] * 2
+    violated = find_stop_time(_synthetic_trajectory([3.0, 0.5], [1.0, 0.0]))
+    assert list(violated) == ["found", "reason", "violation_time"]
 
 
 def test_certify_low_threshold_fails_with_diagnostics():
@@ -402,20 +410,34 @@ SUPERCRITICAL43 = TuningParams(CFG43, {t: 2.0 ** (2 * t.d) for t in type_space(C
 ZERO43 = TuningParams(CFG43, {t: 0.0 for t in type_space(CFG43).types})
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("integrate ran")
+
+
 # ZERO43 never crosses, so the finest refinement runs to max_time, in 2,047 to
-# 4,095 intervals of 2 steps of 0.05 (the last off the grid at 204.75 and
-# 409.5): whatever the stored samples' largest gap, certify must refuse a cap
-# below it, so that every certificate it writes verifies
-@pytest.mark.parametrize("max_time", [204.7, 204.75, 409.4, 409.5])
-def test_certify_refuses_a_sample_gap_over_the_cap(monkeypatch, max_time):
+# 4,095 records 2 steps of 0.05 apart (the last off the grid at 204.75 and
+# 409.5).  Each cap is below the largest gap that 2,048 evenly spread samples
+# would leave (4, 4 and 6 steps), so certify stores more: every record at
+# 204.75 and 409.4, every second one at 409.5, and the certificate verifies.
+# A cap below the 2 steps between records refuses the run before it integrates
+@pytest.mark.parametrize("max_time, cap, stored", [
+    pytest.param(204.7, 1, None, id="204.7"),
+    pytest.param(204.75, 3, 2049, id="204.75"),
+    pytest.param(409.4, 3, 4095, id="409.4"),
+    pytest.param(409.5, 5, 2049, id="409.5"),
+])
+def test_certify_refuses_a_sample_gap_over_the_cap(monkeypatch, max_time, cap, stored):
     control = IntegrationControl(step=0.1, max_time=max_time, halvings=1)
+    monkeypatch.setattr(CERTIFY, "MAX_SAMPLE_GAP", cap)
+    if stored is None:
+        monkeypatch.setattr(CERTIFY, "integrate", _never_called)
+        with pytest.raises(ConfigurationError, match="^halvings 1 "):
+            certify(CFG43, ZERO43, control=control)
+        return
     cert = certify(CFG43, ZERO43, control=control)
-    gap = int(np.rint(np.diff(cert.samples["times"]) / 0.05).max())
-    monkeypatch.setattr(CERTIFY, "MAX_SAMPLE_GAP", gap)
+    assert len(cert.samples["times"]) == stored
+    assert np.rint(np.diff(cert.samples["times"]) / 0.05).max() <= cap
     verify_certificate(cert)
-    monkeypatch.setattr(CERTIFY, "MAX_SAMPLE_GAP", gap - 1)
-    with pytest.raises(ConfigurationError, match="^halvings 1 at max_time"):
-        certify(CFG43, ZERO43, control=control)
 
 
 # parareal and one slice compute the same fixed-step RK4; only their
@@ -441,7 +463,8 @@ def test_parareal_matches_one_slice(tuning, control, stop):
     assert (fast.parareal_iterations is None) == (tuning is SUPERCRITICAL43)
     threshold = DEFAULT_THRESHOLD if stop is None else stop
     a, b = find_stop_time(fast, threshold), find_stop_time(slow, threshold)
-    assert (a.found, a.time, a.reason) == (b.found, b.time, b.reason)
+    assert ([a["found"], a.get("r"), a.get("reason")]
+            == [b["found"], b.get("r"), b.get("reason")])
     _assert_same_rk4(fast, slow)
 
 

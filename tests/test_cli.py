@@ -44,6 +44,15 @@ def test_certify_writes_certificate_and_reports(cert_path, capsys):
     assert body["cfg"] == {"r": 4, "p": 3}
 
 
+# max_time only bounds the run: it stops at its crossing, R = 9.9 at step 0.1, and
+# its 100 records, one step apart, are all stored
+def test_certify_with_a_long_max_time_writes_a_certificate_that_verifies(tmp_path):
+    path = str(tmp_path / "long.json")
+    assert main(["certify", "--r", "4", "--p", "3", "--step", "0.1", "--halvings", "0",
+                 "--max-time", "1e8", "--out", path]) == 0
+    assert main(["verify", "--cert", path]) == 0
+
+
 def test_certify_low_threshold_fails_with_diagnostics(capsys):
     code = main(["certify", "--r", "4", "--p", "3", "--threshold", "0.01",
                  "--step", "0.01", "--halvings", "0"])
@@ -77,11 +86,16 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys):
     pytest.param(["certify", "--max-time", "inf"], "max_time", id="max-time-inf"),
     pytest.param(["certify", "--max-time", "1e300"], "max_time", id="max-time-1e300"),
     pytest.param(["certify", "--halvings", "100"], "halvings", id="halvings-100"),
-    # stored samples up to 488,520 steps apart, beyond what verify re-integrates
-    pytest.param(["certify", "--step", "0.1", "--halvings", "0", "--max-time", "1e8"],
-                 "max_time", id="max-time-beyond-the-sample-gap"),
+    # records 131,072 steps apart, beyond what verify re-integrates
+    pytest.param(["certify", "--step", "0.1", "--halvings", "17"], "halvings 17",
+                 id="halvings-beyond-the-sample-gap"),
     pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
-                  "--weight", "9,9=1"], "9,9", id="weight-outside-the-space"),
+                  "--weight", "9,9=1"], "9,9 outside type space for (4,3)",
+                 id="weight-outside-the-space"),
+    pytest.param(["simulate", "--epsilon", "inf", "--n", "40", "--steps", "2"],
+                 "epsilon must be finite", id="simulate-epsilon-inf"),
+    pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
+                  "--weight", "4,3=inf"], "4,3 must be finite", id="weight-inf"),
     pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
                   "--seed", "-1"], "--seed", id="simulate-seed"),
     pytest.param(["simulate", "--epsilon", "0.1", "--n", "40", "--steps", "2",
@@ -124,7 +138,9 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys):
 def test_malformed_run_flags_exit_2(capsys, argv, named):
     palette = [] if argv[0] == "verify" else ["--r", "4", "--p", "3"]
     assert main([*argv, *palette]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    assert "PaletteConfig(" not in err  # the palette is written (r,p)
 
 
 def test_largest_process_seed_runs(capsys):

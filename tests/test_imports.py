@@ -1,9 +1,10 @@
 """Import hygiene: every module-level import in a `treecolor` module is used,
-and every private name one defines is read somewhere in the package.
+every private name one defines is read somewhere in the package, and the
+package exports exactly what `__init__` imports.
 
 A name imported but never referenced is left over from code that moved or
-was deleted.  `__init__` is skipped, because it imports names to re-export
-them.
+was deleted.  `__init__` is skipped there, because it imports names to
+re-export them; its `__all__` is checked against those imports instead.
 """
 
 import ast
@@ -68,3 +69,14 @@ def test_private_definitions_are_referenced(path):
                          for p in PACKAGE.glob("*.py")))
     defined = _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(defined - used) == []
+
+
+def test_all_is_what_init_imports():
+    """A public name removed from a module cannot linger in `__all__`."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for name in _bound_names(node)}
+    assert sorted(treecolor.__all__) == sorted(imported | {"__version__"})
+    for name in treecolor.__all__:
+        assert hasattr(treecolor, name), name
+

@@ -485,8 +485,8 @@ def cmd_simulate(args) -> int:
             fh.write(write_fixture(graph))
     sys.stdout.write(text)
     if not run.proper.ok:
-        bad = (run.proper.violations + run.proper.red_red)[:10]
-        print(f"final coloring is NOT proper: {len(bad)}+ bad edges, e.g. {bad}")
+        bad = run.proper.violations + run.proper.red_red
+        print(f"final coloring is NOT proper: {len(bad)} bad edges, e.g. {bad[:10]}")
         return EXIT_FAILURE
     return EXIT_OK
 

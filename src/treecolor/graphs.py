@@ -45,27 +45,19 @@ class Graph:
         return np.diff(self.indptr)
 
 
-def _build_csr(n: int, eu: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    heads = np.concatenate([eu, ev])
-    tails = np.concatenate([ev, eu])
-    order = np.argsort(heads * n + tails)  # one key per directed edge: n <= MAX_N fits int64
-    indices = tails[order].astype(np.int64)
-    counts = np.bincount(heads, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, indices
-
-
 def _make_graph(n: int, r: int, eu: np.ndarray, ev: np.ndarray,
                 boundary: np.ndarray | None = None) -> Graph:
-    swap = eu > ev
-    eu2 = np.where(swap, ev, eu).astype(np.int64)
-    ev2 = np.where(swap, eu, ev).astype(np.int64)
-    order = np.argsort(eu2 * n + ev2)  # unique on a simple graph
-    eu2, ev2 = eu2[order], ev2[order]
-    indptr, indices = _build_csr(n, eu2, ev2)
+    """The graph of the simple pairs (eu, ev), in either orientation: CSR rows
+    sorted, and the edge list read off them as the entries u < v."""
+    heads = np.concatenate([eu, ev], dtype=np.int64)
+    tails = np.concatenate([ev, eu], dtype=np.int64)
+    order = np.argsort(heads * n + tails)  # one key per directed edge: n <= MAX_N fits int64
+    heads, indices = heads[order], tails[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+    upper = heads < indices
     return Graph(
-        n=n, r=r, indptr=indptr, indices=indices, edges_u=eu2, edges_v=ev2,
+        n=n, r=r, indptr=indptr, indices=indices, edges_u=heads[upper], edges_v=indices[upper],
         boundary=np.empty(0, dtype=np.int64) if boundary is None else boundary,
     )
 
@@ -162,26 +154,14 @@ def gen_tree_ball(r: int, radius: int) -> Graph:
         if size > MAX_N:
             raise ConfigurationError(
                 f"tree ball: radius={radius} gives more than {MAX_N} vertices")
-    eu: list[int] = []
-    ev: list[int] = []
-    level = [0]
-    next_vertex = 1
-    for depth in range(radius):
-        nxt: list[int] = []
-        for v in level:
-            children = r if depth == 0 else r - 1
-            for _ in range(children):
-                eu.append(v)
-                ev.append(next_vertex)
-                nxt.append(next_vertex)
-                next_vertex += 1
-        level = nxt
-    boundary = np.array(level, dtype=np.int64)
-    return _make_graph(
-        next_vertex, r,
-        np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64),
-        boundary=boundary,
-    )
+    # Breadth-first labels: the root's children are 1..r and every later
+    # internal vertex has r-1.  `level` is now the size of the level past the
+    # boundary, so the boundary is the last level // (r-1) labels.
+    internal = size - level // (r - 1)
+    parents = np.concatenate([np.zeros(r, dtype=np.int64),
+                              np.repeat(np.arange(1, internal, dtype=np.int64), r - 1)])
+    return _make_graph(size, r, parents, np.arange(1, size, dtype=np.int64),
+                       boundary=np.arange(internal, size, dtype=np.int64))
 
 
 def int_fields(source: str, line: str, tokens: list[str],

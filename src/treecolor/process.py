@@ -42,11 +42,6 @@ _PURPOSE_COLOR = 1
 MAX_SEED = 2 ** 64 - 1  # a process seed is one 64-bit word of each Philox key
 
 
-def extra_color(cfg: PaletteConfig) -> int:
-    """The repair color sitting just past the palette."""
-    return cfg.p
-
-
 # ---------------------------------------------------------------------------
 # Randomness adapters
 # ---------------------------------------------------------------------------
@@ -368,10 +363,9 @@ class _RoundEngine:
         # (vertex, pre-type code) per palette commit of `run_rounds`, in order:
         # a root's code at activation, (d + 1, 2) for a vertex forced at (d, 1)
         self.log: list[tuple[int, int]] = []
-        # per vertex: last toucher, last commit that took a color, first provenance
+        # per vertex: last toucher, last commit that took a color
         self._toucher: dict[int, int] = {}
         self._reducer: dict[int, int] = {}
-        self._prov_seen: dict[int, int | None] = {}
         self._collided: set[int] = set()
 
     # -- commits ---------------------------------------------------------------
@@ -387,7 +381,7 @@ class _RoundEngine:
         st = self.state
         color, seen, codes, ptr, adj = st.views
         dirty, counts = self.dirty, st.type_counts
-        toucher, reducer, prov_seen = self._toucher, self._reducer, self._prov_seen
+        toucher, reducer, lineage = self._toucher, self._reducer, self.cascade_of
         color[v] = c
         self.committed.append(v)
         if c == RED:
@@ -397,19 +391,20 @@ class _RoundEngine:
         codes[v] = st.colored_code
         bit = 0 if c == RED else 1 << c
         base = st.cfg.p + 1
-        # A touch's provenance is v's lineage in scoped mode and v otherwise;
-        # a neighbor collides once two (or one without a lineage) touch it.
-        prov = self.cascade_of.get(v) if self.scoped else v
+        # A touch's provenance is v's lineage in scoped mode and v otherwise; u collides
+        # when it is None or not u's last toucher's (a committed lineage never changes).
+        scoped = self.scoped
+        prov = lineage.get(v) if scoped else v
         for u in adj[ptr[v]:ptr[v + 1]].tolist():
             if color[u] != UNCOLORED:
                 continue
             dirty.append(u)
             if touch:
-                toucher[u] = v
-                if u not in prov_seen:
-                    prov_seen[u] = prov
-                elif prov is None or prov_seen[u] != prov:
+                last = toucher.get(u)
+                if last is not None and (
+                        prov is None or prov != (lineage.get(last) if scoped else last)):
                     self._collided.add(u)
+                toucher[u] = v
             old = codes[u]
             code = old - base  # one uncolored neighbor less
             mask = seen[u]
@@ -521,7 +516,6 @@ class _RoundEngine:
                     progressed = True
             if progressed:
                 report.rounds += 1
-            pending = []
             first_round = False
 
 
@@ -782,7 +776,7 @@ def tidy_to_proper(state: ColoringState) -> TidyReport:
     The result is a total coloring in palette + extra."""
     if (state.color == UNCOLORED).any():
         raise ConfigurationError("tidy-up requires a fully colored state")
-    extra = extra_color(state.cfg)
+    extra = state.cfg.p
     reds = np.nonzero(state.color == RED)[0].tolist()
     report = TidyReport(red_before=len(reds))
     if not reds:
@@ -793,7 +787,6 @@ def tidy_to_proper(state: ColoringState) -> TidyReport:
     for v in reds:
         region.update(adj[ptr[v]:ptr[v + 1]].tolist())
     report.erased = len(region)
-    was_red = {v: color[v] == RED for v in region}
     prev = {v: color[v] for v in region}
     for v in region:
         color[v] = UNCOLORED
@@ -801,7 +794,7 @@ def tidy_to_proper(state: ColoringState) -> TidyReport:
     palette = tuple(range(state.cfg.p))
     lists: dict[int, tuple[int, ...]] = {}
     for v in region:
-        if was_red[v]:
+        if prev[v] == RED:
             seen = {color[u] for u in adj[ptr[v]:ptr[v + 1]].tolist()} - {UNCOLORED}
             lists[v] = tuple(c for c in palette if c not in seen) + (extra,)
         else:
@@ -817,7 +810,7 @@ def tidy_to_proper(state: ColoringState) -> TidyReport:
             # painting the reds extra can only clash where red met red
             report.failures += 1
             for v in comp:
-                color[v] = extra if was_red[v] else prev[v]
+                color[v] = extra if prev[v] == RED else prev[v]
     return report
 
 
@@ -826,15 +819,12 @@ def verify_proper(g: Graph, colors: np.ndarray) -> ProperReport:
     ordinary colors; a red-red edge is reported separately (legal mid-run, a
     violation in final output)."""
     cu = colors[g.edges_u]
-    cv = colors[g.edges_v]
-    equal = (cu == cv) & (cu != UNCOLORED)
-    red_pair = equal & (cu == RED)
-    clash = equal & (cu != RED)
-    violations = [(int(g.edges_u[i]), int(g.edges_v[i]))
-                  for i in np.nonzero(clash)[0]]
-    red_red = [(int(g.edges_u[i]), int(g.edges_v[i]))
-               for i in np.nonzero(red_pair)[0]]
-    return ProperReport(violations=violations, red_red=red_red)
+    equal = (cu == colors[g.edges_v]) & (cu != UNCOLORED)
+
+    def pairs(mask: np.ndarray) -> list[tuple[int, int]]:
+        return list(zip(g.edges_u[mask].tolist(), g.edges_v[mask].tolist()))
+
+    return ProperReport(violations=pairs(equal & (cu != RED)), red_red=pairs(equal & (cu == RED)))
 
 
 # ---------------------------------------------------------------------------

@@ -716,6 +716,17 @@ def test_sweep_names_every_improper_cell(tmp_path, capsys, monkeypatch):
     assert "epsilon=0.08 seed=2" in flagged[0] and "(0, 1)" in flagged[0]
 
 
+def test_simulate_counts_every_bad_edge(tmp_path, capsys, monkeypatch):
+    bad = [(v, v + 1) for v in range(12)]
+    monkeypatch.setattr(cli, "verify_proper",
+                        lambda graph, colors: cli.ProperReport(violations=bad, red_red=[]))
+    assert main(simulate_args(tmp_path)) == 1
+    flagged = [ln for ln in capsys.readouterr().out.splitlines() if "NOT proper" in ln]
+    assert len(flagged) == 1
+    assert "12 bad edges" in flagged[0]
+    assert flagged[0].endswith(f"e.g. {bad[:10]}")
+
+
 def test_sweep_cell_matches_simulate(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--r", "4", "--p", "3", "--epsilons", "0.05",

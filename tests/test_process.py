@@ -37,7 +37,6 @@ from treecolor.process import (
     ProcessRandomness,
     buffer_rounds,
     complete_remainder,
-    extra_color,
     greedy_step,
     read_coloring,
     run_phase1,
@@ -113,6 +112,22 @@ def test_tree_ball_shape():
     assert np.all(degs[g.boundary] == 1)
     interior = np.setdiff1d(np.arange(g.n), g.boundary)
     assert np.all(degs[interior] == 4)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 6, 9])
+@pytest.mark.parametrize("radius", [1, 2, 3, 5])
+def test_tree_ball_labels_in_closed_form(r, radius):
+    """Breadth-first labels: vertex v > 0 hangs below 0 if v <= r, else
+    below (v - r - 1) // (r - 1) + 1, and the boundary is the last
+    r (r-1)^(radius-1) labels."""
+    g = gen_tree_ball(r, radius)
+    child = np.arange(1, g.n)
+    parent = np.where(child <= r, 0, (child - r - 1) // (r - 1) + 1)
+    assert np.array_equal(g.indices[g.indptr[1:-1]], parent)  # each row's smallest
+    assert np.array_equal(g.edges_u, parent) and np.array_equal(g.edges_v, child)
+    leaves = r * (r - 1) ** (radius - 1)
+    assert np.array_equal(g.boundary, np.arange(g.n - leaves, g.n))
+    assert np.all(g.degrees()[g.boundary] == 1)
 
 
 def test_fixture_parse_and_write():
@@ -624,7 +639,7 @@ def test_coloring_dump_roundtrip(tmp_path):
     n, r, p, colors = read_coloring(str(path))
     assert (n, r, p) == (120, 4, 3)
     assert np.array_equal(colors, st.color)
-    assert colors.max() <= extra_color(CFG43)
+    assert colors.max() <= CFG43.p
 
 
 def test_dumps_longer_than_one_chunk_roundtrip(tmp_path):

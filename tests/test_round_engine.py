@@ -14,9 +14,11 @@ check that the per-step invariant check, which looks only around a step's
 commits, raises in the step where a planted fault first breaks an
 invariant, and that the full check recounts the seen masks; that a color
 draw reads slot v of its step's Philox stream; that the activation sampler
-activates each vertex with its type's rate, keyed by (seed, step); and that
+activates each vertex with its type's rate, keyed by (seed, step); that
 buffer rounds, searching only from new reds, find what a search from every
-red finds.
+red finds; and that the collision rule, on a star whose leaves commit red,
+collides exactly when a touch's provenance is missing or differs from an
+earlier touch's, and never for bulk commits.
 """
 
 import hashlib
@@ -498,6 +500,62 @@ def test_frontier_search_finds_what_a_full_scan_finds(monkeypatch):
             greedy_step(st, tuning)
             buffer_rounds(st)
     assert found_targets > 100
+
+
+# ---------------------------------------------------------------------------
+# The collision rule
+# ---------------------------------------------------------------------------
+
+STAR = "5 4\n0 1\n0 2\n0 3\n0 4\n"  # center 0, leaves 1-4
+A, B = 10, 11  # two lineages
+
+
+def star_engine(scoped: bool, lineages: list[int | None]) -> process._RoundEngine:
+    """An engine on a fresh star whose leaf i + 1 has lineage `lineages[i]`
+    (None: no entry).  Leaves commit RED, so the center's list never shrinks
+    and only the collision rule can act on it."""
+    st = ColoringState(parse_fixture(STAR)[0], CFG43)
+    engine = process._RoundEngine(st, process.StepReport(), scoped=scoped)
+    for leaf, lineage in enumerate(lineages, start=1):
+        if lineage is not None:
+            engine.cascade_of[leaf] = lineage
+    return engine
+
+
+@pytest.mark.parametrize("scoped, lineages, collides", [
+    (True, [A], False),
+    (True, [A, A], False),
+    (True, [A, A, A], False),
+    (True, [A, B], True),
+    (True, [A, A, B], True),
+    (True, [A, B, A], True),
+    (True, [None, A], True),
+    (True, [A, None], True),
+    (False, [A], False),
+    (False, [A, A], True),
+    (False, [A, B, A], True),
+    (False, [None, None], True),
+])
+def test_a_second_lineage_makes_a_collision(scoped, lineages, collides):
+    """Scoped, the center collides when a touch has no lineage or another
+    lineage than an earlier touch; unscoped, at any second touch."""
+    engine = star_engine(scoped, lineages)
+    for leaf in range(1, len(lineages) + 1):
+        engine.commit(leaf, RED)
+    assert (0 in engine._collided) is collides
+    assert engine._toucher[0] == len(lineages)  # the last toucher
+    assert engine.state.available_colors(0) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("scoped", [True, False])
+def test_bulk_commits_never_collide(scoped):
+    engine = star_engine(scoped, [A, B, None, A])
+    engine.commit(1, RED, touch=False)
+    engine.commit(2, RED)
+    engine.commit(3, RED, touch=False)
+    engine.commit(4, RED, touch=False)
+    assert 0 not in engine._collided
+    assert engine._toucher == {0: 2}
 
 
 def test_buffer_rounds_search_from_the_reds_of_a_failed_component():

@@ -8,6 +8,7 @@ that time, the margins, and enough trajectory samples to recheck everything.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -110,8 +111,9 @@ def integrate(
     not raised), until the positive-degree mass is exhausted, or, when
     stop_at_remainder_below is given, until the first sample whose remainder
     growth is below that value, a threshold in (0, 1].  Only `certify`
-    passes `_guess`: the `slice_starts` of its previous refinement, which
-    parareal starts from.
+    passes `_guess`, which parareal starts from: the `slice_starts` of its
+    previous refinement, or their Richardson extrapolation from the two
+    before.
     """
     _check_threshold(stop_at_remainder_below)
     return _integrate(tuning, control.step, control.max_time,
@@ -382,16 +384,19 @@ def certify(
         raise ConfigurationError(
             f"halvings {control.halvings} at sample_stride {control.sample_stride} records "
             f"samples {stride} steps apart, more than verify takes ({MAX_SAMPLE_GAP})")
-    refinements, starts = [], None
+    refinements, older, starts = [], None, None
     for k in range(control.halvings + 1):
         # keep samples on the base grid so stopping times are comparable
         refined = replace(control, step=control.step / (2 ** k),
                           sample_stride=control.sample_stride * (2 ** k))
         start = time.perf_counter()
         # the slices are `_SLICE` long at every step: refinement k's slice
-        # starts are a close guess for refinement k + 1
-        traj = integrate(tuning, refined, stop_at_remainder_below=threshold, _guess=starts)
-        how, starts = traj.parareal_iterations, traj.slice_starts
+        # starts are a close guess for refinement k + 1.  Their RK4 error
+        # shrinks 16-fold per halving, so from two refinements in a row
+        # s1 + (s1 - s0) / 16 cancels its leading term (Richardson)
+        guess = starts if older is None or starts is None else starts + (starts - older) / 16
+        traj = integrate(tuning, refined, stop_at_remainder_below=threshold, _guess=guess)
+        how, older, starts = traj.parareal_iterations, starts, traj.slice_starts
         print(f"certify: step {refined.step:g}: {round(traj.times[-1] / refined.step)} "
               f"fine steps in {time.perf_counter() - start:.3f} s, "
               + ("one slice" if how is None else f"parareal {how} iterations"),
@@ -454,6 +459,8 @@ def _dump_json(value: Any) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {float}:  # a sample array: one template
+            return "[" + ("%.16e," * len(value) % tuple(value))[:-1] + "]"
         return "[" + ",".join(_dump_json(v) for v in value) + "]"
     if isinstance(value, dict):
         return "{" + ",".join(
@@ -487,6 +494,15 @@ def _number(value: Any, name: str) -> float:
     if not finite:
         raise CertificateParseError(f"{name}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _finite(values: list) -> bool:
+    """Whether every entry of `values` is a finite JSON number, in one pass."""
+    try:
+        return (set(map(type, values)) <= {int, float}
+                and bool(np.isfinite(np.array(values, dtype=np.float64)).all()))
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _field_value(f: Field, value: Any) -> Any:
@@ -574,14 +590,19 @@ def load_certificate(path: str) -> Certificate:
     n = len(samples["times"])
     if any(len(samples[k]) != n for k in ("g", "remainder", "states")):
         raise CertificateParseError("samples: arrays have mismatched lengths")
+    # each array is checked at once; only a bad one is walked, to name its entry
     for name in ("times", "g", "remainder"):
-        for i, value in enumerate(samples[name]):
-            _number(value, f"samples.{name}[{i}]")
-    for i, row in enumerate(samples["states"]):
-        if not isinstance(row, list) or len(row) != space.size:
-            raise CertificateParseError(f"samples.states[{i}]: wrong length")
-        for j, value in enumerate(row):
-            _number(value, f"samples.states[{i}][{j}]")
+        if not _finite(samples[name]):
+            for i, value in enumerate(samples[name]):
+                _number(value, f"samples.{name}[{i}]")
+    rows = samples["states"]
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {space.size}
+            and _finite(list(itertools.chain.from_iterable(rows)))):
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != space.size:
+                raise CertificateParseError(f"samples.states[{i}]: wrong length")
+            for j, value in enumerate(row):
+                _number(value, f"samples.states[{i}][{j}]")
     # what `_verdict` reads, one entry per refinement
     entries = values["refinements"]
     if len(entries) != control.halvings + 1:

@@ -364,6 +364,49 @@ def test_certificate_bad_type_key_named(cert43, tmp_path):
         load_certificate(str(path))
 
 
+# sample arrays of Python floats go through one "%.16e," template: the same
+# bytes as formatting each float alone, down to signed zero, the smallest
+# subnormal and the largest float; any other list takes the per-value path
+def test_float_list_template_matches_per_value_format():
+    values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0]
+    assert CERTIFY._dump_json(values) == "[" + ",".join(format(v, ".16e") for v in values) + "]"
+    assert CERTIFY._dump_json([1, True, 0.5, None]) == "[1,true,5.0000000000000000e-01,null]"
+    assert CERTIFY._dump_json([]) == "[]"
+
+
+# the loader checks each sample array at once; a bad one is walked only to
+# name its first bad entry, with the message each entry check gives
+@pytest.mark.parametrize("bad", ["x", True, None, math.nan, 10 ** 400],
+                         ids=["str", "true", "null", "nan", "huge-int"])
+@pytest.mark.parametrize("name, index", [
+    ("times", (3,)), ("g", (0,)), ("remainder", (7,)), ("states", (2, 5)),
+])
+def test_one_bad_sample_entry_is_named(cert43, tmp_path, bad, name, index):
+    raw = json.loads(certificate_to_json(cert43))
+    *rows, last = index
+    target = raw["samples"][name]
+    for i in rows:
+        target = target[i]
+    target[last] = bad
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(CertificateParseError) as exc:
+        load_certificate(str(path))
+    where = "".join(f"[{i}]" for i in index)
+    assert str(exc.value) == f"samples.{name}{where}: expected a finite number, got {bad!r}"
+
+
+@pytest.mark.parametrize("row", [[0.5], 0.5, "x"], ids=["short", "number", "str"])
+def test_bad_state_row_is_named(cert43, tmp_path, row):
+    raw = json.loads(certificate_to_json(cert43))
+    raw["samples"]["states"][4] = row
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(CertificateParseError) as exc:
+        load_certificate(str(path))
+    assert str(exc.value) == "samples.states[4]: wrong length"
+
+
 def test_euler_ode_compare_first_order_ratio():
     d_coarse = euler_ode_compare(TUNING43, 0.02)
     d_fine = euler_ode_compare(TUNING43, 0.01)
@@ -501,6 +544,33 @@ def test_warm_started_refinements_match_one_slice():
     assert calls[1][2] is calls[0][3].slice_starts
     for control, stop, _, traj in calls:
         _assert_same_rk4(traj, _one_slice(lambda: integrate(TUNING43, control, stop)))
+
+
+# from the third refinement on, the guess is the Richardson extrapolation
+# s1 + (s1 - s0) / 16 of the two refinements before it, since RK4's
+# slice-start error shrinks 16-fold per halving; every refinement still ends
+# on the one-slice flow.  (From base step 2e-3, the h = 5e-4 refinement's
+# remainder is 1.7e-14 off one slice from either start: rounding, over twice
+# the steps)
+def test_third_refinement_starts_from_the_extrapolated_guess():
+    _, calls = _recorded(lambda: certify(CFG43, TUNING43,
+                                         control=IntegrationControl(step=4e-3, halvings=2)))
+    s0, s1 = (traj.slice_starts for *_, traj in calls[:2])
+    guesses = [guess for _, _, guess, _ in calls]
+    assert guesses[0] is None and guesses[1] is s0
+    assert np.array_equal(guesses[2], s1 + (s1 - s0) / 16)
+    for control, stop, _, traj in calls:
+        _assert_same_rk4(traj, _one_slice(lambda: integrate(TUNING43, control, stop)))
+
+
+# under the default control the extrapolated guess is within 1e-14 of the
+# finest refinement's slice starts, so it settles after one correction
+# (from the plain s1 it takes two)
+def test_default_43_finest_refinement_takes_one_correction():
+    _, calls = _recorded(lambda: certify(CFG43, TUNING43))
+    assert tuple(traj.parareal_iterations for *_, traj in calls) == (4, 2, 1)
+    control, stop, _, finest = calls[-1]
+    _assert_same_rk4(finest, _one_slice(lambda: integrate(TUNING43, control, stop)))
 
 
 # a guess off by 1e-6 still ends on the same flow: after k corrections the

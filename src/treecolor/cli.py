@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -534,6 +533,9 @@ def cmd_sweep(args) -> int:
     if jobs == 1:
         results = [_sweep_cell(c) for c in cells]
     else:
+        # imported here, so no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_cell, cells))
 

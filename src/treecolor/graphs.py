@@ -49,10 +49,9 @@ def _make_graph(n: int, r: int, eu: np.ndarray, ev: np.ndarray,
                 boundary: np.ndarray | None = None) -> Graph:
     """The graph of the simple pairs (eu, ev), in either orientation: CSR rows
     sorted, and the edge list read off them as the entries u < v."""
-    heads = np.concatenate([eu, ev], dtype=np.int64)
-    tails = np.concatenate([ev, eu], dtype=np.int64)
-    order = np.argsort(heads * n + tails)  # one key per directed edge: n <= MAX_N fits int64
-    heads, indices = heads[order], tails[order]
+    # one key per directed edge, head * n + tail: n <= MAX_N fits int64
+    keys = np.sort(np.concatenate([eu * n + ev, ev * n + eu], dtype=np.int64))
+    heads, indices = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
     upper = heads < indices
@@ -89,17 +88,29 @@ def gen_regular_graph(n: int, r: int, seed: int) -> Graph:
     ev = points[1::2].copy()
 
     def key(a: int, b: int) -> int:
-        # one int per edge: a set of ints is far smaller than one of tuples
+        # the edge's entry in `keys`: lower endpoint times n plus the higher
         return a * n + b if a < b else b * n + a
 
     m = len(eu)
-    # a pairing is bad if it is a self-loop or repeats an earlier pairing
+    # A pairing is bad if it is a self-loop or repeats an earlier pairing.
+    # Repeats are rare: only the pairings at a repeated key need a look.
     keys = np.minimum(eu, ev) * n + np.maximum(eu, ev)
-    is_bad = np.ones(m, dtype=bool)
-    is_bad[np.unique(keys, return_index=True)[1]] = False
+    ordered = np.sort(keys)
+    is_bad = np.isin(keys, ordered[1:][ordered[1:] == ordered[:-1]])
+    at = np.flatnonzero(is_bad)
+    is_bad[at[np.unique(keys[at], return_index=True)[1]]] = False  # each key's first stays
     is_bad |= eu == ev
-    edge_set: set[int] = set(keys[~is_bad].tolist())
     bad: list[int] = np.flatnonzero(is_bad).tolist()
+    # The edges are the sorted keys, less `removed`, plus `added`.  No
+    # self-loop key is ever asked for, and a repeated key has a good pairing.
+    added: set[int] = set()
+    removed: set[int] = set()
+
+    def present(k: int) -> bool:
+        if k in added:
+            return True
+        i = int(np.searchsorted(ordered, k))
+        return i < m and ordered[i] == k and k not in removed
 
     sweeps = 0
     while bad:
@@ -119,19 +130,21 @@ def gen_regular_graph(n: int, r: int, seed: int) -> Graph:
                 a, b = int(eu[i]), int(ev[i])
                 x, y = int(eu[j]), int(ev[j])
                 na, nb = key(a, x), key(b, y)
-                if a == x or b == y or na in edge_set or nb in edge_set or na == nb:
+                if a == x or b == y or present(na) or present(nb) or na == nb:
                     continue
-                edge_set.discard(key(x, y))
+                gone = key(x, y)
+                added.discard(gone)
+                removed.add(gone)
                 eu[i], ev[i] = a, x
                 eu[j], ev[j] = b, y
-                edge_set.add(na)
-                edge_set.add(nb)
+                added.add(na)
+                added.add(nb)
                 fixed = True
                 break
             if not fixed:
                 still_bad.append(i)
         bad = still_bad
-    del points, keys, is_bad, edge_set  # let the CSR build below reuse their memory
+    del points, keys, ordered, is_bad  # let the CSR build below reuse their memory
 
     graph = _make_graph(n, r, eu, ev)
     degs = graph.degrees()

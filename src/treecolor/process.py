@@ -24,7 +24,6 @@ step counter fix every future draw and runs are bit-reproducible.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -416,25 +415,21 @@ class _RoundEngine:
             counts[old] -= 1
             counts[code] += 1
 
-    # -- lineage ---------------------------------------------------------------
-
-    def _inherit(self, v: int, parent: int) -> None:
-        if parent in self.cascade_of:
-            self.cascade_of[v] = self.cascade_of[parent]
-
     # -- rounds ----------------------------------------------------------------
 
-    def _screen_rule4(self, pending: list[tuple[int, int]]):
+    def _screen_rule4(self, pending: list[tuple[int, int]], queued: set[int]):
         """Remove adjacent pending pairs; both become red.  In scoped mode an
         adjacent pair of one lineage is a cascade folded onto itself by a
         cycle, not a collision: the lower vertex commits and the other is
-        re-queued to react to it."""
-        queued = {v for v, _ in pending}
+        re-queued to react to it.  `queued` is the set of pending vertices."""
         doomed: set[int] = set()
         deferred: set[int] = set()
         ptr, adj = self.state.views[3:]
         for v, _ in pending:
-            for u in adj[ptr[v]:ptr[v + 1]].tolist():
+            nbrs = adj[ptr[v]:ptr[v + 1]].tolist()
+            if queued.isdisjoint(nbrs):
+                continue
+            for u in nbrs:
                 if u not in queued:
                     continue
                 if (self.scoped
@@ -444,6 +439,8 @@ class _RoundEngine:
                 else:
                     doomed.add(v)
                     doomed.add(u)
+        if not doomed and not deferred:
+            return pending, []
         deferred -= doomed
         self.dirty += [v for v, _ in pending if v in deferred]
         survivors = [(v, c) for v, c in pending if v not in doomed and v not in deferred]
@@ -453,54 +450,53 @@ class _RoundEngine:
         """Round 0 commits the initial pending set (after rule-4 screening);
         later rounds alternate rule 3, rule 2, rule 4 until nothing moves."""
         st = self.state
-        color, _, codes, ptr, adj = st.views
-        report = self.report
+        color, _, codes, _, _ = st.views
+        report, lineage = self.report, self.cascade_of
         base = st.cfg.p + 1
         pending = initial_pending
+        queued = {v for v, _ in pending}
         first_round = bool(initial_pending)
         while True:
             progressed = False
             if not first_round:
-                # rule 3, transitively: reds count as step-colored
-                queue = deque(self.dirty)
-                self.dirty = []
-                scheduled_src: list[int] = []
-                while queue:
-                    v = queue.popleft()
+                # Rule 3, transitively: reds count as step-colored.  A red
+                # commit appends its uncolored neighbors to the list walked
+                # here and takes no color off a list, so a vertex walked with
+                # one color left keeps it unless it turns red later in the
+                # walk: rule 2's candidates are collected on the way.
+                candidates: list[int] = []
+                queued = set()
+                for v in self.dirty:
                     if color[v] != UNCOLORED:
                         continue
+                    left = codes[v] % base
                     # Starvation only arises from bulk commits (two vertices
                     # of one solver-colored component eating v's last two
                     # colors through a short cycle); treat it like a collision.
-                    starved = codes[v] % base == 0
-                    if starved or v in self._collided:
-                        cause = (self._reducer[v] if starved
-                                 else self._toucher[v])
-                        self._inherit(v, cause)
+                    if left == 0 or v in self._collided:
+                        cause = self._reducer[v] if left == 0 else self._toucher[v]
+                        if cause in lineage:
+                            lineage[v] = lineage[cause]
                         self.commit(v, RED)
+                        queued.discard(v)
                         report.rule3 += 1
                         progressed = True
-                        for u in adj[ptr[v]:ptr[v + 1]].tolist():
-                            if color[u] == UNCOLORED:
-                                queue.append(u)
-                    else:
-                        scheduled_src.append(v)
+                    elif left == 1 and v not in queued:
+                        queued.add(v)
+                        candidates.append(v)
+                self.dirty = []
                 # rule 2: exactly one available color -> forced
                 pending = []
-                queued: set[int] = set()
-                for v in scheduled_src + self.dirty:
-                    if (color[v] != UNCOLORED or codes[v] % base != 1
-                            or v in queued):
-                        continue
-                    queued.add(v)
-                    forced = st.available_colors(v)[0]
-                    self._inherit(v, self._reducer[v])
-                    pending.append((v, forced))
-                self.dirty = []
+                for v in candidates:
+                    if v in queued:
+                        cause = self._reducer[v]
+                        if cause in lineage:
+                            lineage[v] = lineage[cause]
+                        pending.append((v, st.available_colors(v)[0]))
             if not pending and not progressed:
                 break
             if pending:
-                survivors, doomed = self._screen_rule4(pending)
+                survivors, doomed = self._screen_rule4(pending, queued)
                 shift = 0 if first_round else base + 1  # read before rule-4 reds retype
                 self.log += [(v, codes[v] + shift) for v, _ in survivors]
                 for v in doomed:

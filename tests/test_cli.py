@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, artifacts, determinism, config files."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -758,7 +759,7 @@ def test_sweep_workers_are_clamped_to_the_cores(tmp_path, monkeypatch, capsys):
             "--n", "40", "--steps", "2"]
     assert main([*argv, "--jobs", "1", "--out", str(tmp_path / "one.csv")]) == 0
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main([*argv, "--jobs", "3", "--out", str(tmp_path / "three.csv")]) == 0
     assert (tmp_path / "three.csv").read_text() == (tmp_path / "one.csv").read_text()
 

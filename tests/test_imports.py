@@ -9,6 +9,8 @@ re-export them; its `__all__` is checked against those imports instead.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +34,14 @@ def test_module_level_imports_are_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported if name not in used] == []
 
+
+def test_cli_import_loads_no_process_pool():
+    """Only `sweep` runs a worker pool, so only it imports one."""
+    probe = ("import sys, treecolor.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 def _is_private(name: str) -> bool:

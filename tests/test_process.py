@@ -80,6 +80,12 @@ CSR_DIGESTS = {
     (20000, 6, 7): "c72625d8450c7294766d3ef408bc8f501a6e2c80b25cff5a7b914860169be84a",
     (600, 4, 11): "8a4740e4da27fce3880fd5b19605d1bc05d3b7844b4e4af31c9bb10203ebfcea",
     (400, 6, 11): "466ac330723725ed9c5bf6ba84fc8803e486b6267ae50aa60e2471054c45d479",
+    (64, 31, 0): "493445bcbed0bae9941d05a72c710c2505980471ca4b1f7f03f3d22cc62ddcb3",
+    (64, 31, 1): "fbe5554bb3c7af1bcb315bd1d9a7797d9b82a067437e3cd9734d0a7ce71684ef",
+    (64, 31, 2): "bcb216978ef665c48044b1b2252468b715cdb6a758608247bb93ccb13a21f268",
+    (50, 7, 0): "dcb74b4934ef595fae2f8e4eed3648c7c52927cf3b439491b2b49673b9a23267",
+    (50, 7, 1): "66971d85ffbabe806bc9e08ffc80cf42a64bb016815b2ccc0caa7c309486416c",
+    (50, 7, 2): "ccc3d02f69ccbedf8d159f67f2cc2c49244fb49e4692ca6aec0c6f499ebdc3ad",
 }
 
 
@@ -88,12 +94,27 @@ CSR_DIGESTS = {
     (20000, 6, 7, "66376daa5c7403f682336f3f0046ea18fb881da048debfa3101f94e754e2ce27"),
     (600, 4, 11, "396c767319a075b48585bed7f12e1da4f85b3f0d2e89b5c89e906a1801171dea"),
     (400, 6, 11, "1328e75c2a4fcad1e6c36874e06465a47c838759aeed4bdd1af43e676177b5c5"),
+    # the repair path: about 212 bad pairings at (64, 31), about 11 at (50, 7)
+    (64, 31, 0, "f12c9e82dd7dd55cfc0d4b9e53c743c2141af70563e5118720080425948c6a3c"),
+    (64, 31, 1, "cc173601175e39cffa9b5ee9f0435d1aef746b644188c46ef2151f5e8ad77f96"),
+    (64, 31, 2, "00d6398da99ce80e24fa60d19501ff589970297bcc03eb9ef39ba55c9e218d91"),
+    (50, 7, 0, "1886775c9d7a70ae84a1bb5e3ea686e9c59a3688d00c5d0bc07e340b27b08ade"),
+    (50, 7, 1, "244cbc70f8860fbee8c6bd9ac476b966ed6256d95dd9948d7d9fd3d66c6fe2a4"),
+    (50, 7, 2, "e3a0a0f48d00159ad4ef205286d988d3caee0fb1a8f18508fef2b6730770ca00"),
 ])
 def test_gen_regular_edges_pinned(n, r, seed, digest):
     g = gen_regular_graph(n, r, seed)
     assert hashlib.sha256(g.edges_u.tobytes() + g.edges_v.tobytes()).hexdigest() == digest
     csr = hashlib.sha256(g.indptr.tobytes() + g.indices.tobytes()).hexdigest()
     assert csr == CSR_DIGESTS[n, r, seed]
+
+
+def test_gen_regular_gives_up_on_an_unrepairable_pairing():
+    # the only simple 11-regular graph on 12 vertices is K12: a swap needs two
+    # missing edges, and the repair's random swaps do not find K12 within
+    # MAX_REPAIR_SWEEPS sweeps
+    with pytest.raises(GenerationError, match="could not repair"):
+        gen_regular_graph(12, 11, seed=0)
 
 
 def test_gen_regular_rejects_bad_configs():

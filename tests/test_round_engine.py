@@ -18,7 +18,9 @@ activates each vertex with its type's rate, keyed by (seed, step); that
 buffer rounds, searching only from new reds, find what a search from every
 red finds; and that the collision rule, on a star whose leaves commit red,
 collides exactly when a touch's provenance is missing or differs from an
-earlier touch's, and never for bulk commits.
+earlier touch's, and never for bulk commits.  Two hand-traced fixtures pin
+the scoped rule-4 deferral of a forced pair of one lineage and the red
+that a bulk commit's starvation makes.
 """
 
 import hashlib
@@ -575,3 +577,46 @@ def test_buffer_rounds_search_from_the_reds_of_a_failed_component():
     assert rep.failures == 1 and rep.rounds == 2
     assert (st.color[[0, 1, 2]] == RED).all() and st.color[9] >= 0
     assert ball3_uncolored_reference(st)[0] == []
+
+
+# Triangle 0-1-2 with presets 3 (color 1, next to 1) and 4 (color 2, next to
+# 2): once 0 takes color 0, vertex 1 keeps only color 2 and vertex 2 only 1.
+TRIANGLE = "5 4\n0 1\n0 2\n1 2\n1 3\n2 4\ncolor 3 1\ncolor 4 2\n"
+
+
+def test_scoped_forced_pair_of_one_lineage_commits_in_turn():
+    """0's commit forces 1 and 2 at once.  They are adjacent and both inherit
+    0's lineage, so scoped screening commits the lower, 1, and re-queues 2,
+    which is forced again in the next round and commits its color."""
+    graph, presets = parse_fixture(TRIANGLE)
+    st = ColoringState(graph, CFG43, presets=presets)
+    report = process.StepReport()
+    engine = process._RoundEngine(st, report, scoped=True)
+    engine.cascade_of[0] = A
+    engine.commit(0, 0, touch=False)
+    engine.run_rounds([])
+    assert st.color[:3].tolist() == [0, 2, 1]
+    assert (report.rule2, report.rule3, report.rule4, report.rounds) == (2, 0, 0, 2)
+    assert [v for v, _ in engine.log] == [1, 2]
+    assert engine.cascade_of == {0: A, 1: A, 2: A}
+    st.check_invariants()
+
+
+@pytest.mark.parametrize("scoped", [True, False])
+def test_bulk_commit_that_starves_a_vertex_turns_it_red(scoped):
+    """Vertex 0 sees color 2 from its preset neighbor 3; bulk commits of 1
+    (color 0) and then 2 (color 1) eat its last two colors.  It turns red
+    with its reducer, 2, as the cause, and takes 2's lineage."""
+    graph, presets = parse_fixture("4 4\n0 1\n0 2\n0 3\ncolor 3 2\n")
+    st = ColoringState(graph, CFG43, presets=presets)
+    report = process.StepReport()
+    engine = process._RoundEngine(st, report, scoped=scoped)
+    engine.cascade_of.update({1: A, 2: B})
+    engine.commit(1, 0, touch=False)
+    engine.commit(2, 1, touch=False)
+    assert 0 not in engine._collided and engine._reducer[0] == 2
+    engine.run_rounds([])
+    assert st.color[0] == RED
+    assert (report.rule2, report.rule3, report.rule4, report.rounds) == (0, 1, 0, 1)
+    assert engine.cascade_of[0] == B
+    assert st.fresh_reds == [0]

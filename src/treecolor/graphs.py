@@ -245,7 +245,10 @@ def parse_fixture(text: str) -> tuple[Graph, list[tuple[int, int]]]:
 
 
 def write_fixture(graph: Graph, presets: list[tuple[int, int]] | None = None) -> str:
-    lines = [f"{graph.n} {graph.r}"]
-    lines += [f"{u} {v}" for u, v in zip(graph.edges_u.tolist(), graph.edges_v.tolist())]
-    lines += [f"color {v} {c}" for v, c in presets or []]
-    return "\n".join(lines) + "\n"
+    parts = [f"{graph.n} {graph.r}\n"]
+    # 16,384 edges to one "%d %d\n" template, not one f-string per edge
+    for a in range(0, graph.m, 16384):
+        ends = np.column_stack((graph.edges_u[a:a + 16384], graph.edges_v[a:a + 16384]))
+        parts.append("%d %d\n" * len(ends) % tuple(ends.ravel().tolist()))
+    parts += [f"color {v} {c}\n" for v, c in presets or []]
+    return "".join(parts)

@@ -87,10 +87,10 @@ class ProcessRandomness:
             return np.empty(0, dtype=np.int64)
         self._seek(step, _PURPOSE_ACTIVATION)
         size = int(n * q + 4.0 * np.sqrt(n * q)) + 1  # passes n unless 4 sigma short
-        cand = np.array([-1])
+        cand = np.cumsum(self._gen.geometric(q, size)) - 1
         while cand[-1] < n:
             cand = np.concatenate([cand, cand[-1] + np.cumsum(self._gen.geometric(q, size))])
-        cand = cand[1:np.searchsorted(cand, n)]
+        cand = cand[:np.searchsorted(cand, n)]
         return cand[self._gen.random(len(cand)) * q < rate[type_code[cand]]]
 
     def choose_color(self, step: int, v: int, avail: tuple[int, ...]) -> int:
@@ -216,6 +216,7 @@ class ColoringState:
         self.views = tuple(memoryview(a) for a in (
             self.color, self.seen_mask, self.type_code, graph.indptr, graph.indices))
         self._avail: dict[int, tuple[int, ...]] = {}  # available colors per seen mask
+        self._rates: tuple = (None, None)  # (tuning, its rate per type code)
         engine = _RoundEngine(self, StepReport())
         for v, c in presets or []:
             if not (0 <= c < cfg.p):
@@ -248,7 +249,8 @@ class ColoringState:
         leaves would distort the statistics."""
         boundary = self.graph.boundary
         counts = np.array(self.type_counts, dtype=np.int64)
-        counts -= np.bincount(self.type_code[boundary], minlength=len(counts))
+        if len(boundary):
+            counts -= np.bincount(self.type_code[boundary], minlength=len(counts))
         denom = self.graph.n - len(boundary)
         return TypeDistribution(self.cfg, counts[self.space_codes].astype(np.float64) / denom)
 
@@ -366,6 +368,7 @@ class _RoundEngine:
         self._toucher: dict[int, int] = {}
         self._reducer: dict[int, int] = {}
         self._collided: set[int] = set()
+        self._rows: dict[int, list[int]] = {}  # CSR row of each pending vertex
 
     # -- commits ---------------------------------------------------------------
 
@@ -390,18 +393,18 @@ class _RoundEngine:
         codes[v] = st.colored_code
         bit = 0 if c == RED else 1 << c
         base = st.cfg.p + 1
-        # A touch's provenance is v's lineage in scoped mode and v otherwise; u collides
-        # when it is None or not u's last toucher's (a committed lineage never changes).
+        # Unscoped, any second touch of u collides; scoped, one with no lineage or not
+        # the lineage of u's last toucher (a committed lineage never changes).
         scoped = self.scoped
-        prov = lineage.get(v) if scoped else v
-        for u in adj[ptr[v]:ptr[v + 1]].tolist():
+        prov = lineage.get(v) if scoped else None
+        nbrs = self._rows.pop(v, None)  # read by the pending pass of `run_rounds`
+        for u in adj[ptr[v]:ptr[v + 1]].tolist() if nbrs is None else nbrs:
             if color[u] != UNCOLORED:
                 continue
             dirty.append(u)
             if touch:
-                last = toucher.get(u)
-                if last is not None and (
-                        prov is None or prov != (lineage.get(last) if scoped else last)):
+                if u in toucher and (not scoped or prov is None
+                                     or prov != lineage.get(toucher[u])):
                     self._collided.add(u)
                 toucher[u] = v
             old = codes[u]
@@ -417,44 +420,45 @@ class _RoundEngine:
 
     # -- rounds ----------------------------------------------------------------
 
-    def _screen_rule4(self, pending: list[tuple[int, int]], queued: set[int]):
-        """Remove adjacent pending pairs; both become red.  In scoped mode an
-        adjacent pair of one lineage is a cascade folded onto itself by a
-        cycle, not a collision: the lower vertex commits and the other is
-        re-queued to react to it.  `queued` is the set of pending vertices."""
+    def _screen_rule4(self, pending: list[tuple[int, int]], queued: set[int],
+                      logged: int) -> list[tuple[int, int]]:
+        """A round's slow path when its pending set `queued` holds an adjacent
+        pair: the pair turns red (rule 4) and leaves `pending` and the log from
+        `logged` on.  In scoped mode a pair of one lineage is a cascade folded
+        onto itself by a cycle, not a collision: the lower vertex commits and
+        the other is re-queued to react to it.  Returns what still commits."""
+        scoped, lineage = self.scoped, self.cascade_of
         doomed: set[int] = set()
         deferred: set[int] = set()
-        ptr, adj = self.state.views[3:]
         for v, _ in pending:
-            nbrs = adj[ptr[v]:ptr[v + 1]].tolist()
-            if queued.isdisjoint(nbrs):
-                continue
-            for u in nbrs:
-                if u not in queued:
-                    continue
-                if (self.scoped
-                        and self.cascade_of.get(v) is not None
-                        and self.cascade_of.get(v) == self.cascade_of.get(u)):
-                    deferred.add(max(v, u))
-                else:
-                    doomed.add(v)
-                    doomed.add(u)
-        if not doomed and not deferred:
-            return pending, []
-        deferred -= doomed
-        self.dirty += [v for v, _ in pending if v in deferred]
-        survivors = [(v, c) for v, c in pending if v not in doomed and v not in deferred]
-        return survivors, sorted(doomed)
+            for u in self._rows[v]:
+                if u in queued:
+                    if scoped and lineage.get(v) is not None and lineage.get(v) == lineage.get(u):
+                        deferred.add(max(v, u))
+                    else:
+                        doomed.update((v, u))
+        out = doomed | deferred
+        self.dirty += [v for v, _ in pending if v in deferred and v not in doomed]
+        self.log[logged:] = [e for e in self.log[logged:] if e[0] not in out]
+        for v in sorted(doomed):
+            self.commit(v, RED)
+        self.report.rule4 += len(doomed)
+        return [(v, c) for v, c in pending if v not in out]
 
     def run_rounds(self, initial_pending: list[tuple[int, int]]) -> None:
-        """Round 0 commits the initial pending set (after rule-4 screening);
-        later rounds alternate rule 3, rule 2, rule 4 until nothing moves."""
+        """Round 0 commits the initial pending set; each later round applies
+        rule 3, then commits the vertices rule 2 finds forced, until nothing
+        moves.  One pass over a round's pending vertices reads each one's
+        color and CSR row, logs it and tests its row against the pending
+        set; the rows go on to the commits, and only a round in which two
+        pending vertices are adjacent (rare) takes `_screen_rule4`."""
         st = self.state
-        color, _, codes, _, _ = st.views
-        report, lineage = self.report, self.cascade_of
-        base = st.cfg.p + 1
-        pending = initial_pending
-        queued = {v for v, _ in pending}
+        color, seen, codes, ptr, adj = st.views
+        report, lineage, log, rows = self.report, self.cascade_of, self.log, self._rows
+        reducer, collided = self._reducer, self._collided
+        base, full = st.cfg.p + 1, (1 << st.cfg.p) - 1
+        chosen = dict(initial_pending)
+        candidates, queued = list(chosen), set(chosen)
         first_round = bool(initial_pending)
         while True:
             progressed = False
@@ -464,8 +468,7 @@ class _RoundEngine:
                 # here and takes no color off a list, so a vertex walked with
                 # one color left keeps it unless it turns red later in the
                 # walk: rule 2's candidates are collected on the way.
-                candidates: list[int] = []
-                queued = set()
+                candidates, queued = [], set()
                 for v in self.dirty:
                     if color[v] != UNCOLORED:
                         continue
@@ -473,8 +476,8 @@ class _RoundEngine:
                     # Starvation only arises from bulk commits (two vertices
                     # of one solver-colored component eating v's last two
                     # colors through a short cycle); treat it like a collision.
-                    if left == 0 or v in self._collided:
-                        cause = self._reducer[v] if left == 0 else self._toucher[v]
+                    if left == 0 or v in collided:
+                        cause = reducer[v] if left == 0 else self._toucher[v]
                         if cause in lineage:
                             lineage[v] = lineage[cause]
                         self.commit(v, RED)
@@ -485,33 +488,33 @@ class _RoundEngine:
                         queued.add(v)
                         candidates.append(v)
                 self.dirty = []
-                # rule 2: exactly one available color -> forced
-                pending = []
-                for v in candidates:
-                    if v in queued:
-                        cause = self._reducer[v]
-                        if cause in lineage:
-                            lineage[v] = lineage[cause]
-                        pending.append((v, st.available_colors(v)[0]))
+            # The pending pass: a forced vertex takes its reducer's lineage (round
+            # 0's have none) and the one color missing from its mask, and logs as
+            # (d + 1, 2) from (d, 1), read before this round's commits retype it.
+            shift = 0 if first_round else base + 1
+            pending, clash, logged = [], False, len(log)
+            for v in candidates:
+                if v not in queued:
+                    continue
+                cause = reducer.get(v)
+                if cause in lineage:
+                    lineage[v] = lineage[cause]
+                c = chosen[v] if first_round else (full ^ seen[v]).bit_length() - 1
+                rows[v] = nbrs = adj[ptr[v]:ptr[v + 1]].tolist()
+                clash = clash or not queued.isdisjoint(nbrs)
+                log.append((v, codes[v] + shift))
+                pending.append((v, c))
             if not pending and not progressed:
                 break
-            if pending:
-                survivors, doomed = self._screen_rule4(pending, queued)
-                shift = 0 if first_round else base + 1  # read before rule-4 reds retype
-                self.log += [(v, codes[v] + shift) for v, _ in survivors]
-                for v in doomed:
-                    self.commit(v, RED)
-                    report.rule4 += 1
-                    progressed = True
-                for v, c in survivors:
-                    self.commit(v, c)
-                    if first_round:
-                        report.rule1 += 1
-                    else:
-                        report.rule2 += 1
-                    progressed = True
-            if progressed:
-                report.rounds += 1
+            if clash:
+                pending = self._screen_rule4(pending, queued, logged)
+            for v, c in pending:
+                self.commit(v, c)
+            if first_round:
+                report.rule1 += len(pending)
+            else:
+                report.rule2 += len(pending)
+            report.rounds += 1
             first_round = False
 
 
@@ -533,9 +536,11 @@ def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
 
     # rate per type code; the colored code, codes with c < 2 and codes with
     # no vertex have rate 0, so the sampler's bound is the largest rate in use
-    rate = np.zeros(len(state.type_counts))
-    rate[state.space_codes] = tuning.epsilon * tuning.vector()
-    rate[np.asarray(state.type_counts) == 0] = 0.0
+    if state._rates[0] is not tuning:
+        rate = np.zeros(len(state.type_counts))
+        rate[state.space_codes] = tuning.epsilon * tuning.vector()
+        state._rates = (tuning, rate)
+    rate = np.where(np.asarray(state.type_counts) == 0, 0.0, state._rates[1])
     # a scripted adapter may name colored vertices
     color = state.views[0]
     actives = [v for v in rng.activation_mask(i, rate, state.type_code).tolist()

@@ -119,6 +119,14 @@ def ball3_uncolored_reference(state):
     return targets, owner
 
 
+def write_fixture_reference(graph, presets) -> str:
+    """The fixture writer as it used to be: one f-string per line."""
+    lines = [f"{graph.n} {graph.r}"]
+    lines += [f"{u} {v}" for u, v in zip(graph.edges_u.tolist(), graph.edges_v.tolist())]
+    lines += [f"color {v} {c}" for v, c in presets or []]
+    return "\n".join(lines) + "\n"
+
+
 def tree_greedy_reference(graph, vertices: list[int], lists) -> tuple[str, dict[int, int]]:
     """The greedy tree solver list coloring used to run on components that
     are trees: a breadth-first walk from the lowest vertex in which each

@@ -18,9 +18,17 @@ from helpers import (
     RecordingRandomness,
     ScriptedRandomness,
     tree_greedy_reference,
+    write_fixture_reference,
 )
 
-from treecolor.dynamics import PaletteConfig, VertexType, default_tuning, type_space
+from treecolor import process
+from treecolor.dynamics import (
+    PaletteConfig,
+    TuningParams,
+    VertexType,
+    default_tuning,
+    type_space,
+)
 from treecolor.errors import ConfigurationError, GenerationError
 from treecolor.graphs import gen_regular_graph, gen_tree_ball, parse_fixture, write_fixture
 from treecolor.listcolor import (
@@ -159,6 +167,25 @@ def test_fixture_parse_and_write():
     assert write_fixture(g, presets) == text
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: parse_fixture("6 4\n0 1\n1 2\n2 3\n0 4\ncolor 3 2\ncolor 5 0\n"),
+                 id="presets"),
+    pytest.param(lambda: (parse_fixture("3 2\n")[0], []), id="no-edges"),
+    pytest.param(lambda: (gen_tree_ball(4, 3), []), id="tree-ball"),
+    pytest.param(lambda: (gen_regular_graph(100_000, 4, seed=2), []), id="regular-1e5"),
+])
+def test_write_fixture_matches_one_line_per_edge(build):
+    """The chunked writer gives the bytes of one f-string per line, and
+    its text parses back to the same graph and presets."""
+    graph, presets = build()
+    text = write_fixture(graph, presets)
+    assert text == write_fixture_reference(graph, presets)
+    back, back_presets = parse_fixture(text)
+    assert (back.n, back.r, back_presets) == (graph.n, graph.r, presets)
+    assert np.array_equal(back.edges_u, graph.edges_u)
+    assert np.array_equal(back.edges_v, graph.edges_v)
+
+
 def test_fixture_rejects_malformed():
     with pytest.raises(ConfigurationError):
         parse_fixture("")
@@ -289,6 +316,59 @@ def test_rule4_simultaneous_forced_pair():
     assert (rep.rule1, rep.rule2, rep.rule4) == (2, 0, 2)
     assert st.color[1] == RED and st.color[2] == RED
     assert st.color[0] == 0 and st.color[3] == 0
+
+
+def test_rule4_pair_and_a_forced_commit_in_one_round(monkeypatch):
+    """Actives 0 and 3 (color 0) force 1, 8 and 2 in round 1, each to color
+    2.  The adjacent pair 1-2 turns red and 8 commits in the same round.  The
+    log holds each root at its activation code, (d, c) = (3, 3) and (2, 3),
+    and 8 at (d + 1, 2) = (2, 2); 8 inherits lineage 0 from its reducer 0."""
+    engines = []
+
+    class Recorded(process._RoundEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    st = scripted_state(
+        "11 4\n0 1\n1 2\n2 3\n1 4\n2 5\n0 6\n3 7\n0 8\n8 9\n8 10\n"
+        "color 4 1\ncolor 5 1\ncolor 9 1\n",
+        {0: [0, 3]}, {(0, 0): 0, (0, 3): 0},
+    )
+    monkeypatch.setattr(process, "_RoundEngine", Recorded)
+    rep = greedy_step(st, default_tuning(CFG43, epsilon=0.1))
+    assert (rep.active, rep.rule1, rep.rule2, rep.rule3, rep.rule4, rep.rounds) == (
+        2, 2, 1, 0, 2, 2)
+    assert st.color.tolist() == [0, RED, RED, 0, 1, 1, UNCOLORED, UNCOLORED, 2, 1, UNCOLORED]
+    (engine,) = engines
+    assert engine.log == [(0, 15), (3, 11), (8, 10)]
+    assert rep.cascade_sizes == [2, 1]
+    st.check_invariants()
+
+
+def test_each_step_uses_the_rates_of_its_own_tuning():
+    """One state stepped under two tunings in turn: every activation draw
+    gets epsilon times the weights of that step's tuning, zero at codes no
+    vertex holds."""
+    seen = []
+
+    class RateRecorder(ProcessRandomness):
+        def activation_mask(self, step, rate, type_code):
+            seen.append((rate.copy(), np.bincount(type_code, minlength=len(rate))))
+            return super().activation_mask(step, rate, type_code)
+
+    st = ColoringState(gen_regular_graph(300, 4, seed=3), CFG43, rng=RateRecorder(5))
+    steep = TuningParams(CFG43, {t: 2.0 ** -t.d for t in type_space(CFG43).types}, 0.3)
+    tunings = [default_tuning(CFG43, epsilon=0.1), steep] * 4
+    for tuning in tunings:
+        greedy_step(st, tuning)
+    assert st.counts()["uncolored"] < 300
+    for tuning, (rate, held) in zip(tunings, seen):
+        expected = np.zeros(len(rate))
+        expected[st.space_codes] = tuning.epsilon * tuning.vector()
+        expected[held == 0] = 0.0
+        assert np.array_equal(rate, expected)
+    assert not np.array_equal(seen[0][0], seen[1][0])
 
 
 def test_red_counts_as_step_colored_for_rule3():

@@ -54,7 +54,8 @@ from .errors import (
     TreecolorError,
     read_text,
 )
-from .graphs import Graph, gen_regular_graph, gen_tree_ball, parse_fixture, write_fixture
+from .graphs import (Graph, gen_regular_graph, gen_tree_ball, parse_fixture, read_coloring,
+                     write_coloring, write_fixture)
 from .process import (
     MAX_SEED,
     ColoringState,
@@ -62,11 +63,9 @@ from .process import (
     ProperReport,
     TidyReport,
     complete_remainder,
-    read_coloring,
     run_phase1,
     tidy_to_proper,
     verify_proper,
-    write_coloring,
 )
 from .stats import (
     ComponentStats,
@@ -479,7 +478,7 @@ def cmd_simulate(args) -> int:
         with open(args.summary, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.dump:
-        write_coloring(run.state, args.dump)
+        write_coloring(graph, run.state.color, tuning.cfg.p, args.dump)
         with open(args.dump + ".graph", "w", encoding="utf-8") as fh:
             fh.write(write_fixture(graph))
     sys.stdout.write(text)
@@ -552,11 +551,11 @@ def cmd_sweep(args) -> int:
     by_eps: dict[float, list[float]] = {}
     for row in results:
         by_eps.setdefault(row["epsilon"], []).append(row["red_frac"])
-    print("epsilon  mean red fraction")
-    for eps in sorted(by_eps):
-        print(f"{eps:<8g} {float(np.mean(by_eps[eps])):.6g}")
     means = {eps: float(np.mean(v)) for eps, v in by_eps.items()}
     grid = sorted(means)
+    print("epsilon  mean red fraction")
+    for eps in grid:
+        print(f"{eps:<8g} {means[eps]:.6g}")
     for small, big in zip(grid, grid[1:]):
         if abs(big / small - 2.0) < 1e-9 and means[big] > 0:
             print(f"ratio red({small:g})/red({big:g}) = "

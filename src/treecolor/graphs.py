@@ -1,4 +1,4 @@
-"""Finite graphs the coloring process runs on.
+"""Finite graphs the coloring process runs on, and their fixture and coloring-dump text.
 
 Random regular graphs come from the configuration model (pairing half-edges,
 then repairing self-loops and parallel edges with degree-preserving edge
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, GenerationError
+from .errors import ConfigurationError, GenerationError, read_text
 
 MAX_REPAIR_SWEEPS = 1000
 # Vertices any graph may have.  Every generator and the fixture parser check
@@ -244,11 +244,62 @@ def parse_fixture(text: str) -> tuple[Graph, list[tuple[int, int]]]:
     return graph, presets
 
 
+def _pair_lines(first: np.ndarray, second: np.ndarray):
+    """The "a b" lines of two integer columns, as text chunks: 16,384 rows to
+    one "%d %d\n" template, not one f-string per row."""
+    for a in range(0, len(first), 16384):
+        rows = np.column_stack((first[a:a + 16384], second[a:a + 16384]))
+        yield "%d %d\n" * len(rows) % tuple(rows.ravel().tolist())
+
+
 def write_fixture(graph: Graph, presets: list[tuple[int, int]] | None = None) -> str:
-    parts = [f"{graph.n} {graph.r}\n"]
-    # 16,384 edges to one "%d %d\n" template, not one f-string per edge
-    for a in range(0, graph.m, 16384):
-        ends = np.column_stack((graph.edges_u[a:a + 16384], graph.edges_v[a:a + 16384]))
-        parts.append("%d %d\n" * len(ends) % tuple(ends.ravel().tolist()))
-    parts += [f"color {v} {c}\n" for v, c in presets or []]
-    return "".join(parts)
+    return "".join([f"{graph.n} {graph.r}\n", *_pair_lines(graph.edges_u, graph.edges_v),
+                    *(f"color {v} {c}\n" for v, c in presets or [])])
+
+
+def write_coloring(graph: Graph, colors: np.ndarray, p: int, path: str) -> None:
+    """Dump a finished coloring of `graph`: header "n r p", then one "v c"
+    line per vertex.  Every color must lie in 0..p (the palette and the
+    extra color p), the rule `read_coloring` checks; the first vertex
+    outside it is refused by name."""
+    bad = np.flatnonzero((colors < 0) | (colors > p))
+    if len(bad):
+        v = int(bad[0])
+        raise ConfigurationError(
+            f"refusing to dump: vertex {v} has color {int(colors[v])}, outside 0..{p}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{graph.n} {graph.r} {p}\n")
+        fh.writelines(_pair_lines(np.arange(graph.n), colors))
+
+
+def read_coloring(path: str) -> tuple[int, int, int, np.ndarray]:
+    """Read a coloring dump; returns (n, r, p, colors).  Every vertex must be
+    listed once with a color in 0..p, the rule `write_coloring` keeps."""
+    lines = [ln.strip() for ln in read_text(path, ConfigurationError).splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise ConfigurationError("coloring dump: empty file")
+    head = lines[0].split()
+    if len(head) != 3:
+        raise ConfigurationError(f"coloring dump: bad header {lines[0]!r}")
+    n, r, p = int_fields("coloring dump", lines[0], head, ("n", "r", "p"))
+    if n < 0 or r < 0 or not 2 <= p <= np.iinfo(np.int16).max:
+        raise ConfigurationError(f"coloring dump: bad header {lines[0]!r}")
+    if len(lines) - 1 != n:
+        raise ConfigurationError(
+            f"coloring dump: header n={n} but {len(lines) - 1} vertex lines"
+        )
+    colors = np.full(n, -1, dtype=np.int16)  # -1: not listed yet
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ConfigurationError(f"coloring dump: bad line {ln!r}")
+        v, c = int_fields("coloring dump", ln, parts, ("vertex", "color"))
+        if not (0 <= v < n):
+            raise ConfigurationError(f"coloring dump: vertex {v} out of range")
+        if not (0 <= c <= p):
+            raise ConfigurationError(f"coloring dump: color {c} out of range")
+        if colors[v] != -1:
+            raise ConfigurationError(f"coloring dump: vertex {v} listed twice")
+        colors[v] = c
+    return n, r, p, colors

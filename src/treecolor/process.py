@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PaletteConfig, TuningParams, TypeDistribution, VertexType, type_space
-from .errors import ConfigurationError, InternalConsistencyError, read_text
-from .graphs import Graph, int_fields
+from .errors import ConfigurationError, InternalConsistencyError
+from .graphs import Graph
 from .listcolor import COLORED, color_component, connected_components
 
 UNCOLORED = -1
@@ -267,13 +267,13 @@ class ColoringState:
 
     def _invariant_violation(self) -> str | None:
         g, p = self.graph, self.cfg.p
+        # before tidy-up no vertex holds the extra color p: a clash is a palette clash
+        clash = verify_proper(g, self.color).violations
+        if clash:
+            u, v = clash[0]
+            return f"edge ({u},{v}) joins two vertices colored {int(self.color[u])}"
         cu = self.color[g.edges_u]
         cv = self.color[g.edges_v]
-        palette_clash = (cu == cv) & (cu >= 0) & (cu < p)
-        if palette_clash.any():
-            i = int(np.nonzero(palette_clash)[0][0])
-            return (f"edge ({int(g.edges_u[i])},{int(g.edges_v[i])}) joins two "
-                    f"vertices colored {int(cu[i])}")
         uncolored = self.color == UNCOLORED
         # a colored vertex's mask stops at its commit: recount the uncolored ones
         mask = np.zeros(g.n, dtype=np.int64)
@@ -826,55 +826,3 @@ def verify_proper(g: Graph, colors: np.ndarray) -> ProperReport:
         return list(zip(g.edges_u[mask].tolist(), g.edges_v[mask].tolist()))
 
     return ProperReport(violations=pairs(equal & (cu != RED)), red_red=pairs(equal & (cu == RED)))
-
-
-# ---------------------------------------------------------------------------
-# Coloring dumps
-# ---------------------------------------------------------------------------
-
-def write_coloring(state: ColoringState, path: str) -> None:
-    """Dump a finished coloring: header "n r p", then one "v color" line per
-    vertex.  Refuses states that still contain uncolored or red vertices."""
-    if (state.color == UNCOLORED).any():
-        raise ConfigurationError("refusing to dump: uncolored vertices remain")
-    if (state.color == RED).any():
-        raise ConfigurationError("refusing to dump: red vertices remain")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{state.graph.n} {state.graph.r} {state.cfg.p}\n")
-        # 16,384 lines to one "%d %d\n" template, not one f-string per line
-        for a in range(0, state.graph.n, 16384):
-            chunk = state.color[a:a + 16384]
-            ints = np.column_stack((np.arange(a, a + len(chunk)), chunk)).ravel().tolist()
-            fh.write("%d %d\n" * len(chunk) % tuple(ints))
-
-
-def read_coloring(path: str) -> tuple[int, int, int, np.ndarray]:
-    """Read a coloring dump; returns (n, r, p, colors)."""
-    lines = [ln.strip() for ln in read_text(path, ConfigurationError).splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ConfigurationError("coloring dump: empty file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ConfigurationError(f"coloring dump: bad header {lines[0]!r}")
-    n, r, p = int_fields("coloring dump", lines[0], head, ("n", "r", "p"))
-    if n < 0 or r < 0 or not 2 <= p <= np.iinfo(np.int16).max:
-        raise ConfigurationError(f"coloring dump: bad header {lines[0]!r}")
-    if len(lines) - 1 != n:
-        raise ConfigurationError(
-            f"coloring dump: header n={n} but {len(lines) - 1} vertex lines"
-        )
-    colors = np.full(n, UNCOLORED, dtype=np.int16)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ConfigurationError(f"coloring dump: bad line {ln!r}")
-        v, c = int_fields("coloring dump", ln, parts, ("vertex", "color"))
-        if not (0 <= v < n):
-            raise ConfigurationError(f"coloring dump: vertex {v} out of range")
-        if not (0 <= c <= p):
-            raise ConfigurationError(f"coloring dump: color {c} out of range")
-        if colors[v] != UNCOLORED:
-            raise ConfigurationError(f"coloring dump: vertex {v} listed twice")
-        colors[v] = c
-    return n, r, p, colors

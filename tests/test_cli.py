@@ -14,6 +14,8 @@ from treecolor import cli
 from treecolor.certify import _verdict
 from treecolor.cli import main
 from treecolor.dynamics import PaletteConfig, growth_rates, type_space
+from treecolor.errors import ConfigurationError
+from treecolor.graphs import parse_fixture, write_coloring
 
 FAST_CERT = ["--step", "0.005", "--halvings", "1"]
 STORED_CERT43 = os.path.join(os.path.dirname(__file__), "..", "perfbench", "certs",
@@ -695,6 +697,19 @@ def test_sweep_grid_table_and_scaling(tmp_path, capsys):
     assert keys == sorted(keys)
 
 
+def test_sweep_outputs_pinned(tmp_path, capsys, monkeypatch):
+    # the table of means, a ratio line and the scaling fit, byte for byte
+    monkeypatch.chdir(tmp_path)  # stdout names the --out path as given
+    assert main(["sweep", "--r", "4", "--p", "3",
+                 "--epsilons", "0.2,0.1,0.07", "--seeds", "1,2,3",
+                 "--n", "600", "--steps", "25", "--jobs", "1",
+                 "--out", "sweep.csv"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "6ea131a358b3dab4a6177bf475b38d23b02ed223e399de8dacc288002c20d5a1")
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == (
+        "b773e913bc4fab4ce02fe5b764442111a0c7d67f47bb2113ff2f325ab453115c")
+
+
 def test_sweep_names_every_improper_cell(tmp_path, capsys, monkeypatch):
     real = cli.verify_proper
     checked = []
@@ -821,6 +836,20 @@ def test_verify_dump_rejects_malformed_input(tmp_path):
     garbled.write_text("3 4\n0 x\n", encoding="utf-8")
     assert main(["verify", "--dump", str(garbled)]) == 2
     assert main(["verify", "--dump", str(tmp_path / "nope.dump")]) == 2
+
+
+@pytest.mark.parametrize("bad", [-1, -2, 4])
+def test_dump_colors_outside_0_to_p_are_refused_by_writer_and_reader(tmp_path, capsys, bad):
+    # one rule on both sides: every dumped color lies in 0..p, here p = 3
+    text = "3 4\n0 1\n1 2\n"
+    with pytest.raises(ConfigurationError, match=f"vertex 1 has color {bad},"):
+        write_coloring(parse_fixture(text)[0], np.array([0, bad, 1]), 3,
+                       str(tmp_path / "never.dump"))
+    assert not (tmp_path / "never.dump").exists()
+    (tmp_path / "run.dump.graph").write_text(text, encoding="utf-8")
+    (tmp_path / "run.dump").write_text(f"3 4 3\n0 0\n1 {bad}\n2 1\n", encoding="utf-8")
+    assert main(["verify", "--dump", str(tmp_path / "run.dump")]) == 2
+    assert f"color {bad} out of range" in capsys.readouterr().err
 
 
 def test_verify_dump_rejects_non_integer_graph_field(finished_dump, tmp_path, capsys):

@@ -30,7 +30,14 @@ from treecolor.dynamics import (
     type_space,
 )
 from treecolor.errors import ConfigurationError, GenerationError
-from treecolor.graphs import gen_regular_graph, gen_tree_ball, parse_fixture, write_fixture
+from treecolor.graphs import (
+    gen_regular_graph,
+    gen_tree_ball,
+    parse_fixture,
+    read_coloring,
+    write_coloring,
+    write_fixture,
+)
 from treecolor.listcolor import (
     BUDGET,
     COLORED,
@@ -46,12 +53,10 @@ from treecolor.process import (
     buffer_rounds,
     complete_remainder,
     greedy_step,
-    read_coloring,
     run_phase1,
     tidy_to_proper,
     trace_cascade,
     verify_proper,
-    write_coloring,
 )
 
 CFG43 = PaletteConfig(4, 3)
@@ -736,7 +741,7 @@ def test_coloring_dump_roundtrip(tmp_path):
     complete_remainder(st)
     tidy_to_proper(st)
     path = tmp_path / "coloring.txt"
-    write_coloring(st, str(path))
+    write_coloring(st.graph, st.color, CFG43.p, str(path))
     n, r, p, colors = read_coloring(str(path))
     assert (n, r, p) == (120, 4, 3)
     assert np.array_equal(colors, st.color)
@@ -757,7 +762,7 @@ def test_dumps_longer_than_one_chunk_roundtrip(tmp_path):
     st = ColoringState(g, CFG43)
     st.color[:] = np.arange(g.n) % 3
     path = tmp_path / "coloring.txt"
-    write_coloring(st, str(path))
+    write_coloring(st.graph, st.color, CFG43.p, str(path))
     assert path.read_text() == "20000 4 3\n" + "".join(f"{v} {v % 3}\n" for v in range(g.n))
     assert np.array_equal(read_coloring(str(path))[3], st.color)
 
@@ -765,4 +770,4 @@ def test_dumps_longer_than_one_chunk_roundtrip(tmp_path):
 def test_coloring_dump_refuses_partial_states(tmp_path):
     st = ColoringState(gen_regular_graph(20, 4, seed=2), CFG43, seed=4)
     with pytest.raises(ConfigurationError):
-        write_coloring(st, str(tmp_path / "x.txt"))
+        write_coloring(st.graph, st.color, CFG43.p, str(tmp_path / "x.txt"))

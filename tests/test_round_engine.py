@@ -40,7 +40,13 @@ from treecolor.dynamics import (
     type_space,
 )
 from treecolor.errors import InternalConsistencyError
-from treecolor.graphs import Graph, gen_regular_graph, gen_tree_ball, parse_fixture
+from treecolor.graphs import (
+    Graph,
+    gen_regular_graph,
+    gen_tree_ball,
+    parse_fixture,
+    write_coloring,
+)
 from treecolor.process import (
     RED,
     UNCOLORED,
@@ -53,7 +59,6 @@ from treecolor.process import (
     tidy_to_proper,
     trace_cascade,
     verify_proper,
-    write_coloring,
 )
 
 CFG43 = PaletteConfig(4, 3)
@@ -165,7 +170,7 @@ def test_pipeline_dump_pinned(tmp_path, r, p, n, epsilon, seed, modified, digest
     assert result.completion.colored > 0 and result.tidy.erased > 0
     assert result.proper.ok
     path = tmp_path / "dump"
-    write_coloring(result.state, str(path))
+    write_coloring(result.state.graph, result.state.color, p, str(path))
     assert _sha(path.read_bytes()) == digest
 
 

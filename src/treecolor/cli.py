@@ -65,6 +65,7 @@ from .process import (
     complete_remainder,
     run_phase1,
     tidy_to_proper,
+    uncolored_components,
     verify_proper,
 )
 from .stats import (
@@ -415,8 +416,9 @@ def run_pipeline(graph: Graph, tuning: TuningParams, steps: int, seed: int,
     state = ColoringState(graph, tuning.cfg, seed=seed)
     reports, dists = run_phase1(state, tuning, steps, modified=modified)
     stats = collect_run_stats(state, tuning.epsilon, reports, dists)
-    comp = component_stats(state)
-    completion = complete_remainder(state)
+    remainder = uncolored_components(state)
+    comp = component_stats(state, remainder)
+    completion = complete_remainder(state, remainder)
     tidy = tidy_to_proper(state)
     proper = verify_proper(state.graph, state.color)
     return RunResult(state, stats, comp, completion, tidy, proper)
@@ -563,7 +565,8 @@ def cmd_sweep(args) -> int:
     if len(by_eps) >= 3 and all(len(v) >= 3 for v in by_eps.values()):
         fit = red_scaling([(row["epsilon"], row["red_frac"]) for row in results])
         if fit.degenerate:
-            print("red scaling: degenerate (no reds observed)")
+            none = ", ".join(f"{eps:g}" for eps, mean in fit.means.items() if mean == 0.0)
+            print(f"red scaling: degenerate (no reds at epsilon {none})")
         else:
             print(f"red scaling: log-log slope {fit.slope:.4f}")
     improper = [row for row in results if row["bad_edges"]]

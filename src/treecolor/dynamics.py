@@ -148,6 +148,13 @@ class TypeDistribution:
             raise ConfigurationError("distribution mass exceeds 1")
         object.__setattr__(self, "vec", np.clip(vec, 0.0, None))
 
+    @classmethod
+    def _unchecked(cls, cfg: PaletteConfig, vec: np.ndarray) -> "TypeDistribution":
+        """`cls(cfg, vec)` for a float64 vector known to pass its checks unclipped."""
+        z = object.__new__(cls)
+        z.cfg, z.vec = cfg, vec
+        return z
+
     @property
     def space(self) -> TypeSpace:
         return type_space(self.cfg)

@@ -252,7 +252,8 @@ class ColoringState:
         if len(boundary):
             counts -= np.bincount(self.type_code[boundary], minlength=len(counts))
         denom = self.graph.n - len(boundary)
-        return TypeDistribution(self.cfg, counts[self.space_codes].astype(np.float64) / denom)
+        # non-negative counts over the interior: the public checks hold by construction
+        return TypeDistribution._unchecked(self.cfg, counts[self.space_codes] / denom)
 
     def counts(self) -> dict[str, int]:
         c = self.color
@@ -302,17 +303,18 @@ class ColoringState:
             return "type codes or type counts differ from a recount"
         return None
 
-    def _local_violation(self, around: list[int]) -> str | None:
-        """The invariants on the edges at `around` and on its uncolored
-        neighbors.  Started from a state that met them, a run of commits to
-        `around` can break them nowhere else."""
+    def _local_violation(self, around: list[int], rows: dict[int, list[int]]) -> str | None:
+        """The invariants on the edges at `around` and on its uncolored neighbors
+        (each row from `rows`, else the CSR arrays).  Started from a state that
+        met them, a run of commits to `around` can break them nowhere else."""
         p = self.cfg.p
         color, _, codes, ptr, adj = self.views
         for v in around:
             c = color[v]
             if not (0 <= c <= p or c == RED):
                 return f"vertex {v} has color {c}"
-            for u in adj[ptr[v]:ptr[v + 1]].tolist():
+            nbrs = rows.get(v)
+            for u in adj[ptr[v]:ptr[v + 1]].tolist() if nbrs is None else nbrs:
                 c_u = color[u]
                 if c_u == c and 0 <= c < p:
                     return f"edge ({min(u, v)},{max(u, v)}) joins two vertices colored {c}"
@@ -322,11 +324,13 @@ class ColoringState:
                         return f"vertex {u} has {left} available colors"
         return None
 
-    def check_invariants(self, around: list[int] | None = None) -> None:
+    def check_invariants(self, around: list[int] | None = None,
+                         rows: dict[int, list[int]] | None = None) -> None:
         """Check the whole state, masks and type bookkeeping included, or with
-        `around` only what commits to those vertices can have broken."""
+        `around` only what commits to those vertices can have broken, walking
+        the CSR rows a round engine read of them (`rows`) where it has them."""
         bad = (self._invariant_violation() if around is None
-               else self._local_violation(around))
+               else self._local_violation(around, rows or {}))
         if bad is not None:
             raise InternalConsistencyError(bad)
 
@@ -368,7 +372,7 @@ class _RoundEngine:
         self._toucher: dict[int, int] = {}
         self._reducer: dict[int, int] = {}
         self._collided: set[int] = set()
-        self._rows: dict[int, list[int]] = {}  # CSR row of each pending vertex
+        self._rows: dict[int, list[int]] = {}  # CSR row of each vertex a pending pass read
 
     # -- commits ---------------------------------------------------------------
 
@@ -397,7 +401,7 @@ class _RoundEngine:
         # the lineage of u's last toucher (a committed lineage never changes).
         scoped = self.scoped
         prov = lineage.get(v) if scoped else None
-        nbrs = self._rows.pop(v, None)  # read by the pending pass of `run_rounds`
+        nbrs = self._rows.get(v)  # read by the pending pass of `run_rounds`
         for u in adj[ptr[v]:ptr[v + 1]].tolist() if nbrs is None else nbrs:
             if color[u] != UNCOLORED:
                 continue
@@ -450,8 +454,9 @@ class _RoundEngine:
         rule 3, then commits the vertices rule 2 finds forced, until nothing
         moves.  One pass over a round's pending vertices reads each one's
         color and CSR row, logs it and tests its row against the pending
-        set; the rows go on to the commits, and only a round in which two
-        pending vertices are adjacent (rare) takes `_screen_rule4`."""
+        set; the rows go on to the commits and the step's invariant check, and
+        only a round in which two pending vertices are adjacent (rare) takes
+        `_screen_rule4`."""
         st = self.state
         color, seen, codes, ptr, adj = st.views
         report, lineage, log, rows = self.report, self.cascade_of, self.log, self._rows
@@ -562,7 +567,7 @@ def greedy_step(state: ColoringState, tuning: TuningParams) -> StepReport:
         report.cascade_sizes[engine.cascade_of[v]] += 1
 
     state.step = i + 1
-    state.check_invariants(around=engine.committed)
+    state.check_invariants(around=engine.committed, rows=engine._rows)
     return report
 
 
@@ -748,21 +753,28 @@ def buffer_rounds(state: ColoringState) -> BufferReport:
         report.red_created += round_report.rule3 + round_report.rule4
         report.colored_per_round.append(colored_this_round)
         report.rounds += 1
-        state.check_invariants(around=engine.committed)
+        state.check_invariants(around=engine.committed, rows=engine._rows)
     return report
 
 
-def complete_remainder(state: ColoringState) -> CompletionReport:
+def uncolored_components(state: ColoringState) -> list[list[int]]:
+    """Connected components of the uncolored subgraph, each sorted."""
+    return connected_components(state.graph, np.flatnonzero(state.color == UNCOLORED).tolist())
+
+
+def complete_remainder(state: ColoringState,
+                       components: list[list[int]] | None = None) -> CompletionReport:
     """Phase 2: properly color every remaining uncolored component from its
     available lists with the exact list-coloring search (which never
     backtracks on a tree, as every list has at least two colors); failures
-    turn the component red and are counted."""
+    turn the component red and are counted.  `components` are the state's
+    `uncolored_components`, for a caller that has found them already."""
     report = CompletionReport()
-    targets = np.nonzero(state.color == UNCOLORED)[0]
-    if not len(targets):
+    components = uncolored_components(state) if components is None else components
+    if not components:
         return report
     engine = _RoundEngine(state, StepReport())
-    for comp in connected_components(state.graph, targets.tolist()):
+    for comp in components:
         if _commit_component(engine, comp, report):
             report.colored += len(comp)
     state.check_invariants()

@@ -24,8 +24,7 @@ from .dynamics import (
     type_space,
 )
 from .errors import ConfigurationError, InsufficientDataError
-from .listcolor import connected_components
-from .process import UNCOLORED, ColoringState, StepReport
+from .process import UNCOLORED, ColoringState, StepReport, uncolored_components
 
 __all__ = [
     "RunStats",
@@ -251,12 +250,14 @@ class ComponentStats(NamedTuple):
     histogram: dict[int, int]
 
 
-def component_stats(state: ColoringState) -> ComponentStats:
-    """Connected components of the uncolored subgraph."""
-    targets = [int(v) for v in np.nonzero(state.color == UNCOLORED)[0]]
-    if not targets:
+def component_stats(state: ColoringState,
+                    components: list[list[int]] | None = None) -> ComponentStats:
+    """Connected components of the uncolored subgraph: `components`, when
+    the caller has found them with `uncolored_components` already."""
+    components = uncolored_components(state) if components is None else components
+    if not components:
         return ComponentStats(0, 0.0, 0, {})
-    sizes = [len(comp) for comp in connected_components(state.graph, targets)]
+    sizes = [len(comp) for comp in components]
     return ComponentStats(len(sizes), sum(sizes) / len(sizes), max(sizes),
                           Counter(sizes))
 

@@ -710,6 +710,19 @@ def test_sweep_outputs_pinned(tmp_path, capsys, monkeypatch):
         "b773e913bc4fab4ce02fe5b764442111a0c7d67f47bb2113ff2f325ab453115c")
 
 
+def test_sweep_names_the_epsilons_without_reds(tmp_path, capsys):
+    """One epsilon with no reds makes the fit degenerate; the message names
+    that epsilon, while the others' reds still show in the table."""
+    assert main(["sweep", "--r", "4", "--p", "3", "--epsilons", "0.2,0.1,0.05",
+                 "--seeds", "1,2,3", "--n", "600", "--steps", "25", "--jobs", "1",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = lines[lines.index("epsilon  mean red fraction") + 1:][:3]
+    means = dict(map(float, ln.split()) for ln in table)
+    assert means[0.05] == 0.0 and means[0.1] > 0.0 and means[0.2] > 0.0
+    assert lines[-1] == "red scaling: degenerate (no reds at epsilon 0.05)"
+
+
 def test_sweep_names_every_improper_cell(tmp_path, capsys, monkeypatch):
     real = cli.verify_proper
     checked = []

@@ -25,6 +25,7 @@ from treecolor import process
 from treecolor.dynamics import (
     PaletteConfig,
     TuningParams,
+    TypeDistribution,
     VertexType,
     default_tuning,
     type_space,
@@ -410,6 +411,25 @@ def test_tree_ball_distribution_excludes_boundary():
     _, dists = run_phase1(st, default_tuning(CFG43, epsilon=0.05), steps=0)
     # boundary vertices have type (1, 3) but are excluded from the snapshot
     assert dists[0][VertexType(4, 3)] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("modified", [False, True], ids=["greedy", "modified"])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: gen_regular_graph(600, 4, seed=3), id="regular"),
+    pytest.param(lambda: gen_tree_ball(4, 5), id="tree-ball"),
+])
+def test_snapshots_equal_the_checked_constructor(build, modified):
+    """Phase 1 builds its snapshots without the public constructor's checks;
+    each is, bit for bit, what that constructor makes of its vector."""
+    st = ColoringState(build(), CFG43, seed=4)
+    _, dists = run_phase1(st, default_tuning(CFG43, epsilon=0.05), steps=40,
+                          modified=modified)
+    assert st.counts()["palette"] > 0
+    for z in dists:
+        checked = TypeDistribution(CFG43, z.vec)
+        assert z.cfg == checked.cfg and z.vec.dtype == checked.vec.dtype
+        assert z.vec.shape == checked.vec.shape
+        assert z.vec.tobytes() == checked.vec.tobytes()
 
 
 # ---------------------------------------------------------------------------

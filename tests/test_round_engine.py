@@ -12,7 +12,9 @@ invariants after every step, a proper final coloring, and that
 state's memoryviews still alias its arrays after every stage.  Further tests
 check that the per-step invariant check, which looks only around a step's
 commits, raises in the step where a planted fault first breaks an
-invariant, and that the full check recounts the seen masks; that a color
+invariant, that the full check recounts the seen masks, and that it
+catches a wrong row planted in the engine's row table, which the step
+check walks in place of the CSR arrays; that a color
 draw reads slot v of its step's Philox stream; that the activation sampler
 activates each vertex with its type's rate, keyed by (seed, step); that
 buffer rounds, searching only from new reds, find what a search from every
@@ -411,6 +413,30 @@ def test_local_check_raises_in_the_step_of_a_planted_fault(monkeypatch):
         pytest.fail("the planted fault never broke an invariant")
     with pytest.raises(InternalConsistencyError):
         st.check_invariants()
+
+
+def test_a_wrong_engine_row_is_caught_by_the_end_of_phase1(monkeypatch):
+    """The step check walks the CSR rows the round engine read.  A row that
+    drops an uncolored neighbor in the last step leaves that neighbor's
+    list unreduced and hides the edge from the step check; the full check
+    at the end of `run_phase1` recounts from the arrays and raises."""
+    commit = process._RoundEngine.commit
+    planted = []
+
+    def commit_through_a_wrong_row(self, v, c, touch=True):
+        st, row = self.state, self._rows.get(v)
+        if not planted and st.step == 3 and row is not None and c != RED:
+            victim = next((u for u in row if st.color[u] == UNCOLORED), None)
+            if victim is not None:
+                self._rows[v] = [u for u in row if u != victim]
+                planted.append(victim)
+        commit(self, v, c, touch)
+
+    monkeypatch.setattr(process._RoundEngine, "commit", commit_through_a_wrong_row)
+    st = ColoringState(gen_regular_graph(600, 4, seed=11), CFG43, seed=5)
+    with pytest.raises(InternalConsistencyError):
+        run_phase1(st, steep_tuning(CFG43, 0.25), steps=4)
+    assert planted
 
 
 def test_choose_color_reads_slot_v_of_the_step_stream():

@@ -14,7 +14,7 @@ import math
 import sys
 import time
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class IntegrationControl:
     """Fixed-step RK4 integration settings."""
 
     step: float = 1e-3
-    max_time: float = 500.0
+    max_time: float = 2000.0
     sample_stride: int = 1
     halvings: int = 2
 
@@ -77,9 +77,10 @@ class IntegrationControl:
 class Trajectory:
     """Sampled solution of the drift ODE.
 
-    `step_g_max[i]` is the largest growth value seen at any integration step in
-    the interval since the previous sample (inclusive), so threshold checks
-    cover every step even when sample_stride > 1.
+    `step_g_max[i]` is the largest growth value at any integration step from
+    sample i - 1 through sample i, so threshold checks cover every step
+    where samples are further apart than one step: sample_stride > 1, or
+    the record multiple of a `certify` refinement.
     """
 
     cfg: PaletteConfig
@@ -103,6 +104,7 @@ def integrate(
     control: IntegrationControl,
     stop_at_remainder_below: float | None = None,
     _guess: np.ndarray | None = None,
+    _keep: Callable[[int], int] = lambda points: 1,
 ) -> Trajectory:
     """Integrate the drift ODE of `tuning`'s palette from the fresh state
     with a fixed step.
@@ -113,11 +115,14 @@ def integrate(
     growth is below that value, a threshold in (0, 1].  Only `certify`
     passes `_guess`, which parareal starts from: the `slice_starts` of its
     previous refinement, or their Richardson extrapolation from the two
-    before.
+    before; and `_keep`, which maps the sample-grid points of the horizon a
+    run knows before it records to a multiple of that grid: only the samples
+    on the multiple and where the run stops are recorded, and `step_g_max`
+    spans the rest.
     """
     _check_threshold(stop_at_remainder_below)
-    return _integrate(tuning, control.step, control.max_time,
-                      control.sample_stride, stop_at_remainder_below, guess=_guess)
+    return _integrate(tuning, control.step, control.max_time, control.sample_stride,
+                      stop_at_remainder_below, guess=_guess, keep=_keep)
 
 
 def _rk4(field, h: float):
@@ -138,15 +143,9 @@ def _rk4(field, h: float):
     return increment
 
 
-def _integrate(
-    tuning: TuningParams,
-    h: float,
-    max_time: float,
-    sample_stride: int,
-    stop_below: float | None,
-    euler: bool = False,
-    guess: np.ndarray | None = None,
-) -> Trajectory:
+def _integrate(tuning: TuningParams, h: float, max_time: float, sample_stride: int,
+               stop_below: float | None, euler: bool = False,
+               guess: np.ndarray | None = None, keep=lambda points: 1) -> Trajectory:
     """`integrate` with the control's fields unpacked: fixed-step RK4 by
     parareal, or as one slice where parareal gives up.  Only the Euler
     comparison sets `euler`; it always runs as one slice, and only it takes
@@ -157,31 +156,39 @@ def _integrate(
     below = -math.inf if stop_below is None else stop_below
     z0 = TypeDistribution.initial(tuning.cfg).vec
     increment = (lambda z: h * field(np.maximum(z, 0.0))) if euler else _rk4(field, h)
-    found = None if euler else _parareal(space, field, z0, h, n_steps, sample_stride, below, guess)
+    found = None if euler else _parareal(space, field, z0, h, n_steps, sample_stride, below,
+                                         guess, keep)
     (_, (idx, states, g, rem, peak), _, clamps, error), iterations, starts = found or (_sweep(
         space, increment, z0[None], np.zeros(1, dtype=np.int64), n_steps, n_steps,
-        sample_stride, below), None, None)
+        sample_stride, below, keep(n_steps // sample_stride)), None, None)
     abort = "supercritical" if g[-1] >= GROWTH_ABORT else error
     return Trajectory(tuning.cfg, idx * h, states, g, rem, peak, abort is not None, abort,
                       clamps, iterations, starts)
 
 
-def _sweep(space, increment, starts, first, n_fine, n_total, stride, stop_below):
+def _sweep(space, increment, starts, first, n_fine, n_total, stride, stop_below, keep=1):
     """Advance each row of `starts`, the state at global step `first[s]` (a
     multiple of `stride`; the rows are consecutive slices), by up to
-    `n_fine` steps, all rows as one stack.  A row records state, g,
-    remainder and the largest g since its last record (inclusive) at
-    multiples of `stride`, at `n_total` and where g reaches GROWTH_ABORT; it
-    stops there, at `n_total` or at the first sample with remainder below
-    `stop_below`.  A step that raises ends the sweep, closing each live row
-    with its last accepted state.  Returns the end states; the records
-    (global step, state, g, remainder, largest g) in global order up to the
-    first stop; whether a row stopped; the clamped undershoots up to there;
-    and the error ("supercritical", "mass_exhausted" or None)."""
+    `n_fine` steps, all rows as one stack.  A row stops at `n_total`, where
+    g reaches GROWTH_ABORT or at the first multiple of `stride` with
+    remainder below `stop_below`, and records state, g, remainder and the
+    largest g since the record before (inclusive, across slices) there and
+    at multiples of `keep * stride`.  A step that raises ends the sweep,
+    closing each live row with its last accepted state.  Returns the end
+    states; the records (global step, state, g, remainder, largest g) in
+    global order up to the first stop; whether a row stopped; the clamped
+    undershoots up to there; and the error, if any."""
     z, (g, rem) = starts, growth_rates(space, starts)
     peak, alive, ends = g, np.ones(len(z), dtype=bool), n_total - first
-    # whole stacks: step, states, g, remainder, peak, kept rows, stopped rows
-    records, clamps, error = [(0, z, g, rem, peak, first == 0, ~alive)], [first[:0]], None
+    # row s records at the steps j with j % grid == phase[s]; some row ends at each of `closing`
+    grid, closing, records, clamps = keep * stride, set(ends.tolist()), [], [first[:0]]
+    rows, phase, error = np.arange(len(z)), -first % grid, None
+
+    def record(at, j, stop):  # the rows `at` (None: all) at step j: only they are copied
+        records.append((rows, j, stop, z, g, rem, peak) if at is None else
+                       (rows[at], j, stop[at], z[at], g[at], rem[at], peak[at]))
+
+    record(slice(1), 0, ~alive)  # row 0 starts the run at step 0
     for j in range(1, n_fine + 1):
         try:
             nxt = z + increment(z)
@@ -192,33 +199,46 @@ def _sweep(space, increment, starts, first, n_fine, n_total, stride, stop_below)
         except (DegenerateDistributionError, SupercriticalError) as exc:
             error = ("supercritical" if isinstance(exc, SupercriticalError)
                      else "mass_exhausted")
-            if (j - 1) % stride:  # else each live row recorded step j - 1 (or starts there)
-                records.append((j - 1, z, g, rem, peak, alive, alive))
+            close = alive & (phase != (j - 1) % grid if j > 1 else first != 0)
+            record(close, j - 1, close)  # the live rows that did not record step j - 1
             break
         z, g, rem = nxt, g_nxt, rem_nxt
         peak = np.maximum(peak, g)
-        over, end = g >= GROWTH_ABORT, ends == j
-        if j % stride and not (over.any() or end.any()):
+        stop = g >= GROWTH_ABORT
+        if j in closing:
+            stop = stop | (ends == j)
+        if j % stride == 0:  # a row that stopped may record again: the cut drops it
+            stop = stop | (rem < stop_below)
+            kept = stop | (phase == j % grid)
+        elif stop.any():
+            kept = stop
+        else:
             continue
-        sample = end | (j % stride == 0)
-        stop = over | end | sample & (rem < stop_below)
-        records.append((j, z, g, rem, peak, alive & (sample | over), stop))
-        if j % stride == 0:  # off the grid only rows that stop record
-            peak = g
-        alive = alive & ~stop
-        if not alive.any():
-            break
-    steps, *columns, kept, stops = map(np.array, zip(*records))
-    row, k = np.nonzero(kept.T)  # by row, then by step: by global step
-    stop = stops[k, row]
-    n = int(np.argmax(stop)) + 1 if stop.any() else len(k)
-    row, k = row[:n], k[:n]
-    idx = first[row] + steps[k]
-    rec = (idx, *(column[k, row] for column in columns))
+        count = np.count_nonzero(kept)
+        if count:
+            every = count == len(kept)
+            record(None if every else kept, j, stop)
+            peak = g if every else np.where(kept, g, peak)
+        if np.count_nonzero(stop):
+            alive = alive & ~stop
+            if not alive.any():
+                break
+    row, steps, *columns = zip(*records)
+    steps = np.repeat(steps, [len(r) for r in row])
+    row, *columns = (np.concatenate(c) for c in (row, *columns))
+    order = np.argsort(row, kind="stable")  # by row, then by step: by global step
+    row, steps, stop, *columns = (c[order] for c in (row, steps, *columns))
+    # each slice's tail, past its last record, goes to the next record's peak
+    heads = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+    tails = np.maximum.reduceat(peak, row[heads])[:-1]
+    columns[-1][heads[1:]] = np.maximum(columns[-1][heads[1:]], tails)
+    n = int(np.argmax(stop)) + 1 if stop.any() else len(stop)
+    idx = first[row[:n]] + steps[:n]
+    rec = (idx, *(c[:n] for c in columns))
     return z, rec, bool(stop.any()), int((np.concatenate(clamps) <= idx[-1]).sum()), error
 
 
-def _parareal(space, field, z0, h, n_steps, stride, stop_below, guess):
+def _parareal(space, field, z0, h, n_steps, stride, stop_below, guess, keep):
     """Fixed-step RK4 by parareal (Lions, Maday & Turinici, C. R. Acad. Sci.
     Paris 332, 2001) over slices of about `_SLICE`: a sequential sweep of one
     coarse RK4 step per slice corrects a fine `_sweep` of all slices as one
@@ -229,7 +249,8 @@ def _parareal(space, field, z0, h, n_steps, stride, stop_below, guess):
     its first crossing or growth abort.  Returns the last sweep, the number
     of corrections and the starts the sweep ends on (z0, then each slice's
     end but the last), or None where one slice must run instead: a stage
-    raised, or no row stopped, or nothing settled."""
+    raised, or no row stopped, or nothing settled.  Sweeps record on the
+    multiple that `keep` gives for the sample points the slices cover."""
     m = stride * max(1, round(_SLICE / (h * stride)))  # fine steps per slice
     n_slices = -(-n_steps // m)
     coarse, fine = _rk4(field, m * h), _rk4(field, h)
@@ -247,11 +268,11 @@ def _parareal(space, field, z0, h, n_steps, stride, stop_below, guess):
         u, incs = np.array(starts), np.array(incs)
         if len(u) < 2:
             return None
-        first = np.arange(len(u), dtype=np.int64) * m
+        first, multiple = np.arange(len(u), dtype=np.int64) * m, keep(len(u) * m // stride)
         settled, last_update = False, math.inf
         for sweeps in range(1, _MAX_ITERATIONS + 2):
             run = ends, (idx, *_), stopped, _, error = _sweep(
-                space, fine, u, first, m, n_steps, stride, stop_below)
+                space, fine, u, first, m, n_steps, stride, stop_below, multiple)
             if error is not None or not stopped:
                 return None
             # after k corrections slices 0..k start exactly: a stop in them is final
@@ -287,10 +308,8 @@ def find_stop_time(traj: Trajectory, threshold: float = DEFAULT_THRESHOLD) -> di
     _check_threshold(threshold)
     below = np.nonzero(traj.remainder_values < threshold)[0]
     if below.size == 0:
-        reason = "no remainder crossing" + (
-            f" (aborted: {traj.abort_reason})" if traj.aborted else ""
-        )
-        return {"found": False, "reason": reason}
+        aborted = f" (aborted: {traj.abort_reason})" if traj.aborted else ""
+        return {"found": False, "reason": "no remainder crossing" + aborted}
     idx = int(below[0])
     g_violations = np.nonzero(traj.step_g_max[: idx + 1] >= threshold)[0]
     if g_violations.size > 0:
@@ -343,9 +362,7 @@ def _verdict(
     failure = None
     missed = [e for e in refinements if not e["found"]]
     if missed:
-        failure = "no stable stopping time: " + "; ".join(
-            str(e.get("reason")) for e in missed
-        )
+        failure = "no stable stopping time: " + "; ".join(str(e.get("reason")) for e in missed)
     else:
         r_values = [e["r"] for e in refinements]
         if any(abs(cur - prev) > 0.01 * abs(prev)
@@ -355,13 +372,9 @@ def _verdict(
                              "margin_g", "margin_remainder"))
     if failure is None:
         fin = refinements[-1]
-        summary.update(
-            r=fin["r"],
-            max_g_on_0_r=fin["max_g_on_0_r"],
-            remainder_growth_at_r=fin["remainder_growth_at_r"],
-            margin_g=threshold - fin["max_g_on_0_r"],
-            margin_remainder=threshold - fin["remainder_growth_at_r"],
-        )
+        g, rem = fin["max_g_on_0_r"], fin["remainder_growth_at_r"]
+        summary.update(r=fin["r"], max_g_on_0_r=g, remainder_growth_at_r=rem,
+                       margin_g=threshold - g, margin_remainder=threshold - rem)
         if not (summary["margin_g"] > 0.0 and summary["margin_remainder"] > 0.0):
             failure = "nonpositive margin"
     return ("failed" if failure else "certified"), failure, summary
@@ -385,6 +398,11 @@ def certify(
         raise ConfigurationError(
             f"halvings {control.halvings} at sample_stride {control.sample_stride} records "
             f"samples {stride} steps apart, more than verify takes ({MAX_SAMPLE_GAP})")
+    # refinements record on the multiple of the base grid that leaves at most
+    # MAX_STORED_SAMPLES samples (its start and a last one off it included) in
+    # the horizon known before recording, with no gap over MAX_SAMPLE_GAP steps
+    def multiple(points: int) -> int:
+        return max(1, min(-(-points // (MAX_STORED_SAMPLES - 2)), MAX_SAMPLE_GAP // stride))
     refinements, older, starts = [], None, None
     for k in range(control.halvings + 1):
         # keep samples on the base grid so stopping times are comparable
@@ -396,7 +414,8 @@ def certify(
         # shrinks 16-fold per halving, so from two refinements in a row
         # s1 + (s1 - s0) / 16 cancels its leading term (Richardson)
         guess = starts if older is None or starts is None else starts + (starts - older) / 16
-        traj = integrate(tuning, refined, stop_at_remainder_below=threshold, _guess=guess)
+        traj = integrate(tuning, refined, stop_at_remainder_below=threshold, _guess=guess,
+                         _keep=multiple)
         how, older, starts = traj.parareal_iterations, starts, traj.slice_starts
         print(f"certify: step {refined.step:g}: {round(traj.times[-1] / refined.step)} "
               f"fine steps in {time.perf_counter() - start:.3f} s, "
@@ -404,22 +423,8 @@ def certify(
               file=sys.stderr)
         refinements.append({"step": refined.step, **find_stop_time(traj, threshold)})
     status, failure, summary = _verdict(refinements, threshold)
-
-    # samples come from the finest refinement, the last one run: all of them,
-    # or at least MAX_STORED_SAMPLES evenly spread that keep the last, a found
-    # crossing; enough that at most MAX_SAMPLE_GAP // stride records, each
-    # `stride` steps long or shorter, lie between two kept samples
-    n = len(traj.times)
-    count = max(MAX_STORED_SAMPLES, math.ceil((n - 1) / (MAX_SAMPLE_GAP // stride)) + 1)
-    keep = np.unique(np.linspace(0, n - 1, count).round().astype(int))
-    samples = {
-        "times": traj.times[keep].tolist(),
-        "g": traj.g_values[keep].tolist(),
-        "remainder": traj.remainder_values[keep].tolist(),
-        "states": traj.states[keep].tolist(),
-    }
-
-    space = type_space(cfg)
+    samples = {"times": traj.times.tolist(), "g": traj.g_values.tolist(),  # the finest's
+               "remainder": traj.remainder_values.tolist(), "states": traj.states.tolist()}
     return Certificate(
         schema_version="1",
         status=status,
@@ -438,7 +443,7 @@ def certify(
         },
         metadata={
             "generator": f"treecolor {_version}",
-            "type_order": [str(t) for t in space.types],
+            "type_order": [str(t) for t in type_space(cfg).types],
         },
     )
 
@@ -551,8 +556,7 @@ def load_certificate(path: str) -> Certificate:
     for name in ("r", "p"):
         if type(cfg_raw.get(name)) is not int:
             raise CertificateParseError(
-                f"cfg.{name}: expected an integer, got {cfg_raw.get(name)!r}"
-            )
+                f"cfg.{name}: expected an integer, got {cfg_raw.get(name)!r}")
     try:
         cfg = values["cfg"] = PaletteConfig(cfg_raw["r"], cfg_raw["p"])
     except ConfigurationError as exc:
@@ -754,9 +758,8 @@ def euler_ode_compare(
         raise ConfigurationError(f"epsilon must be in (0, 0.2], got {epsilon}")
     # reference step divides eps exactly so sample times align by index
     substeps = max(10, int(math.ceil(epsilon / control.step - 1e-12)))
-    ref_step = epsilon / substeps
-    ref_control = replace(control, step=ref_step, sample_stride=1)
-    ref = integrate(tuning, ref_control, stop_at_remainder_below=DEFAULT_THRESHOLD)
+    ref = integrate(tuning, replace(control, step=epsilon / substeps, sample_stride=1),
+                    stop_at_remainder_below=DEFAULT_THRESHOLD)
     if ref.aborted and ref.abort_reason == "supercritical":
         raise ComparisonFailureError("reference trajectory went supercritical")
     # no crossing (e.g. zero weights) is not an error: compare over what ran

@@ -163,9 +163,9 @@ def _add_palette_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_control_flags(sub: argparse.ArgumentParser) -> None:
+def _add_control_flags(sub: argparse.ArgumentParser, max_time: float | None = None) -> None:
     sub.add_argument("--step", type=float, default=None, help="integration step")
-    sub.add_argument("--max-time", type=float, default=None,
+    sub.add_argument("--max-time", type=float, default=max_time,
                      help="integration horizon")
 
 
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     integ = subs.add_parser("integrate", help="emit the ODE trajectory as CSV")
     _add_palette_flags(integ)
-    _add_control_flags(integ)
+    _add_control_flags(integ, max_time=500.0)  # it records every sample
     integ.add_argument("--threshold", type=float, default=None,
                        help="stop when remainder growth falls below this")
     integ.add_argument("--out", default=None, help="trajectory CSV path")
@@ -327,11 +327,8 @@ def cmd_integrate(args) -> int:
     config.update(method="rk4", step=control.step, max_time=control.max_time)
     lines = [_comment_block(config).rstrip("\n")]
     lines.append("time,g,remainder," + ",".join(f"z_{t.d}_{t.c}" for t in space.types))
-    for i in range(len(traj.times)):
-        row = [repr(float(traj.times[i])), repr(float(traj.g_values[i])),
-               repr(float(traj.remainder_values[i]))]
-        row += [repr(float(x)) for x in traj.states[i]]
-        lines.append(",".join(row))
+    table = np.column_stack([traj.times, traj.g_values, traj.remainder_values, traj.states])
+    lines += [",".join(map(repr, row)) for row in map(np.ndarray.tolist, table)]
     _emit(args, "\n".join(lines) + "\n", f"{len(traj.times)} samples")
     if traj.aborted:
         print(f"integration aborted: {traj.abort_reason}")

@@ -36,6 +36,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import acceptance_report
 from helpers import random_subcritical
@@ -167,6 +168,26 @@ def test_acceptance_02_certify_6_4():
         f"R={cert.r:.3f} max_g={cert.max_g_on_0_r:.5f} "
         f"m(R)={cert.remainder_growth_at_r:.5f} {secs:.1f}s",
     )
+
+
+# the three refinement entries of the default (4,3) and (6,4) certificates,
+# bit for bit: how a refinement records its samples must not move them.
+# Read from the certificates that criteria 1 and 2 made, so tier-1 certifies
+# each pair once
+@pytest.mark.parametrize("key, r, max_g, remainder", [
+    pytest.param((4, 3), 9.848,
+                 [0.9338432535591713, 0.9338432535596977, 0.9338432535597312],
+                 [0.9997968322663643, 0.9997968322656583, 0.9997968322656123], id="4-3"),
+    pytest.param((6, 4), 113.153,
+                 [0.8085680836823907, 0.8085680836823919, 0.8085680840866168],
+                 [0.9999474849092241, 0.9999474849091013, 0.9999474849092338], id="6-4"),
+])
+def test_default_certificate_refinement_entries_pinned(key, r, max_g, remainder):
+    cert, _ = _certified(key)
+    assert [e["step"] for e in cert.refinements] == [1e-3, 5e-4, 2.5e-4]
+    assert [e["r"] for e in cert.refinements] == [r] * 3
+    assert [e["max_g_on_0_r"] for e in cert.refinements] == max_g
+    assert [e["remainder_growth_at_r"] for e in cert.refinements] == remainder
 
 
 def test_acceptance_03_row_sum_identity():

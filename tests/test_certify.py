@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,7 +287,7 @@ def test_certificate_bytes_pinned(cert43):
     digests = [hashlib.sha256(certificate_to_json(c).encode()).hexdigest()
                for c in (cert43, failed)]
     assert digests == [
-        "865e711cbd9d8a87a18ee5e17bd2fe1141a02642ec5380a7128f598fd16a30b9",
+        "70726361c86e2f4cd8830807f3f4d8840b8d63fa7ac8b99ee8868c4adedd4172",
         "01a10bc29a1fff93e6ec7bbf097b68eeed0e6b5e29920eaecab7144bbcb4d408",
     ]
     verify_certificate(failed)  # a failed status re-derives as well
@@ -457,12 +458,16 @@ def _never_called(*args, **kwargs):
     raise AssertionError("integrate ran")
 
 
-# ZERO43 never crosses, so the finest refinement runs to max_time, in 2,047 to
-# 4,095 records 2 steps of 0.05 apart (the last off the grid at 204.75 and
-# 409.5).  Each cap is below the largest gap that 2,048 evenly spread samples
-# would leave (4, 4 and 6 steps), so certify stores more: every record at
-# 204.75 and 409.4, every second one at 409.5, and the certificate verifies.
-# A cap below the 2 steps between records refuses the run before it integrates
+# ZERO43 never crosses, so the finest refinement (h = 0.05, 2 steps per
+# point of the 0.1 base grid) knows its whole window as its horizon: 2,047
+# base points at 204.75 and 4,094 or 4,095 at 409.4 and 409.5.  It records
+# on the multiple max(1, min(ceil(points / 2046), cap // 2)) of that grid,
+# and where it stops, at max_time.  The cap decides every row: at 204.75 and
+# 409.4, cap 3 allows a multiple of 1, so certify stores each base point,
+# 0 to 204.7 and the end at 204.75 (2,049), or 0 to 409.4 (4,095); at 409.5,
+# ceil(4095 / 2046) = 3 but cap 5 allows only 2, so it stores 0, 0.2, ...,
+# 409.4 and the end at 409.5 (2,049).  Each certificate verifies.  A cap
+# below the 2 steps between base points refuses the run before it integrates
 @pytest.mark.parametrize("max_time, cap, stored", [
     pytest.param(204.7, 1, None, id="204.7"),
     pytest.param(204.75, 3, 2049, id="204.75"),
@@ -481,6 +486,52 @@ def test_certify_refuses_a_sample_gap_over_the_cap(monkeypatch, max_time, cap, s
     assert len(cert.samples["times"]) == stored
     assert np.rint(np.diff(cert.samples["times"]) / 0.05).max() <= cap
     verify_certificate(cert)
+
+
+# with 10 stored samples each refinement records every 622 points of the
+# 2e-3 base grid, 1.244 apart, and parareal's 0.05 slices mostly hold no
+# record: the peak of g, at t = 8.276, lies in one of them.  It reaches the
+# next record only through the tail each slice hands on.  So the entries
+# equal those of the same runs recording every point, and match one slice
+# up to rounding; every record's `step_g_max` matches a one-slice run's at
+# that multiple; and `verify` finds no g above the certified one
+def test_slice_tails_carry_the_largest_g_to_the_next_record(monkeypatch):
+    monkeypatch.setattr(CERTIFY, "MAX_STORED_SAMPLES", 10)
+    control = IntegrationControl(step=2e-3, halvings=1)
+    cert = certify(CFG43, TUNING43, control=control)
+    full, _ = _recorded(lambda: certify(CFG43, TUNING43, control=control))
+    slow = _one_slice(lambda: certify(CFG43, TUNING43, control=control))
+    assert cert.refinements == full.refinements
+    for a, b in zip(cert.refinements, slow.refinements):
+        assert a["r"] == b["r"]
+        assert abs(a["max_g_on_0_r"] - b["max_g_on_0_r"]) <= 1e-14
+    times = np.array(cert.samples["times"])
+    assert np.rint(times / 2e-3).astype(int).tolist() == [*range(0, 4924, 622), 4924]
+    finest = dataclasses.replace(control, step=1e-3, sample_stride=2)
+    every = integrate(TUNING43, finest, DEFAULT_THRESHOLD)
+    assert np.abs(times - every.times[np.argmax(every.g_values)]).min() > 0.4
+    verify_certificate(cert)
+    sparse = integrate(TUNING43, finest, DEFAULT_THRESHOLD, _keep=lambda points: 622)
+    assert sparse.parareal_iterations is not None
+    _assert_same_rk4(sparse, _one_slice(
+        lambda: integrate(TUNING43, finest, DEFAULT_THRESHOLD, _keep=lambda points: 622)))
+
+
+# a never-crossing run records on a multiple that grows with its window, so
+# four times the window leaves the stored samples at most MAX_STORED_SAMPLES
+# and the peak of traced memory far below four times as high; a record of
+# every base-grid point would bring it close to four times
+def test_certify_memory_does_not_follow_the_horizon():
+    peaks = []
+    for max_time in (10.0, 40.0):
+        tracemalloc.start()
+        cert = certify(CFG43, ZERO43, control=IntegrationControl(step=2e-3, max_time=max_time,
+                                                                 halvings=1))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert len(cert.samples["times"]) <= CERTIFY.MAX_STORED_SAMPLES
+        assert cert.samples["times"][-1] == max_time
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 # parareal and one slice compute the same fixed-step RK4; only their
@@ -522,10 +573,11 @@ def _assert_same_rk4(fast, slow):
 def _recorded(run, warm=True):
     """`run()` and each of its `integrate` calls as (control, stop, guess,
     trajectory); with warm=False every call ignores its guess, as `certify`
-    ran before it passed one."""
+    ran before it passed one.  Every call ignores its record multiple, so
+    each trajectory holds every sample, as a one-slice run does."""
     calls = []
 
-    def recording(tuning, control, stop_at_remainder_below=None, _guess=None):
+    def recording(tuning, control, stop_at_remainder_below=None, _guess=None, _keep=None):
         traj = integrate(tuning, control, stop_at_remainder_below, _guess if warm else None)
         calls.append((control, stop_at_remainder_below, _guess, traj))
         return traj

@@ -449,31 +449,9 @@ def certify(
 
 
 # ---------------------------------------------------------------------------
-# Certificate serialization: deterministic field order, floats with 17
-# significant digits so values round-trip exactly.
+# Certificate serialization: deterministic field order; `json` writes each
+# float in its shortest round-trip form, so values reload bit for bit.
 # ---------------------------------------------------------------------------
-
-def _dump_json(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        return format(value, ".16e")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {float}:  # a sample array: one template
-            return "[" + ("%.16e," * len(value) % tuple(value))[:-1] + "]"
-        return "[" + ",".join(_dump_json(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return "{" + ",".join(
-            json.dumps(str(k)) + ":" + _dump_json(v) for k, v in value.items()
-        ) + "}"
-    raise TypeError(f"cannot serialize {type(value)}")
-
 
 def certificate_to_json(cert: Certificate) -> str:
     payload = {f.name: getattr(cert, f.name) for f in fields(Certificate)}
@@ -482,7 +460,7 @@ def certificate_to_json(cert: Certificate) -> str:
         tuning={str(t): float(w) for t, w in sorted(cert.tuning.items())},
         control={"method": "rk4", **asdict(cert.control)},
     )
-    return _dump_json(payload) + "\n"
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def save_certificate(cert: Certificate, path: str) -> None:

@@ -20,11 +20,12 @@ fields or as leading `#` comment lines.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -54,8 +55,8 @@ from .errors import (
     TreecolorError,
     read_text,
 )
-from .graphs import (Graph, gen_regular_graph, gen_tree_ball, parse_fixture, read_coloring,
-                     write_coloring, write_fixture)
+from .graphs import (Graph, format_rows, gen_regular_graph, gen_tree_ball, parse_fixture,
+                     read_coloring, write_coloring, write_fixture)
 from .process import (
     MAX_SEED,
     ColoringState,
@@ -277,14 +278,17 @@ def _comment_block(config: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, text: str, what: str) -> None:
-    """Write `text` to `--out` and say so, or else to stdout."""
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out} ({what})")
-    else:
-        sys.stdout.write(text)
+def _emit(args, chunks: Iterable[str], what: str) -> TextIO:
+    """Write the text `chunks` to `--out` and say so, or else to stdout.
+    Returns the stream for status lines, which stay out of the table:
+    stdout beside an `--out` file, stderr when the table is on stdout."""
+    if not args.out:
+        sys.stdout.writelines(chunks)
+        return sys.stderr
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+    print(f"wrote {args.out} ({what})")
+    return sys.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +329,19 @@ def cmd_integrate(args) -> int:
     space = type_space(tuning.cfg)
     config = _config_echo(args, ["r", "p", "threshold", "weight"])
     config.update(method="rk4", step=control.step, max_time=control.max_time)
-    lines = [_comment_block(config).rstrip("\n")]
-    lines.append("time,g,remainder," + ",".join(f"z_{t.d}_{t.c}" for t in space.types))
-    table = np.column_stack([traj.times, traj.g_values, traj.remainder_values, traj.states])
-    lines += [",".join(map(repr, row)) for row in map(np.ndarray.tolist, table)]
-    _emit(args, "\n".join(lines) + "\n", f"{len(traj.times)} samples")
+    header = _comment_block(config) + "time,g,remainder," + ",".join(
+        f"z_{t.d}_{t.c}" for t in space.types) + "\n"
+    rows = format_rows(",".join(["%r"] * (3 + len(space.types))) + "\n",
+                       traj.times, traj.g_values, traj.remainder_values, traj.states)
+    status = _emit(args, itertools.chain([header], rows), f"{len(traj.times)} samples")
     if traj.aborted:
-        print(f"integration aborted: {traj.abort_reason}")
+        print(f"integration aborted: {traj.abort_reason}", file=status)
     if args.threshold is not None:
         entry = find_stop_time(traj, args.threshold)
         if entry["found"]:
-            print(f"remainder crossed {args.threshold:g} at t={entry['r']:.6f}")
+            print(f"remainder crossed {args.threshold:g} at t={entry['r']:.6f}", file=status)
         else:
-            print(f"no crossing: {entry['reason']}")
+            print(f"no crossing: {entry['reason']}", file=status)
     return EXIT_OK
 
 
@@ -545,32 +549,32 @@ def cmd_sweep(args) -> int:
     for row in results:
         lines.append(f"{row['epsilon']!r},{row['seed']},{row['red_frac']!r},"
                      f"{row['steps']}")
-    _emit(args, "\n".join(lines) + "\n", f"{len(results)} cells")
+    status = _emit(args, ["\n".join(lines) + "\n"], f"{len(results)} cells")
 
     by_eps: dict[float, list[float]] = {}
     for row in results:
         by_eps.setdefault(row["epsilon"], []).append(row["red_frac"])
     means = {eps: float(np.mean(v)) for eps, v in by_eps.items()}
     grid = sorted(means)
-    print("epsilon  mean red fraction")
+    print("epsilon  mean red fraction", file=status)
     for eps in grid:
-        print(f"{eps:<8g} {means[eps]:.6g}")
+        print(f"{eps:<8g} {means[eps]:.6g}", file=status)
     for small, big in zip(grid, grid[1:]):
         if abs(big / small - 2.0) < 1e-9 and means[big] > 0:
             print(f"ratio red({small:g})/red({big:g}) = "
-                  f"{means[small] / means[big]:.4f}")
+                  f"{means[small] / means[big]:.4f}", file=status)
     if len(by_eps) >= 3 and all(len(v) >= 3 for v in by_eps.values()):
         fit = red_scaling([(row["epsilon"], row["red_frac"]) for row in results])
         if fit.degenerate:
             none = ", ".join(f"{eps:g}" for eps, mean in fit.means.items() if mean == 0.0)
-            print(f"red scaling: degenerate (no reds at epsilon {none})")
+            print(f"red scaling: degenerate (no reds at epsilon {none})", file=status)
         else:
-            print(f"red scaling: log-log slope {fit.slope:.4f}")
+            print(f"red scaling: log-log slope {fit.slope:.4f}", file=status)
     improper = [row for row in results if row["bad_edges"]]
     for row in improper:
         print(f"cell epsilon={row['epsilon']!r} seed={row['seed']}: final coloring "
               f"is NOT proper: {len(row['bad_edges'])} bad edges, "
-              f"e.g. {row['bad_edges'][:10]}")
+              f"e.g. {row['bad_edges'][:10]}", file=status)
     return EXIT_FAILURE if improper else EXIT_OK
 
 

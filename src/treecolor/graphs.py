@@ -1,4 +1,4 @@
-"""Finite graphs the coloring process runs on, and their fixture and coloring-dump text.
+"""Finite graphs the coloring process runs on, their text formats, and the row formatter.
 
 Random regular graphs come from the configuration model (pairing half-edges,
 then repairing self-loops and parallel edges with degree-preserving edge
@@ -10,6 +10,7 @@ statistics, so the type distribution leaves it out; other graphs have none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -244,17 +245,22 @@ def parse_fixture(text: str) -> tuple[Graph, list[tuple[int, int]]]:
     return graph, presets
 
 
-def _pair_lines(first: np.ndarray, second: np.ndarray):
-    """The "a b" lines of two integer columns, as text chunks: 16,384 rows to
-    one "%d %d\n" template, not one f-string per row."""
-    for a in range(0, len(first), 16384):
-        rows = np.column_stack((first[a:a + 16384], second[a:a + 16384]))
-        yield "%d %d\n" * len(rows) % tuple(rows.ravel().tolist())
+def format_rows(template: str, *columns) -> Iterator[str]:
+    """The rows of `columns` (1-D, or 2-D for a block of columns) as text
+    chunks: 16,384 rows to one row template such as "%d %d\n" or "%r,%r\n",
+    not one string per row.  Values reach the template as Python numbers, so
+    `%r` writes a float's shortest round-trip spelling, and `%d` is exact in
+    a float table below 2^53."""
+    for a in range(0, len(columns[0]), 16384):
+        block = np.column_stack([c[a:a + 16384] for c in columns])
+        yield template * len(block) % tuple(block.ravel().tolist())
 
 
 def write_fixture(graph: Graph, presets: list[tuple[int, int]] | None = None) -> str:
-    return "".join([f"{graph.n} {graph.r}\n", *_pair_lines(graph.edges_u, graph.edges_v),
-                    *(f"color {v} {c}\n" for v, c in presets or [])])
+    preset = np.array(presets or [], dtype=object).reshape(-1, 2)  # a color is any integer
+    return "".join([f"{graph.n} {graph.r}\n",
+                    *format_rows("%d %d\n", graph.edges_u, graph.edges_v),
+                    *format_rows("color %d %d\n", preset)])
 
 
 def write_coloring(graph: Graph, colors: np.ndarray, p: int, path: str) -> None:
@@ -269,7 +275,7 @@ def write_coloring(graph: Graph, colors: np.ndarray, p: int, path: str) -> None:
             f"refusing to dump: vertex {v} has color {int(colors[v])}, outside 0..{p}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{graph.n} {graph.r} {p}\n")
-        fh.writelines(_pair_lines(np.arange(graph.n), colors))
+        fh.writelines(format_rows("%d %d\n", np.arange(graph.n), colors))
 
 
 def read_coloring(path: str) -> tuple[int, int, int, np.ndarray]:

@@ -24,6 +24,7 @@ from .dynamics import (
     type_space,
 )
 from .errors import ConfigurationError, InsufficientDataError
+from .graphs import format_rows
 from .process import UNCOLORED, ColoringState, StepReport, uncolored_components
 
 __all__ = [
@@ -273,24 +274,14 @@ def stats_csv(stats: RunStats) -> str:
     header = ["step", "time", "uncolored_frac", "red_frac", "active",
               "mean_cascade", "max_cascade"]
     header += [f"z_{t.d}_{t.c}" for t in space.types]
-    lines = [",".join(header)]
-    for k, z in enumerate(stats.distributions):
-        if k == 0:
-            active, mean_casc, max_casc = 0, 0.0, 0
-        else:
-            rep = stats.reports[k - 1]
-            active, sizes = rep.active, rep.cascade_sizes
-            mean_casc = float(np.mean(sizes)) if sizes else 0.0
-            max_casc = max(sizes) if sizes else 0
-        row = [
-            str(k),
-            repr(stats.time(k)),
-            repr(float(z.mass())),
-            repr(stats.red_fracs[k]),
-            str(active),
-            repr(mean_casc),
-            str(max_casc),
-        ]
-        row += [repr(x) for x in z.vec.tolist()]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    dists, sizes = stats.distributions, [rep.cascade_sizes for rep in stats.reports]
+    steps = np.arange(len(dists))
+    columns = [
+        steps, steps * stats.epsilon, [z.mass() for z in dists], stats.red_fracs,
+        [0] + [rep.active for rep in stats.reports],
+        [0.0] + [float(np.mean(s)) if s else 0.0 for s in sizes],
+        [0] + [max(s) if s else 0 for s in sizes],
+        np.array([z.vec for z in dists]),
+    ]
+    template = "%d,%r,%r,%r,%d,%r,%d" + ",%r" * len(space.types) + "\n"
+    return ",".join(header) + "\n" + "".join(format_rows(template, *columns))

@@ -287,8 +287,8 @@ def test_certificate_bytes_pinned(cert43):
     digests = [hashlib.sha256(certificate_to_json(c).encode()).hexdigest()
                for c in (cert43, failed)]
     assert digests == [
-        "70726361c86e2f4cd8830807f3f4d8840b8d63fa7ac8b99ee8868c4adedd4172",
-        "01a10bc29a1fff93e6ec7bbf097b68eeed0e6b5e29920eaecab7144bbcb4d408",
+        "c9651d1dda9ff5c815504737ad38e17e68950fb0c8d8e4e83bc696b574a46a8f",
+        "c7c3ae3066ecf129b048193ecb2d663e6ab47c9336108fd395a37f5a42027560",
     ]
     verify_certificate(failed)  # a failed status re-derives as well
 
@@ -301,9 +301,30 @@ def test_certificate_field_order_and_float_format(cert43):
         "margin_g", "margin_remainder", "samples", "refinements",
         "diagnostics", "metadata",
     ]
-    # floats carry 17 significant digits
-    assert format(0.99999, ".16e") in text
-    assert f'"step":{format(2e-3, ".16e")}' in text
+    # every number reloads bit for bit, down to signed zero, the smallest
+    # subnormal and the largest float in the free-form diagnostics; a numpy
+    # scalar in the payload would have been refused by `json.dumps`
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    for cert in (cert43, dataclasses.replace(
+            cert43, diagnostics=dict(cert43.diagnostics, extremes=extremes))):
+        expected = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
+        expected.update(
+            cfg={"r": cert.cfg.r, "p": cert.cfg.p},
+            tuning={str(t): w for t, w in sorted(cert.tuning.items())},
+            control={"method": "rk4", **dataclasses.asdict(cert.control)},
+        )
+        loaded = json.loads(certificate_to_json(cert))
+        assert _spelled(loaded) == _spelled(expected)
+
+
+def _spelled(value) -> list:
+    """The leaves of a JSON-like value in order, a float as its `float.hex`
+    and every other leaf as itself, beside its type."""
+    if isinstance(value, dict):
+        return [leaf for v in value.values() for leaf in _spelled(v)]
+    if isinstance(value, (list, tuple)):
+        return [leaf for v in value for leaf in _spelled(v)]
+    return [(type(value), float.hex(value) if type(value) is float else value)]
 
 
 def test_certificate_tampered_summary_rejected(cert43, tmp_path):
@@ -363,16 +384,6 @@ def test_certificate_bad_type_key_named(cert43, tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(CertificateParseError, match="banana"):
         load_certificate(str(path))
-
-
-# sample arrays of Python floats go through one "%.16e," template: the same
-# bytes as formatting each float alone, down to signed zero, the smallest
-# subnormal and the largest float; any other list takes the per-value path
-def test_float_list_template_matches_per_value_format():
-    values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0]
-    assert CERTIFY._dump_json(values) == "[" + ",".join(format(v, ".16e") for v in values) + "]"
-    assert CERTIFY._dump_json([1, True, 0.5, None]) == "[1,true,5.0000000000000000e-01,null]"
-    assert CERTIFY._dump_json([]) == "[]"
 
 
 # the loader checks each sample array at once; a bad one is walked only to

@@ -6,14 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from treecolor import cli
-from treecolor.certify import _verdict
+from treecolor.certify import IntegrationControl, _verdict, integrate
 from treecolor.cli import main
-from treecolor.dynamics import PaletteConfig, growth_rates, type_space
+from treecolor.dynamics import PaletteConfig, default_tuning, growth_rates, type_space
 from treecolor.errors import ConfigurationError
 from treecolor.graphs import parse_fixture, write_coloring
 
@@ -464,6 +465,58 @@ def test_integrate_emits_selfdescribing_csv(tmp_path, capsys):
     assert float(first[0]) == 0.0 and float(first[1]) == 0.0
     assert float(first[2]) == 3.0  # initial remainder growth is r - 1
     assert "crossed" in capsys.readouterr().out
+
+
+# the bytes of the trajectory CSV, with and without a threshold
+@pytest.mark.parametrize("flags, digest", [
+    (["--step", "0.01", "--threshold", "0.99999"],
+     "bae402d5dd669f53f040ac818e0854ff8e0ef0767ba2d14845b3a1c1041380da"),
+    (["--step", "0.05", "--max-time", "3"],
+     "27b52021fdb14d7c1005587399c8721b57909461ce88a33a136ddeb380ff7488"),
+], ids=["threshold", "max-time"])
+def test_integrate_csv_pinned(tmp_path, flags, digest):
+    out = tmp_path / "traj.csv"
+    assert main(["integrate", "--r", "4", "--p", "3", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["integrate", "--r", "4", "--p", "3", "--step", "0.05", "--max-time", "12",
+      "--threshold", "0.99999"], "remainder crossed 0.99999 at t=9.850000"),
+    (["integrate", "--r", "3", "--p", "2", "--step", "0.05", "--max-time", "12"],
+     "integration aborted: supercritical"),
+    (["sweep", "--r", "4", "--p", "3", "--epsilons", "0.2,0.1", "--seeds", "1",
+      "--n", "200", "--steps", "5", "--jobs", "1"], "epsilon  mean red fraction"),
+], ids=["integrate-crossing", "integrate-aborted", "sweep"])
+def test_table_on_stdout_keeps_status_lines_out(capsys, argv, message):
+    """Without --out the CSV alone goes to stdout: every row has the
+    header's columns, and the status lines go to stderr."""
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    rows = [ln for ln in captured.out.splitlines() if not ln.startswith("#")]
+    assert len(rows) > 1
+    assert all(ln.count(",") == rows[0].count(",") for ln in rows)
+    assert message in captured.err.splitlines()
+
+
+def test_integrate_streams_its_csv(tmp_path):
+    """Writing 100,001 rows to --out peaks, under tracemalloc, less than one
+    16,384-row chunk of the CSV above the bare `integrate` call."""
+    out = tmp_path / "traj.csv"
+    tracemalloc.start()
+    try:
+        integrate(default_tuning(PaletteConfig(4, 3)),
+                  IntegrationControl(step=1e-3, max_time=100.0))
+        bare = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(["integrate", "--r", "4", "--p", "3", "--step", "0.001",
+                     "--max-time", "100", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = sum(1 for ln in out.read_text().splitlines() if ln[0].isdigit())
+    assert rows == 100_001
+    assert peak - bare < out.stat().st_size * 16384 / rows
 
 
 # ---------------------------------------------------------------------------

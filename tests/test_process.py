@@ -177,6 +177,8 @@ def test_fixture_parse_and_write():
     pytest.param(lambda: parse_fixture("6 4\n0 1\n1 2\n2 3\n0 4\ncolor 3 2\ncolor 5 0\n"),
                  id="presets"),
     pytest.param(lambda: (parse_fixture("3 2\n")[0], []), id="no-edges"),
+    pytest.param(lambda: parse_fixture("4 4\n0 1\ncolor 3 99999999999999999999\ncolor 1 -2\n"),
+                 id="any-integer-color"),
     pytest.param(lambda: (gen_tree_ball(4, 3), []), id="tree-ball"),
     pytest.param(lambda: (gen_regular_graph(100_000, 4, seed=2), []), id="regular-1e5"),
 ])

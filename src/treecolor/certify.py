@@ -14,7 +14,7 @@ import math
 import sys
 import time
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .dynamics import (
     TuningParams,
     TypeDistribution,
     VertexType,
-    drift_field,
+    drift_series,
     growth_rates,
     type_space,
 )
@@ -41,18 +41,24 @@ from .errors import (
 DEFAULT_THRESHOLD = 0.99999
 GROWTH_ABORT = 1.0 - 1e-6
 MAX_STORED_SAMPLES = 2048
-# most steps of the finest refinement between two stored samples: `verify`
-# re-integrates each gap, and one this long took 7.8 s on a 2-core Xeon
+# most grid steps of the finest refinement between two stored samples, which
+# bounds the grid points `verify` checks per gap
 MAX_SAMPLE_GAP = 2 ** 16
-# parareal: slice length, slices past the coarse crossing, settled update and
-# iteration cap; and the entries of a stack that one RK4 pass takes at once
-_SLICE = 0.05
-_MARGIN_SLICES, _CONVERGED, _MAX_ITERATIONS, _BLOCK = 2, 1e-14, 30, 16384
+# Taylor steps (A. Jorba and M. Zou, Experimental Mathematics 14, 2005): the
+# order of each step's series; the local error that refinement k of
+# `certify` allows a step, relative to the state, _TOLERANCE / 10**k; and
+# the most entries one step holds at once: the states it evaluates, and in
+# `verify` the series of a block of gaps and two rates per grid point and gap
+_ORDER, _TOLERANCE, _BATCH = 16, 1e-14, 2 ** 16
+# how far from the next sample `verify` lets a re-integrated gap end
+GAP_TOLERANCE = 1e-13
 
 
 @dataclass(frozen=True)
 class IntegrationControl:
-    """Fixed-step RK4 integration settings."""
+    """The grid a flow is sampled on: growth is checked at every `step`, the
+    stop rule every `sample_stride` steps, up to `max_time`; `certify` also
+    halves the step `halvings` times."""
 
     step: float = 1e-3
     max_time: float = 2000.0
@@ -77,10 +83,10 @@ class IntegrationControl:
 class Trajectory:
     """Sampled solution of the drift ODE.
 
-    `step_g_max[i]` is the largest growth value at any integration step from
-    sample i - 1 through sample i, so threshold checks cover every step
-    where samples are further apart than one step: sample_stride > 1, or
-    the record multiple of a `certify` refinement.
+    `step_g_max[i]` is the largest growth value at any grid point from
+    sample i - 1 through sample i, so threshold checks cover every grid
+    point where samples are further apart than one step: sample_stride > 1,
+    or the record multiple of a `certify` refinement.
     """
 
     cfg: PaletteConfig
@@ -92,8 +98,7 @@ class Trajectory:
     aborted: bool = False
     abort_reason: str | None = None
     clamp_events: int = 0
-    parareal_iterations: int | None = None  # None: integrated as one slice
-    slice_starts: np.ndarray | None = None  # z0, then the slice ends of parareal's last sweep
+    taylor_steps: int = 0
 
     def state_at(self, i: int) -> TypeDistribution:
         return TypeDistribution(self.cfg, self.states[i].copy())
@@ -103,195 +108,115 @@ def integrate(
     tuning: TuningParams,
     control: IntegrationControl,
     stop_at_remainder_below: float | None = None,
-    _guess: np.ndarray | None = None,
-    _keep: Callable[[int], int] = lambda points: 1,
+    _every: int = 1,
+    _tolerance: float = _TOLERANCE,
 ) -> Trajectory:
-    """Integrate the drift ODE of `tuning`'s palette from the fresh state
-    with a fixed step.
+    """Integrate the drift ODE of `tuning`'s palette from the fresh state by
+    Taylor steps, and sample it on the grid of `control.step`.
 
-    Runs until max_time, until growth reaches 1 - 1e-6 (recorded as an abort,
-    not raised), until the positive-degree mass is exhausted, or, when
-    stop_at_remainder_below is given, until the first sample whose remainder
-    growth is below that value, a threshold in (0, 1].  Only `certify`
-    passes `_guess`, which parareal starts from: the `slice_starts` of its
-    previous refinement, or their Richardson extrapolation from the two
-    before; and `_keep`, which maps the sample-grid points of the horizon a
-    run knows before it records to a multiple of that grid: only the samples
-    on the multiple and where the run stops are recorded, and `step_g_max`
-    spans the rest.
+    Runs until max_time, until growth reaches 1 - 1e-6 at a grid point
+    (recorded as an abort, not raised) or on the way to the next one, until
+    the positive-degree mass is exhausted, or, when stop_at_remainder_below
+    is given, until the first sample whose remainder growth is below that
+    value, a threshold in (0, 1].  Only `certify` passes `_every`: only the
+    samples on that multiple of the sample grid and where the run stops are
+    recorded, and `step_g_max` spans the rest; and `_tolerance`, each
+    step's local error relative to the state.
     """
     _check_threshold(stop_at_remainder_below)
-    return _integrate(tuning, control.step, control.max_time, control.sample_stride,
-                      stop_at_remainder_below, guess=_guess, keep=_keep)
-
-
-def _rk4(field, h: float):
-    """The increment of one RK4 step of size h, for a state or a stack of
-    states; a large stack goes through in row blocks of about `_BLOCK`
-    entries, whose temporaries stay in cache."""
-    def increment(z: np.ndarray) -> np.ndarray:
-        if z.size > _BLOCK:
-            rows = _BLOCK // z.shape[-1]
-            return np.concatenate([increment(z[a:a + rows]) for a in range(0, len(z), rows)])
-        # stage inputs may dip microscopically below zero; evaluate on the clip
-        k1 = field(np.maximum(z, 0.0))
-        k2 = field(np.maximum(z + 0.5 * h * k1, 0.0))
-        k3 = field(np.maximum(z + 0.5 * h * k2, 0.0))
-        k4 = field(np.maximum(z + h * k3, 0.0))
-        return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    return increment
-
-
-def _integrate(tuning: TuningParams, h: float, max_time: float, sample_stride: int,
-               stop_below: float | None, euler: bool = False,
-               guess: np.ndarray | None = None, keep=lambda points: 1) -> Trajectory:
-    """`integrate` with the control's fields unpacked: fixed-step RK4 by
-    parareal, or as one slice where parareal gives up.  Only the Euler
-    comparison sets `euler`; it always runs as one slice, and only it takes
-    steps above the certifier's 0.1 cap."""
     space = type_space(tuning.cfg)
-    field = drift_field(space, tuning.vector())
-    n_steps = int(math.floor(max_time / h + 1e-9))
-    below = -math.inf if stop_below is None else stop_below
-    z0 = TypeDistribution.initial(tuning.cfg).vec
-    increment = (lambda z: h * field(np.maximum(z, 0.0))) if euler else _rk4(field, h)
-    found = None if euler else _parareal(space, field, z0, h, n_steps, sample_stride, below,
-                                         guess, keep)
-    (_, (idx, states, g, rem, peak), _, clamps, error), iterations, starts = found or (_sweep(
-        space, increment, z0[None], np.zeros(1, dtype=np.int64), n_steps, n_steps,
-        sample_stride, below, keep(n_steps // sample_stride)), None, None)
-    abort = "supercritical" if g[-1] >= GROWTH_ABORT else error
-    return Trajectory(tuning.cfg, idx * h, states, g, rem, peak, abort is not None, abort,
-                      clamps, iterations, starts)
-
-
-def _sweep(space, increment, starts, first, n_fine, n_total, stride, stop_below, keep=1):
-    """Advance each row of `starts`, the state at global step `first[s]` (a
-    multiple of `stride`; the rows are consecutive slices), by up to
-    `n_fine` steps, all rows as one stack.  A row stops at `n_total`, where
-    g reaches GROWTH_ABORT or at the first multiple of `stride` with
-    remainder below `stop_below`, and records state, g, remainder and the
-    largest g since the record before (inclusive, across slices) there and
-    at multiples of `keep * stride`.  A step that raises ends the sweep,
-    closing each live row with its last accepted state.  Returns the end
-    states; the records (global step, state, g, remainder, largest g) in
-    global order up to the first stop; whether a row stopped; the clamped
-    undershoots up to there; and the error, if any."""
-    z, (g, rem) = starts, growth_rates(space, starts)
-    peak, alive, ends = g, np.ones(len(z), dtype=bool), n_total - first
-    # row s records at the steps j with j % grid == phase[s]; some row ends at each of `closing`
-    grid, closing, records, clamps = keep * stride, set(ends.tolist()), [], [first[:0]]
-    rows, phase, error = np.arange(len(z)), -first % grid, None
-
-    def record(at, j, stop):  # the rows `at` (None: all) at step j: only they are copied
-        records.append((rows, j, stop, z, g, rem, peak) if at is None else
-                       (rows[at], j, stop[at], z[at], g[at], rem[at], peak[at]))
-
-    record(slice(1), 0, ~alive)  # row 0 starts the run at step 0
-    for j in range(1, n_fine + 1):
+    series = drift_series(space, tuning.vector(), _ORDER)
+    h, stride = control.step, control.sample_stride
+    last = int(math.floor(control.max_time / h + 1e-9))
+    below = -math.inf if stop_at_remainder_below is None else stop_at_remainder_below
+    z = TypeDistribution.initial(tuning.cfg).vec
+    g, rem = growth_rates(space, z)
+    held = z[None], g[None], rem[None]  # grid point j, where an error closes the run
+    records = [(np.zeros(1, dtype=np.int64), *held, g[None])]
+    t, j, peak, steps, clamps, error = 0.0, 0, g, 0, 0, None
+    while j < last:
+        steps += 1
         try:
-            nxt = z + increment(z)
-            if nxt.min() < -1e-9:
-                clamps.append(first[(nxt < -1e-9).any(axis=1) & alive] + j)
-            np.clip(nxt, 0.0, None, out=nxt)
-            g_nxt, rem_nxt = growth_rates(space, nxt)
+            zs = series(z)
+            length = _step_length(zs, _tolerance)
+            # the step ends on the last grid point it reaches, or short of the next
+            end = min(last, j + max(1, _BATCH // space.size), math.floor((t + length) / h))
+            idx = np.arange(j + 1, end + 1)
+            states = np.vander(idx * h - t if end > j else np.array([length]), _ORDER + 1,
+                               increasing=True) @ zs
+            clamps += int(np.count_nonzero(states.min(axis=1) < -1e-9))
+            np.clip(states, 0.0, None, out=states)
+            g, rem = growth_rates(space, states)
+            if end == j and g[0] >= GROWTH_ABORT:
+                raise SupercriticalError("the flow nears g = 1 before the next grid point")
         except (DegenerateDistributionError, SupercriticalError) as exc:
-            error = ("supercritical" if isinstance(exc, SupercriticalError)
-                     else "mass_exhausted")
-            close = alive & (phase != (j - 1) % grid if j > 1 else first != 0)
-            record(close, j - 1, close)  # the live rows that did not record step j - 1
+            error = _reason(exc)
             break
-        z, g, rem = nxt, g_nxt, rem_nxt
-        peak = np.maximum(peak, g)
-        stop = g >= GROWTH_ABORT
-        if j in closing:
-            stop = stop | (ends == j)
-        if j % stride == 0:  # a row that stopped may record again: the cut drops it
-            stop = stop | (rem < stop_below)
-            kept = stop | (phase == j % grid)
-        elif stop.any():
-            kept = stop
-        else:
+        if end == j:
+            z, t = states[0], t + length
             continue
-        count = np.count_nonzero(kept)
-        if count:
-            every = count == len(kept)
-            record(None if every else kept, j, stop)
-            peak = g if every else np.where(kept, g, peak)
-        if np.count_nonzero(stop):
-            alive = alive & ~stop
-            if not alive.any():
-                break
-    row, steps, *columns = zip(*records)
-    steps = np.repeat(steps, [len(r) for r in row])
-    row, *columns = (np.concatenate(c) for c in (row, *columns))
-    order = np.argsort(row, kind="stable")  # by row, then by step: by global step
-    row, steps, stop, *columns = (c[order] for c in (row, steps, *columns))
-    # each slice's tail, past its last record, goes to the next record's peak
-    heads = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-    tails = np.maximum.reduceat(peak, row[heads])[:-1]
-    columns[-1][heads[1:]] = np.maximum(columns[-1][heads[1:]], tails)
-    n = int(np.argmax(stop)) + 1 if stop.any() else len(stop)
-    idx = first[row[:n]] + steps[:n]
-    rec = (idx, *(c[:n] for c in columns))
-    return z, rec, bool(stop.any()), int((np.concatenate(clamps) <= idx[-1]).sum()), error
+        stop = (g >= GROWTH_ABORT) | (idx == last) | ((idx % stride == 0) & (rem < below))
+        n = int(np.argmax(stop)) + 1 if stop.any() else len(idx)
+        keep = idx[:n] % (stride * _every) == 0
+        keep[-1] |= stop[n - 1]
+        rec = np.flatnonzero(keep)
+        if rec.size:
+            # the largest g since the record before, both records included
+            ext = np.r_[peak, g[:rec[-1] + 1]]
+            tops = np.maximum(np.maximum.reduceat(ext, np.r_[0, rec[:-1] + 1]), ext[rec + 1])
+            records.append((idx[rec], states[rec], g[rec], rem[rec], tops))
+            peak = g[rec[-1]:n].max()
+        else:
+            peak = max(peak, g.max())
+        if stop[n - 1]:
+            break
+        z, t, j = states[-1], end * h, end
+        held = states[-1:], g[-1:], rem[-1:]
+    if error is not None and records[-1][0][-1] != j:
+        records.append((np.array([j]), *held, np.array([peak])))
+    idx, states, g, rem, tops = (np.concatenate(c) for c in zip(*records))
+    abort = "supercritical" if g[-1] >= GROWTH_ABORT else error
+    return Trajectory(tuning.cfg, idx * h, states, g, rem, tops, abort is not None, abort,
+                      clamps, steps)
 
 
-def _parareal(space, field, z0, h, n_steps, stride, stop_below, guess, keep):
-    """Fixed-step RK4 by parareal (Lions, Maday & Turinici, C. R. Acad. Sci.
-    Paris 332, 2001) over slices of about `_SLICE`: a sequential sweep of one
-    coarse RK4 step per slice corrects a fine `_sweep` of all slices as one
-    stack, U_{s+1} = F(U_s) + G_new(U_s) - G_old(U_s), until the slice
-    starts settle; then one more fine sweep runs.  The first slice starts
-    are `guess` past its row 0, which stays z0, with G_old the coarse step
-    from each; without a guess, a coarse sweep that ends a few slices past
-    its first crossing or growth abort.  Returns the last sweep, the number
-    of corrections and the starts the sweep ends on (z0, then each slice's
-    end but the last), or None where one slice must run instead: a stage
-    raised, or no row stopped, or nothing settled.  Sweeps record on the
-    multiple that `keep` gives for the sample points the slices cover."""
-    m = stride * max(1, round(_SLICE / (h * stride)))  # fine steps per slice
-    n_slices = -(-n_steps // m)
-    coarse, fine = _rk4(field, m * h), _rk4(field, h)
-    horizon, starts, incs = n_slices, [z0], []
-    try:
-        if guess is not None:
-            starts = [z0, *guess[1:n_slices]]
-            horizon, incs = len(starts), [coarse(s) for s in starts[:-1]]
-        while len(starts) < horizon:
-            incs.append(coarse(starts[-1]))
-            starts.append(starts[-1] + incs[-1])
-            g, rem = growth_rates(space, starts[-1])
-            if horizon == n_slices and (g >= GROWTH_ABORT or rem < stop_below):
-                horizon = min(len(starts) - 1 + _MARGIN_SLICES, n_slices)
-        u, incs = np.array(starts), np.array(incs)
-        if len(u) < 2:
-            return None
-        first, multiple = np.arange(len(u), dtype=np.int64) * m, keep(len(u) * m // stride)
-        settled, last_update = False, math.inf
-        for sweeps in range(1, _MAX_ITERATIONS + 2):
-            run = ends, (idx, *_), stopped, _, error = _sweep(
-                space, fine, u, first, m, n_steps, stride, stop_below, multiple)
-            if error is not None or not stopped:
-                return None
-            # after k corrections slices 0..k start exactly: a stop in them is final
-            if settled or idx[-1] <= sweeps * m:
-                return run, sweeps - 1, np.concatenate([u[:1], ends[:-1]])
-            # G_new - G_old as two small differences: no state-sized rounding
-            new = u.copy()
-            for s in range(len(u) - 1):
-                inc = coarse(new[s])
-                new[s + 1] = ends[s] + ((new[s] - u[s]) + (inc - incs[s]))
-                incs[s] = inc
-            # below 100 * _CONVERGED, an update that stops shrinking is rounding
-            # both clauses stay: m*2**-52 moves (7,5) 4x off one slice; (8,5) settles by the 2nd
-            update = np.abs(new - u).max()
-            settled = update <= _CONVERGED or last_update <= update <= 100 * _CONVERGED
-            u, last_update = new, update
-    except (DegenerateDistributionError, SupercriticalError):
-        pass
-    return None
+def _reason(exc: Exception) -> str:
+    return "supercritical" if isinstance(exc, SupercriticalError) else "mass_exhausted"
+
+
+def _step_length(zs: np.ndarray, tolerance: float) -> float:
+    """Jorba and Zou's step for the series `zs` of a state, or of a stack of
+    states (the shortest): (tolerance |z_0| / |z_k|)^(1/k) for the last two
+    orders k, in max-norms, the smaller one times exp(-0.7 / (order - 1))."""
+    size = np.abs(zs).max(axis=-1)
+    radius = np.minimum(*((tolerance * size[0] / np.maximum(size[k], 1e-300)) ** (1.0 / k)
+                          for k in (_ORDER - 1, _ORDER)))
+    return math.exp(-0.7 / (_ORDER - 1)) * float(radius.min())
+
+
+def _euler(tuning: TuningParams, h: float, max_time: float) -> Trajectory:
+    """The explicit Euler sequence z + h F(z) from the fresh state, each state
+    clipped at zero and sampled, up to max_time or a growth abort: the
+    process's own step, which criterion 5 compares with the flow."""
+    space = type_space(tuning.cfg)
+    series = drift_series(space, tuning.vector(), 1)
+    z = TypeDistribution.initial(tuning.cfg).vec
+    rows, clamps, error = [(z, *growth_rates(space, z))], 0, None
+    for _ in range(int(math.floor(max_time / h + 1e-9))):
+        try:
+            nxt = z + h * series(z)[1]
+            z = np.clip(nxt, 0.0, None)
+            rows.append((z, *growth_rates(space, z)))
+        except (DegenerateDistributionError, SupercriticalError) as exc:
+            error = _reason(exc)
+            break
+        clamps += bool(nxt.min() < -1e-9)
+        if rows[-1][1] >= GROWTH_ABORT:
+            error = "supercritical"
+            break
+    states, g, rem = (np.array(c) for c in zip(*rows))
+    return Trajectory(tuning.cfg, np.arange(len(g)) * h, states, g, rem,
+                      np.maximum(g, np.r_[g[:1], g[:-1]]), error is not None, error, clamps)
 
 
 def _check_threshold(threshold: float | None) -> None:
@@ -387,9 +312,10 @@ def certify(
     control: IntegrationControl = IntegrationControl(),
 ) -> Certificate:
     """Run the integration at the configured step and at each halved step,
-    and judge the runs by `_verdict`.  `cfg` must be `tuning.cfg`.  Each
-    refinement writes one line to stderr: its step, its fine steps, its
-    seconds and how it was integrated."""
+    refinement k at the local error _TOLERANCE / 10**k, and judge the runs
+    by `_verdict`.  `cfg` must be `tuning.cfg`.  Each refinement writes one
+    line to stderr: its grid step, its Taylor steps, the time it stopped at
+    and its seconds."""
     if tuning.cfg != cfg:
         raise ConfigurationError("tuning and palette configs differ")
     # the finest refinement records a sample every `stride` steps or sooner
@@ -400,27 +326,21 @@ def certify(
             f"samples {stride} steps apart, more than verify takes ({MAX_SAMPLE_GAP})")
     # refinements record on the multiple of the base grid that leaves at most
     # MAX_STORED_SAMPLES samples (its start and a last one off it included) in
-    # the horizon known before recording, with no gap over MAX_SAMPLE_GAP steps
-    def multiple(points: int) -> int:
-        return max(1, min(-(-points // (MAX_STORED_SAMPLES - 2)), MAX_SAMPLE_GAP // stride))
-    refinements, older, starts = [], None, None
+    # the horizon known before recording, the window for the first and the
+    # run of the one before for the others, with no gap over MAX_SAMPLE_GAP steps
+    points = math.floor(control.max_time / control.step + 1e-9) // control.sample_stride
+    refinements = []
     for k in range(control.halvings + 1):
         # keep samples on the base grid so stopping times are comparable
         refined = replace(control, step=control.step / (2 ** k),
                           sample_stride=control.sample_stride * (2 ** k))
         start = time.perf_counter()
-        # the slices are `_SLICE` long at every step: refinement k's slice
-        # starts are a close guess for refinement k + 1.  Their RK4 error
-        # shrinks 16-fold per halving, so from two refinements in a row
-        # s1 + (s1 - s0) / 16 cancels its leading term (Richardson)
-        guess = starts if older is None or starts is None else starts + (starts - older) / 16
-        traj = integrate(tuning, refined, stop_at_remainder_below=threshold, _guess=guess,
-                         _keep=multiple)
-        how, older, starts = traj.parareal_iterations, starts, traj.slice_starts
-        print(f"certify: step {refined.step:g}: {round(traj.times[-1] / refined.step)} "
-              f"fine steps in {time.perf_counter() - start:.3f} s, "
-              + ("one slice" if how is None else f"parareal {how} iterations"),
-              file=sys.stderr)
+        every = max(1, min(-(-points // (MAX_STORED_SAMPLES - 2)), MAX_SAMPLE_GAP // stride))
+        traj = integrate(tuning, refined, stop_at_remainder_below=threshold, _every=every,
+                         _tolerance=_TOLERANCE / 10 ** k)
+        points = -(-round(traj.times[-1] / refined.step) // refined.sample_stride)
+        print(f"certify: step {refined.step:g}: {traj.taylor_steps} Taylor steps, stop at "
+              f"t = {traj.times[-1]:.6f}, {time.perf_counter() - start:.3f} s", file=sys.stderr)
         refinements.append({"step": refined.step, **find_stop_time(traj, threshold)})
     status, failure, summary = _verdict(refinements, threshold)
     samples = {"times": traj.times.tolist(), "g": traj.g_values.tolist(),  # the finest's
@@ -458,7 +378,7 @@ def certificate_to_json(cert: Certificate) -> str:
     payload.update(
         cfg={"r": cert.cfg.r, "p": cert.cfg.p},
         tuning={str(t): float(w) for t, w in sorted(cert.tuning.items())},
-        control={"method": "rk4", **asdict(cert.control)},
+        control={"method": "taylor", **asdict(cert.control)},
     )
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
@@ -540,9 +460,9 @@ def load_certificate(path: str) -> Certificate:
     except ConfigurationError as exc:
         raise CertificateParseError(f"cfg: {exc}") from None
     ctl_raw = values["control"]
-    if ctl_raw.get("method") != "rk4":
+    if ctl_raw.get("method") not in ("taylor", "rk4"):  # older certificates were made by RK4
         raise CertificateParseError(
-            f"control.method: expected 'rk4', got {ctl_raw.get('method')!r}")
+            f"control.method: expected 'taylor' or 'rk4', got {ctl_raw.get('method')!r}")
     try:  # each message of IntegrationControl begins with its field's name
         control = values["control"] = IntegrationControl(
             step=_number(ctl_raw.get("step"), "control.step"),
@@ -696,32 +616,61 @@ def verify_certificate(cert: Certificate) -> None:
             )
         if not rem_stored[idx] < cert.threshold:
             raise CertificateVerificationError("remainder at r not below threshold")
-    # the samples must lie on the flow of RK4 at h: each interval, re-run
-    # from its first sample (all as one stack), must end within h**3 of the
-    # next one, far below the O(h**4) error per unit time that the
-    # refinements compare, plus 1e-15 of rounding per step; a certified run,
-    # which ends at R, must keep g within 1e-9 of max_g_on_0_r at every step
+    # the samples must lie on the flow: each gap, re-integrated from its first
+    # sample by the finest refinement's Taylor steps (all gaps as one stack),
+    # must end within GAP_TOLERANCE of the next sample.  Every certificate
+    # tried, the RK4-made ones included, ends its gaps within 3e-15; a weight
+    # of (4,3) off by a relative 1e-9 moves them by up to 1.3e-12.  A
+    # certified run, which ends at R, must keep g within 1e-9 of
+    # max_g_on_0_r at every point of the grid of h
     order = np.argsort(-steps, kind="stable")  # so the rows still running are a prefix
-    steps, z = steps[order], states[:-1][order]
-    increment = _rk4(drift_field(space, TuningParams(cert.cfg, cert.tuning).vector()), h)
+    series = drift_series(space, TuningParams(cert.cfg, cert.tuning).vector(), _ORDER)
+    tolerance = _TOLERANCE / 10 ** cert.control.halvings
     g_cap = cert.max_g_on_0_r + 1e-9 if cert.certified else math.inf
+    # a row's series holds z_k and z_k's n + 3 products for each order k
+    rows = max(1, _BATCH // ((_ORDER + 1) * (2 * space.size + 3)))
+    ends = np.empty_like(states[1:])
     try:
-        for j in range(1, int(steps.max(initial=0)) + 1):
-            live = int(np.count_nonzero(steps >= j))
-            z[:live] = np.clip(z[:live] + increment(z[:live]), 0.0, None)
-            mass, growth = (z[:live] @ space.rate_rows[:2].T).T  # g = growth / mass
-            high = ~(growth <= g_cap * mass)
-            if high.any():
-                raise CertificateVerificationError(
-                    f"sample {int(order[np.argmax(high)])}: g exceeds max_g_on_0_r "
-                    "before the next sample")
+        for block in (order[a:a + rows] for a in range(0, len(order), rows)):
+            ends[block] = _reintegrate(space, series, states[block], steps[block], h,
+                                       tolerance, g_cap, block)
     except (DegenerateDistributionError, SupercriticalError) as exc:
         raise CertificateVerificationError(f"samples do not re-integrate: {exc}") from None
-    off = ~(np.abs(z - states[1:][order]).max(axis=1, initial=0.0) <= h ** 3 + 1e-15 * steps)
+    off = ~(np.abs(ends - states[1:]).max(axis=1, initial=0.0) <= GAP_TOLERANCE)
     if off.any():
         raise CertificateVerificationError(
-            f"sample {int(order[off].min()) + 1}: state is off the flow from the sample "
+            f"sample {int(np.argmax(off)) + 1}: state is off the flow from the sample "
             "before it")
+
+
+def _reintegrate(space, series, z, steps, h, tolerance, g_cap, samples) -> np.ndarray:
+    """The states `steps` grid steps of h after the rows of z (steps in
+    decreasing order, so the rows still running are a prefix), by Taylor
+    steps at `tolerance` taken by all rows at once.  Raises
+    CertificateVerificationError naming the sample (of `samples`, one per
+    row) whose flow has g above g_cap at a grid point."""
+    t, j = 0.0, 0
+    while j < steps[0]:
+        live = int(np.count_nonzero(steps > j))
+        zs = series(z[:live])
+        length = _step_length(zs, tolerance)
+        end = min(int(steps[live - 1]), math.floor((t + length) / h))
+        rates, chunk = zs @ space.rate_rows[:2].T, max(1, _BATCH // (2 * live))
+        for a in range(j, end, chunk):  # g at the grid points a + 1 .. a + chunk
+            taus = np.arange(a + 1, min(a + chunk, end) + 1) * h - t
+            mass, growth = np.tensordot(np.vander(taus, _ORDER + 1, increasing=True),
+                                        rates, 1).T
+            high = ~(growth <= g_cap * mass)  # g = growth / mass
+            if high.any():
+                raise CertificateVerificationError(
+                    f"sample {int(samples[np.nonzero(high)[0].min()])}: g exceeds "
+                    "max_g_on_0_r before the next sample")
+        tau = end * h - t if end > j else length
+        z[:live] = np.clip(np.tensordot(tau ** np.arange(_ORDER + 1), zs, 1), 0.0, None)
+        if end == j and (growth_rates(space, z[:live])[0] >= GROWTH_ABORT).any():
+            raise SupercriticalError("the flow nears g = 1 before the next grid point")
+        t, j = (end * h, end) if end > j else (t + length, j)
+    return z
 
 
 def euler_ode_compare(
@@ -730,8 +679,8 @@ def euler_ode_compare(
     control: IntegrationControl = IntegrationControl(),
 ) -> float:
     """Sup max-norm distance, over all Euler points n*eps up to the stopping
-    time, between the Euler sequence with step eps and an rk4 reference whose
-    step is at most eps/10."""
+    time, between the Euler sequence with step eps and the flow sampled on
+    a grid of eps/10 or finer."""
     if not (0.0 < epsilon <= 0.2):
         raise ConfigurationError(f"epsilon must be in (0, 0.2], got {epsilon}")
     # reference step divides eps exactly so sample times align by index
@@ -743,7 +692,7 @@ def euler_ode_compare(
     # no crossing (e.g. zero weights) is not an error: compare over what ran
     stop_time = find_stop_time(ref, DEFAULT_THRESHOLD).get("r", float(ref.times[-1]))
 
-    euler = _integrate(tuning, epsilon, stop_time + 1e-12, 1, None, euler=True)
+    euler = _euler(tuning, epsilon, stop_time + 1e-12)
     if euler.abort_reason == "supercritical":
         raise ComparisonFailureError("euler sequence went supercritical")
     # Euler point n sits at reference index n * substeps

@@ -328,7 +328,7 @@ def cmd_integrate(args) -> int:
     traj = integrate(tuning, control, stop_at_remainder_below=args.threshold)
     space = type_space(tuning.cfg)
     config = _config_echo(args, ["r", "p", "threshold", "weight"])
-    config.update(method="rk4", step=control.step, max_time=control.max_time)
+    config.update(method="taylor", step=control.step, max_time=control.max_time)
     header = _comment_block(config) + "time,g,remainder," + ",".join(
         f"z_{t.d}_{t.c}" for t in space.types) + "\n"
     rows = format_rows(",".join(["%r"] * (3 + len(space.types))) + "\n",
@@ -487,7 +487,8 @@ def cmd_simulate(args) -> int:
     sys.stdout.write(text)
     if not run.proper.ok:
         bad = run.proper.violations + run.proper.red_red
-        print(f"final coloring is NOT proper: {len(bad)} bad edges, e.g. {bad[:10]}")
+        print(f"final coloring is NOT proper: {len(bad)} bad edges, e.g. {bad[:10]}",
+              file=sys.stderr)  # stdout stays one JSON document
         return EXIT_FAILURE
     return EXIT_OK
 

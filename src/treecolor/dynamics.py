@@ -4,7 +4,7 @@ A vertex still uncolored after some steps is described by its type (d, c):
 d uncolored neighbors and c palette colors not yet seen on any neighbor.
 Red neighbors reduce d but never c.  The functions here compute the
 size-biased neighbor law, cascade growth rates, expected per-activation
-type changes, and the drift field that the certifier integrates.
+type changes, and the drift's Taylor series that the certifier integrates.
 """
 
 from __future__ import annotations
@@ -282,24 +282,40 @@ def growth_rates(
     return growth / mass, remainder / mass
 
 
-def drift_field(space: TypeSpace, wvec: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The drift F(z) = -w∘z + (u·z)/(v·z) K z on raw state vectors, with
-    u = w∘deg: activations at rate w_s z_s, each opening deg(s) branches;
-    for one state or a stack of states, one per row."""
+def drift_series(space: TypeSpace, wvec: np.ndarray,
+                 order: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The Taylor coefficients z_0 = z, z_1 = F(z), ..., z_order of the flow
+    dz/dt = F(z) through a raw state vector z, or through each row of a
+    stack of states, stacked along a new first axis.
+
+    The drift is F(z) = -w∘z + q K z with q = (u·z)/(v·z) and u = w∘deg:
+    activations at rate w_s z_s, each opening deg(s) branches.  It is
+    rational, so its series follows from a recurrence (R. E. Moore,
+    *Interval Analysis*, 1966).  With a_k = u·z_k and s_k = v·z_k:
+    q_k = (a_k - Σ_{j<k} q_j s_{k-j}) / s_0 and
+    z_{k+1} = (Σ_{j≤k} q_j K z_{k-j} - w∘z_k) / (k + 1)."""
     n = space.size
     # one product gives K z, deg·z, u·z and v·z
     ops = np.vstack([space.kernel, space.deg, wvec * space.deg, space.slack_row]).T.copy()
 
-    def field(zvec: np.ndarray) -> np.ndarray:
-        y = zvec @ ops
-        mass, active, slack = y[..., n:].T
-        if not (y[..., n::2] > 0.0).all():  # deg·z and v·z
-            if not (mass > 0.0).all():
-                raise DegenerateDistributionError(_DEGENERATE)
-            _check_slack(mass, slack)
-        return (active / slack)[..., None] * y[..., :n] - wvec * zvec
+    def series(zvec: np.ndarray) -> np.ndarray:
+        zs = np.empty((order + 1, *zvec.shape))
+        ys = np.empty((order + 1, *zvec.shape[:-1], n + 3))
+        qs = np.empty((order + 1, *zvec.shape[:-1]))
+        kz, mass, active, slack = ys[..., :n], ys[..., n], ys[..., n + 1], ys[..., n + 2]
+        zs[0] = zvec
+        for k in range(order):
+            np.matmul(zs[k], ops, out=ys[k])
+            if k == 0 and not ((mass[0] > 0.0) & (slack[0] > 0.0)).all():
+                if not (mass[0] > 0.0).all():
+                    raise DegenerateDistributionError(_DEGENERATE)
+                _check_slack(mass[0], slack[0])
+            qs[k] = (active[k] - np.einsum("j...,j...->...", qs[:k], slack[k:0:-1])) / slack[0]
+            zs[k + 1] = (np.einsum("j...,j...i->...i", qs[:k + 1], kz[k::-1])
+                         - wvec * zs[k]) / (k + 1)
+        return zs
 
-    return field
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +376,6 @@ def drift(z: TypeDistribution, tuning: TuningParams) -> dict[VertexType, float]:
     """Rate of change of z per unit time: F_t = sum_s w_s z_s Delta_{s,t}."""
     if tuning.cfg != z.cfg:
         raise ConfigurationError("tuning and distribution configs differ")
-    vec = drift_field(z.space, tuning.vector())(z.vec)
+    vec = drift_series(z.space, tuning.vector(), 1)(z.vec)[1]
     return dict(zip(z.space.types, vec.tolist()))
 

@@ -54,6 +54,7 @@ from treecolor import (
     remainder_growth,
     size_biased_law,
     type_space,
+    verify_certificate,
 )
 from treecolor.cli import run_pipeline
 from treecolor.graphs import gen_regular_graph
@@ -176,11 +177,11 @@ def test_acceptance_02_certify_6_4():
 # each pair once
 @pytest.mark.parametrize("key, r, max_g, remainder", [
     pytest.param((4, 3), 9.848,
-                 [0.9338432535591713, 0.9338432535596977, 0.9338432535597312],
-                 [0.9997968322663643, 0.9997968322656583, 0.9997968322656123], id="4-3"),
+                 [0.933843253559733, 0.9338432535597323, 0.9338432535597326],
+                 [0.9997968322656181, 0.9997968322656203, 0.9997968322656187], id="4-3"),
     pytest.param((6, 4), 113.153,
-                 [0.8085680836823907, 0.8085680836823919, 0.8085680840866168],
-                 [0.9999474849092241, 0.9999474849091013, 0.9999474849092338], id="6-4"),
+                 [0.8085680836823916, 0.8085680836823917, 0.8085680840866184],
+                 [0.9999474849091646, 0.9999474849091663, 0.9999474849091449], id="6-4"),
 ])
 def test_default_certificate_refinement_entries_pinned(key, r, max_g, remainder):
     cert, _ = _certified(key)
@@ -188,6 +189,16 @@ def test_default_certificate_refinement_entries_pinned(key, r, max_g, remainder)
     assert [e["r"] for e in cert.refinements] == [r] * 3
     assert [e["max_g_on_0_r"] for e in cert.refinements] == max_g
     assert [e["remainder_growth_at_r"] for e in cert.refinements] == remainder
+
+
+# the first pair past (6,4) that tier-1 certifies: (7,5) under the default
+# control, R exact and the largest growth within 5e-12 of the finest RK4
+# refinement's, whose three refinements spread by up to 2e-12
+def test_certify_7_5_under_the_default_control():
+    cert, _ = _certified((7, 5))
+    assert cert.certified and cert.r == 396.567
+    assert abs(cert.max_g_on_0_r - 0.45571852209097985) <= 5e-12
+    verify_certificate(cert)
 
 
 def test_acceptance_03_row_sum_identity():

@@ -14,7 +14,7 @@ from treecolor.certify import (
     Certificate,
     IntegrationControl,
     Trajectory,
-    _integrate,
+    _euler,
     certificate_to_json,
     certify,
     euler_ode_compare,
@@ -30,6 +30,8 @@ from treecolor.dynamics import (
     TypeDistribution,
     cascade_growth,
     default_tuning,
+    drift_series,
+    growth_rates,
     remainder_growth,
     type_space,
 )
@@ -80,7 +82,7 @@ def test_certify_rejects_mismatched_tuning():
 def test_first_euler_step_matches_drift():
     # one explicit Euler step from the fresh state: z + h * F(z)
     for h in (1e-3, 0.01):
-        traj = _integrate(TUNING43, h, h, 1, None, euler=True)
+        traj = _euler(TUNING43, h, h)
         assert len(traj.times) == 2
         state = traj.state_at(1)
         assert abs(state[(4, 3)] - (1.0 - h * 0.078125)) < 1e-15
@@ -91,12 +93,12 @@ def test_first_euler_step_matches_drift():
 def test_euler_integrator_clamps_and_counts():
     # Euler at h=0.1 overshoots once on the way to t=40: the undershoot is
     # counted and clipped, so every stored state stays nonnegative
-    traj = _integrate(TUNING43, 0.1, 40.0, 1, None, euler=True)
+    traj = _euler(TUNING43, 0.1, 40.0)
     assert not traj.aborted
     assert traj.times[-1] == pytest.approx(40.0)
     assert traj.clamp_events == 1
     assert traj.states.min() >= 0.0
-    # RK4 on the same grid clamps nothing
+    # the flow sampled on the same grid clamps nothing
     assert integrate(TUNING43, IntegrationControl(step=0.1, max_time=40.0)).clamp_events == 0
 
 
@@ -138,23 +140,34 @@ def test_sample_stride_and_final_point():
     assert len(traj.times) == 9  # 0, 7, ..., 49 thousandths, then 50
 
 
-def test_rk4_halved_step_richardson():
-    h, T = 0.1, 8.0
-    ref = integrate(TUNING43, IntegrationControl(step=h / 32, max_time=T, sample_stride=32))
-    coarse = integrate(TUNING43, IntegrationControl(step=h, max_time=T, sample_stride=1))
-    fine = integrate(TUNING43, IntegrationControl(step=h / 2, max_time=T, sample_stride=2))
-    n = min(len(ref.times), len(coarse.times), len(fine.times))
-    assert np.allclose(ref.times[:n], coarse.times[:n])
-    err_coarse = np.abs(coarse.states[:n] - ref.states[:n]).max()
-    err_fine = np.abs(fine.states[:n] - ref.states[:n]).max()
-    assert err_coarse / err_fine >= 8.0
+def _dop853(tuning, traj):
+    """The flow of `tuning` at the sample times of `traj`, by scipy's DOP853
+    at a relative tolerance of 1e-13: an integrator that shares only the
+    drift with `integrate`."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    field = drift_series(type_space(tuning.cfg), tuning.vector(), 1)
+    sol = solve_ivp(lambda t, z: field(z)[1], (0.0, traj.times[-1]), traj.states[0],
+                    method="DOP853", rtol=1e-13, atol=1e-16, t_eval=traj.times)
+    return sol.y.T
+
+
+# the Taylor steps follow their local error bound: the error against DOP853
+# shrinks with it, by at least 30 per factor 100, down to DOP853's own 1e-13
+def test_error_follows_the_tolerance():
+    control = IntegrationControl(step=1e-2, max_time=9.0)
+    errors, steps = [], []
+    for tolerance in (1e-6, 1e-8, 1e-10):
+        traj = integrate(TUNING43, control, _tolerance=tolerance)
+        errors.append(np.abs(traj.states - _dop853(TUNING43, traj)).max())
+        steps.append(traj.taylor_steps)
+    assert errors[0] / errors[1] >= 30.0 and errors[1] / errors[2] >= 30.0, errors
+    assert steps[0] < steps[1] < steps[2]
 
 
 def test_supercritical_tuning_reports_abort():
-    # weights favoring high uncolored degree drive the cascade growth past 1
-    space = type_space(CFG43)
-    tuning = TuningParams(CFG43, {t: 2.0 ** (2 * t.d) for t in space.types})
-    traj = integrate(tuning, IntegrationControl(step=1e-3, max_time=30.0))
+    # the default (5,3) flow drives the cascade growth to 1 near t = 14.92
+    traj = integrate(default_tuning(PaletteConfig(5, 3)),
+                     IntegrationControl(step=1e-3, max_time=30.0))
     assert traj.aborted
     assert traj.abort_reason == "supercritical"
     entry = find_stop_time(traj)
@@ -287,8 +300,8 @@ def test_certificate_bytes_pinned(cert43):
     digests = [hashlib.sha256(certificate_to_json(c).encode()).hexdigest()
                for c in (cert43, failed)]
     assert digests == [
-        "c9651d1dda9ff5c815504737ad38e17e68950fb0c8d8e4e83bc696b574a46a8f",
-        "c7c3ae3066ecf129b048193ecb2d663e6ab47c9336108fd395a37f5a42027560",
+        "1d3235bb15716e189aa0d698d7dda7fbc037b6a7c2f59cb5b0e504228e7862c1",
+        "b622587917afe0a83063b6f187c7c5e4aa84bfe75dcd3a5e242264723beb44f5",
     ]
     verify_certificate(failed)  # a failed status re-derives as well
 
@@ -311,7 +324,7 @@ def test_certificate_field_order_and_float_format(cert43):
         expected.update(
             cfg={"r": cert.cfg.r, "p": cert.cfg.p},
             tuning={str(t): w for t, w in sorted(cert.tuning.items())},
-            control={"method": "rk4", **dataclasses.asdict(cert.control)},
+            control={"method": "taylor", **dataclasses.asdict(cert.control)},
         )
         loaded = json.loads(certificate_to_json(cert))
         assert _spelled(loaded) == _spelled(expected)
@@ -453,15 +466,10 @@ def test_euler_ode_compare_epsilon_validation():
         euler_ode_compare(TUNING43, 0.0)
 
 
-def _one_slice(run):
-    """`run()` with the slice length so long that parareal gives way to one
-    slice, the sequential integration."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CERTIFY, "_SLICE", 1e9)
-        return run()
-
-
-SUPERCRITICAL43 = TuningParams(CFG43, {t: 2.0 ** (2 * t.d) for t in type_space(CFG43).types})
+# RK4 at h = 1e-3 took this flow past g = 1 in its second step, but the flow
+# itself peaks at g = 0.934 near t = 0.0015 and then falls (the Taylor steps
+# and RK4 at h = 1e-6 agree to 1e-13)
+STEEP43 = TuningParams(CFG43, {t: 2.0 ** (2 * t.d) for t in type_space(CFG43).types})
 ZERO43 = TuningParams(CFG43, {t: 0.0 for t in type_space(CFG43).types})
 
 
@@ -469,16 +477,17 @@ def _never_called(*args, **kwargs):
     raise AssertionError("integrate ran")
 
 
-# ZERO43 never crosses, so the finest refinement (h = 0.05, 2 steps per
-# point of the 0.1 base grid) knows its whole window as its horizon: 2,047
-# base points at 204.75 and 4,094 or 4,095 at 409.4 and 409.5.  It records
-# on the multiple max(1, min(ceil(points / 2046), cap // 2)) of that grid,
-# and where it stops, at max_time.  The cap decides every row: at 204.75 and
-# 409.4, cap 3 allows a multiple of 1, so certify stores each base point,
-# 0 to 204.7 and the end at 204.75 (2,049), or 0 to 409.4 (4,095); at 409.5,
-# ceil(4095 / 2046) = 3 but cap 5 allows only 2, so it stores 0, 0.2, ...,
-# 409.4 and the end at 409.5 (2,049).  Each certificate verifies.  A cap
-# below the 2 steps between base points refuses the run before it integrates
+# ZERO43 never crosses, so refinement 0 runs its whole window, which is the
+# finest refinement's horizon (h = 0.05, 2 steps per point of the 0.1 base
+# grid): 2,047 base points at 204.75 and 4,094 or 4,095 at 409.4 and 409.5.
+# It records on the multiple max(1, min(ceil(points / 2046), cap // 2)) of
+# that grid, and where it stops, at max_time.  The cap decides every row: at
+# 204.75 and 409.4, cap 3 allows a multiple of 1, so certify stores each
+# base point, 0 to 204.7 and the end at 204.75 (2,049), or 0 to 409.4
+# (4,095); at 409.5, ceil(4095 / 2046) = 3 but cap 5 allows only 2, so it
+# stores 0, 0.2, ..., 409.4 and the end at 409.5 (2,049).  Each certificate
+# verifies.  A cap below the 2 steps between base points refuses the run
+# before it integrates
 @pytest.mark.parametrize("max_time, cap, stored", [
     pytest.param(204.7, 1, None, id="204.7"),
     pytest.param(204.75, 3, 2049, id="204.75"),
@@ -499,33 +508,27 @@ def test_certify_refuses_a_sample_gap_over_the_cap(monkeypatch, max_time, cap, s
     verify_certificate(cert)
 
 
-# with 10 stored samples each refinement records every 622 points of the
-# 2e-3 base grid, 1.244 apart, and parareal's 0.05 slices mostly hold no
-# record: the peak of g, at t = 8.276, lies in one of them.  It reaches the
-# next record only through the tail each slice hands on.  So the entries
-# equal those of the same runs recording every point, and match one slice
-# up to rounding; every record's `step_g_max` matches a one-slice run's at
-# that multiple; and `verify` finds no g above the certified one
-def test_slice_tails_carry_the_largest_g_to_the_next_record(monkeypatch):
+# with 10 stored samples, the finest refinement records every 616 points of
+# the 2e-3 base grid (ceil(4924 / 8): refinement 0 stopped at 4,924), 1.232
+# apart, and the peak of g, at t = 8.276, lies between two records.  The
+# record after it carries it in `step_g_max`; the entries equal those of the
+# same run recording every point; and `verify` finds no g above the
+# certified one
+def test_sparse_records_carry_the_largest_g_to_the_next_record(monkeypatch):
     monkeypatch.setattr(CERTIFY, "MAX_STORED_SAMPLES", 10)
     control = IntegrationControl(step=2e-3, halvings=1)
     cert = certify(CFG43, TUNING43, control=control)
-    full, _ = _recorded(lambda: certify(CFG43, TUNING43, control=control))
-    slow = _one_slice(lambda: certify(CFG43, TUNING43, control=control))
-    assert cert.refinements == full.refinements
-    for a, b in zip(cert.refinements, slow.refinements):
-        assert a["r"] == b["r"]
-        assert abs(a["max_g_on_0_r"] - b["max_g_on_0_r"]) <= 1e-14
     times = np.array(cert.samples["times"])
-    assert np.rint(times / 2e-3).astype(int).tolist() == [*range(0, 4924, 622), 4924]
+    assert np.rint(times / 2e-3).astype(int).tolist() == [*range(0, 4924, 616), 4924]
     finest = dataclasses.replace(control, step=1e-3, sample_stride=2)
-    every = integrate(TUNING43, finest, DEFAULT_THRESHOLD)
-    assert np.abs(times - every.times[np.argmax(every.g_values)]).min() > 0.4
+    every = integrate(TUNING43, finest, DEFAULT_THRESHOLD, _tolerance=1e-15)
+    assert cert.refinements[-1] == {"step": 1e-3, **find_stop_time(every)}
+    peak = every.times[np.argmax(every.step_g_max)]
+    assert np.abs(times - peak).min() > 0.3
+    after = int(np.searchsorted(times, peak))
+    sparse = integrate(TUNING43, finest, DEFAULT_THRESHOLD, _every=616, _tolerance=1e-15)
+    assert sparse.step_g_max[after] == every.step_g_max.max() > cert.samples["g"][after]
     verify_certificate(cert)
-    sparse = integrate(TUNING43, finest, DEFAULT_THRESHOLD, _keep=lambda points: 622)
-    assert sparse.parareal_iterations is not None
-    _assert_same_rk4(sparse, _one_slice(
-        lambda: integrate(TUNING43, finest, DEFAULT_THRESHOLD, _keep=lambda points: 622)))
 
 
 # a never-crossing run records on a multiple that grows with its window, so
@@ -545,171 +548,65 @@ def test_certify_memory_does_not_follow_the_horizon():
     assert peaks[1] < 2 * peaks[0], peaks
 
 
-# parareal and one slice compute the same fixed-step RK4; only their
-# rounding differs
+# the Taylor steps land on the flow that DOP853 computes, at every sample,
+# and stop where it crosses
 @pytest.mark.parametrize("tuning, control, stop", [
     *[pytest.param(TUNING43, IntegrationControl(step=1e-3 / 2 ** k, sample_stride=2 ** k),
                    DEFAULT_THRESHOLD, id=f"default-43-refinement-{k}") for k in range(3)],
     pytest.param(TUNING43, IntegrationControl(step=1e-3, sample_stride=3),
                  DEFAULT_THRESHOLD, id="stride-3"),
-    pytest.param(SUPERCRITICAL43, IntegrationControl(step=1e-3, max_time=30.0), None,
-                 id="supercritical"),
+    pytest.param(STEEP43, IntegrationControl(step=1e-3, max_time=0.5), None, id="steep"),
     pytest.param(TUNING43, IntegrationControl(step=1e-3, max_time=1.0), 0.01,
                  id="no-crossing"),
     pytest.param(ZERO43, IntegrationControl(step=5e-3, max_time=1.0), DEFAULT_THRESHOLD,
                  id="zero-weights"),
     pytest.param(TUNING43, IntegrationControl(step=0.01), DEFAULT_THRESHOLD, id="step-0.01"),
 ])
-def test_parareal_matches_one_slice(tuning, control, stop):
-    fast = integrate(tuning, control, stop)
-    slow = _one_slice(lambda: integrate(tuning, control, stop))
-    assert slow.parareal_iterations is None
-    # the supercritical flow aborts in its first slice, so it runs as one slice
-    assert (fast.parareal_iterations is None) == (tuning is SUPERCRITICAL43)
+def test_taylor_steps_match_dop853(tuning, control, stop):
+    traj = integrate(tuning, control, stop)
+    flow = _dop853(tuning, traj)
+    assert np.abs(traj.states - flow).max() <= 5e-13
+    g, rem = (np.asarray(v) for v in growth_rates(type_space(CFG43), flow))
+    assert np.abs(traj.g_values - g).max() <= 1e-12
     threshold = DEFAULT_THRESHOLD if stop is None else stop
-    a, b = find_stop_time(fast, threshold), find_stop_time(slow, threshold)
-    assert ([a["found"], a.get("r"), a.get("reason")]
-            == [b["found"], b.get("r"), b.get("reason")])
-    _assert_same_rk4(fast, slow)
+    assert (np.flatnonzero(rem < threshold)[:1].tolist()
+            == np.flatnonzero(traj.remainder_values < threshold)[:1].tolist())
+    assert (traj.aborted, traj.abort_reason, traj.clamp_events) == (False, None, 0)
 
 
-def _assert_same_rk4(fast, slow):
-    assert np.array_equal(fast.times, slow.times)
-    assert ((fast.clamp_events, fast.aborted, fast.abort_reason)
-            == (slow.clamp_events, slow.aborted, slow.abort_reason))
-    for name in ("states", "g_values", "remainder_values", "step_g_max"):
-        assert np.abs(getattr(fast, name) - getattr(slow, name)).max() <= 1e-14, name
-
-
-def _recorded(run, warm=True):
-    """`run()` and each of its `integrate` calls as (control, stop, guess,
-    trajectory); with warm=False every call ignores its guess, as `certify`
-    ran before it passed one.  Every call ignores its record multiple, so
-    each trajectory holds every sample, as a one-slice run does."""
-    calls = []
-
-    def recording(tuning, control, stop_at_remainder_below=None, _guess=None, _keep=None):
-        traj = integrate(tuning, control, stop_at_remainder_below, _guess if warm else None)
-        calls.append((control, stop_at_remainder_below, _guess, traj))
-        return traj
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CERTIFY, "integrate", recording)
-        return run(), calls
-
-
-# each refinement after the first starts parareal from the slice starts of
-# the one before it; the guess changes only how many corrections run
-def test_warm_started_refinements_match_one_slice():
-    _, calls = _recorded(lambda: certify(CFG43, TUNING43,
-                                         control=IntegrationControl(step=2e-3, halvings=1)))
-    assert [guess is None for _, _, guess, _ in calls] == [True, False]
-    assert calls[1][2] is calls[0][3].slice_starts
-    for control, stop, _, traj in calls:
-        _assert_same_rk4(traj, _one_slice(lambda: integrate(TUNING43, control, stop)))
-
-
-# from the third refinement on, the guess is the Richardson extrapolation
-# s1 + (s1 - s0) / 16 of the two refinements before it, since RK4's
-# slice-start error shrinks 16-fold per halving; every refinement still ends
-# on the one-slice flow.  (From base step 2e-3, the h = 5e-4 refinement's
-# remainder is 1.7e-14 off one slice from either start: rounding, over twice
-# the steps)
-def test_third_refinement_starts_from_the_extrapolated_guess():
-    _, calls = _recorded(lambda: certify(CFG43, TUNING43,
-                                         control=IntegrationControl(step=4e-3, halvings=2)))
-    s0, s1 = (traj.slice_starts for *_, traj in calls[:2])
-    guesses = [guess for _, _, guess, _ in calls]
-    assert guesses[0] is None and guesses[1] is s0
-    assert np.array_equal(guesses[2], s1 + (s1 - s0) / 16)
-    for control, stop, _, traj in calls:
-        _assert_same_rk4(traj, _one_slice(lambda: integrate(TUNING43, control, stop)))
-
-
-# under the default control the extrapolated guess is within 1e-14 of the
-# finest refinement's slice starts, so it settles after one correction
-# (from the plain s1 it takes two).  Every refinement ends on the one-slice
-# flow, the finest within 1e-14 throughout.  The remainder, a difference of
-# near-equal sums, may carry one rounding of 2^-52 per fine step of a slice:
-# the warm-started h = 5e-4 refinement ends 1.8e-14 off, at m = 100
-def test_default_43_finest_refinement_takes_one_correction():
-    _, calls = _recorded(lambda: certify(CFG43, TUNING43))
-    assert tuple(traj.parareal_iterations for *_, traj in calls) == (4, 2, 1)
-    for control, stop, _, traj in calls:
-        slow = _one_slice(lambda: integrate(TUNING43, control, stop))
-        stride = control.sample_stride
-        m = stride * max(1, round(CERTIFY._SLICE / (control.step * stride)))
-        gap = np.abs(traj.remainder_values - slow.remainder_values).max()
-        assert gap <= m * 2.0 ** -52, (control.step, gap)
-        _assert_same_rk4(dataclasses.replace(traj, remainder_values=slow.remainder_values),
-                         slow)
-    _assert_same_rk4(traj, slow)  # the finest, its remainder included
-
-
-# a guess off by 1e-6 still ends on the same flow: after k corrections the
-# first k + 1 slice starts are exact, so only the number of corrections moves.
-# The short run ends in its second slice, where that exactness ends the loop.
-@pytest.mark.parametrize("cold, warm, stop", [
-    (IntegrationControl(step=2e-3), IntegrationControl(step=1e-3, sample_stride=2),
-     DEFAULT_THRESHOLD),
-    (IntegrationControl(step=1e-3, max_time=0.0605),
-     IntegrationControl(step=1e-3, max_time=0.0605), None),
-], ids=["fixture-refinement-1", "ends-in-slice-1"])
-def test_perturbed_guess_takes_more_corrections_not_another_flow(cold, warm, stop):
-    guess = integrate(TUNING43, cold, stop).slice_starts
-    perturbed = guess.copy()
-    perturbed[1:] *= 1.0 + 1e-6
-    exact = integrate(TUNING43, warm, stop, _guess=guess)
-    traj = integrate(TUNING43, warm, stop, _guess=perturbed)
-    assert traj.parareal_iterations >= exact.parareal_iterations
-    _assert_same_rk4(traj, _one_slice(lambda: integrate(TUNING43, warm, stop)))
-
-
-# a refinement after one that ran as one slice starts cold, so a tuning whose
-# refinements all fall back gives the certificate it gave without the guess
-@pytest.mark.parametrize("tuning, control, failure", [
-    # the halved step crosses at 0.005, before the flow aborts
-    (SUPERCRITICAL43, IntegrationControl(step=1e-3, max_time=30.0, halvings=1),
-     "no remainder crossing (aborted: supercritical)"),
-    (TUNING43, IntegrationControl(step=1e-3, max_time=0.04, halvings=2),
-     "no remainder crossing; no remainder crossing; no remainder crossing"),
-], ids=["supercritical", "one-slice-horizon"])
-def test_one_slice_refinements_stay_cold(tuning, control, failure):
-    cert, calls = _recorded(lambda: certify(CFG43, tuning, control=control))
-    cold, _ = _recorded(lambda: certify(CFG43, tuning, control=control), warm=False)
-    assert [traj.parareal_iterations for *_, traj in calls] == [None] * len(calls)
-    assert [guess for _, _, guess, _ in calls] == [None] * len(calls)
-    assert cert.diagnostics["failure"] == "no stable stopping time: " + failure
-    assert certificate_to_json(cert) == certificate_to_json(cold)
-
-
-# the record contract of a sweep where it leaves the stride grid: a stage
-# that raises closes the record with the last accepted state, recorded once;
-# a growth abort and the end of the run are recorded at the step they fall on
+# the record contract where the run leaves the grid: where the flow reaches
+# the abort level between two grid points, the run closes with the state at
+# the last grid point it reached, recorded once; a growth abort at a grid
+# point and the end of the run are recorded at the point they fall on.  The
+# abort level is lowered to 0.8 (STEEP43 passes it near t = 0.0012) and to
+# 0.001 (TUNING43 passes it between its first two points of 0.01), since
+# near g = 1 - 1e-6 the flow is a few 1e-12 from its pole
 @pytest.mark.parametrize("stride", [1, 2, 3])
-def test_supercritical_close_is_recorded_once(stride):
-    traj = integrate(SUPERCRITICAL43,
+def test_supercritical_close_is_recorded_once(monkeypatch, stride):
+    monkeypatch.setattr(CERTIFY, "GROWTH_ABORT", 0.8)
+    traj = integrate(STEEP43,
                      IntegrationControl(step=1e-3, max_time=30.0, sample_stride=stride))
     assert traj.times.tolist() == [0.0, 0.001]
-    assert traj.step_g_max.tolist() == pytest.approx([0.0, 0.77326], abs=1e-5)
+    assert traj.step_g_max.tolist() == pytest.approx([0.0, 0.77518], abs=1e-5)
     assert (traj.aborted, traj.abort_reason, traj.clamp_events) == (True, "supercritical", 0)
 
 
 @pytest.mark.parametrize("stride, steps", [(1, [0, 1, 2]), (2, [0, 2]), (3, [0, 2])])
-def test_growth_abort_is_recorded_where_it_falls(stride, steps):
-    # the state after step 2 has g = 1.017 although no stage of the step raised
-    tuning = TuningParams(CFG43, {t: 2.0 ** t.d for t in type_space(CFG43).types})
-    traj = integrate(tuning, IntegrationControl(step=0.01, max_time=30.0, sample_stride=stride))
+def test_growth_abort_is_recorded_where_it_falls(monkeypatch, stride, steps):
+    monkeypatch.setattr(CERTIFY, "GROWTH_ABORT", 0.001)
+    traj = integrate(TUNING43, IntegrationControl(step=0.01, max_time=30.0, sample_stride=stride))
     assert np.rint(traj.times / 0.01).tolist() == steps
-    assert traj.g_values[-1] == traj.step_g_max[-1] == pytest.approx(1.01703, abs=1e-5)
+    assert traj.g_values[-1] == traj.step_g_max[-1] == pytest.approx(0.0012510, abs=1e-7)
     assert (traj.aborted, traj.abort_reason, traj.clamp_events) == (True, "supercritical", 0)
 
 
-@pytest.mark.parametrize("max_time, n, iterations", [(0.0105, 10, None), (0.2005, 200, 2)])
-def test_end_off_the_stride_grid_is_recorded(max_time, n, iterations):
-    traj = integrate(TUNING43, IntegrationControl(step=1e-3, max_time=max_time, sample_stride=3))
-    assert np.rint(traj.times / 1e-3).tolist() == [*range(0, n, 3), n]
-    assert traj.parareal_iterations == iterations
+# the end is recorded off the stride grid, and off the record multiple
+# `_every` of that grid where `certify` passes one
+@pytest.mark.parametrize("max_time, n, every", [(0.0105, 10, None), (0.2005, 200, 2)])
+def test_end_off_the_stride_grid_is_recorded(max_time, n, every):
+    traj = integrate(TUNING43, IntegrationControl(step=1e-3, max_time=max_time, sample_stride=3),
+                     _every=every or 1)
+    assert np.rint(traj.times / 1e-3).tolist() == [*range(0, n, 3 * (every or 1)), n]
     assert (traj.aborted, traj.abort_reason, traj.clamp_events) == (False, None, 0)
 
 
@@ -725,22 +622,20 @@ def test_step_g_max_is_the_largest_g_since_the_record_before_inclusive():
     assert np.abs(strided.step_g_max - expected).max() <= 1e-14
 
 
+# each refinement says how many Taylor steps it took and where it stopped;
+# the halved step's refinement, at a tenth of the local error, takes more
 def test_certify_reports_each_refinement_on_stderr(capsys):
     cert = certify(CFG43, TUNING43, control=IntegrationControl(step=2e-3, halvings=1))
     out, err = capsys.readouterr()
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 2
-    iterations = []
+    steps = []
     for line, entry in zip(lines, cert.refinements):
-        match = re.fullmatch(r"certify: step (\S+): (\d+) fine steps in \d+\.\d{3} s, "
-                             r"parareal (\d+) iterations", line)
+        match = re.fullmatch(r"certify: step (\S+): (\d+) Taylor steps, stop at t = (\S+), "
+                             r"\d+\.\d{3} s", line)
         assert match, line
         assert float(match[1]) == entry["step"]
-        assert int(match[2]) == round(entry["r"] / entry["step"])
-        iterations.append(int(match[3]))
-    # the second refinement starts from the first one's slice starts
-    assert iterations[1] < iterations[0]
-    _one_slice(lambda: certify(CFG43, TUNING43,
-                               control=IntegrationControl(step=2e-3, halvings=0)))
-    assert capsys.readouterr().err.endswith(" s, one slice\n")
+        assert float(match[3]) == round(entry["r"], 6)
+        steps.append(int(match[2]))
+    assert 0 < steps[0] < steps[1]

@@ -48,8 +48,9 @@ def test_certify_writes_certificate_and_reports(cert_path, capsys):
     assert body["cfg"] == {"r": 4, "p": 3}
 
 
-# max_time only bounds the run: it stops at its crossing, R = 9.9 at step 0.1, and
-# its 100 records, one step apart, are all stored
+# max_time only bounds the run: it stops at its crossing, R = 9.9 at step 0.1.
+# With no refinement before it to bound its horizon, it records on the widest
+# multiple verify takes, so it stores 0 and 9.9, one gap of 99 steps
 def test_certify_with_a_long_max_time_writes_a_certificate_that_verifies(tmp_path):
     path = str(tmp_path / "long.json")
     assert main(["certify", "--r", "4", "--p", "3", "--step", "0.1", "--halvings", "0",
@@ -231,6 +232,38 @@ def test_verify_rederives_the_flow_steps_and_failure(tmp_path, capsys, mutate, m
     assert message in capsys.readouterr().err
 
 
+def _nudge_one_state(raw):
+    # one coordinate of a mid-run state, g and the remainder recomputed
+    row = raw["samples"]["states"][1000]
+    row[int(np.argmax(row))] -= 1e-10
+    g, rem = growth_rates(type_space(PaletteConfig(4, 3)), np.array(row))
+    raw["samples"]["g"][1000], raw["samples"]["remainder"][1000] = float(g), float(rem)
+
+
+def _nudge_one_weight(raw):
+    raw["tuning"]["2,2"] *= 1.0 + 1e-9
+
+
+# the re-integrated gaps of the default (4,3) certificate end within 1e-15
+# of their samples, so changes far below what the samples and their rates
+# show still leave the flow: a state moved by 1e-10, or a weight by a
+# relative 1e-9, which moves a gap's end by 1.3e-12
+@pytest.mark.parametrize("mutate", [
+    pytest.param(_nudge_one_state, id="state-1e-10"),
+    pytest.param(_nudge_one_weight, id="weight-1e-9"),
+])
+def test_verify_finds_a_small_change_off_the_flow(tmp_path, capsys, mutate):
+    path = str(tmp_path / "cert.json")
+    assert main(["certify", "--r", "4", "--p", "3", "--out", path]) == 0
+    raw = json.loads(open(path).read())
+    mutate(raw)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(tampered)]) == 1
+    assert "state is off the flow from the sample before it" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--epsilon", "0.1"],
     ["sweep", "--epsilons", "0.1", "--seeds", "1", "--jobs", "1"],
@@ -395,6 +428,7 @@ def test_integrate_rejects_bad_threshold_before_writing(tmp_path, capsys, thresh
     assert not out.exists()
 
 
+# there is no --method flag: Taylor steps are the one integrator
 @pytest.mark.parametrize("mode", ["certify", "integrate"])
 def test_rk4_is_the_only_method(mode):
     with pytest.raises(SystemExit) as exc:
@@ -432,6 +466,7 @@ def test_degree_is_capped(cert_path, tmp_path, capsys, source):
     assert "degree r must be <= 32, got 100000" in capsys.readouterr().err
 
 
+# the loader takes "taylor" and the "rk4" of older certificates, nothing else
 @pytest.mark.parametrize("mutate", [
     pytest.param(lambda ctl: ctl.update(method="euler"), id="euler"),
     pytest.param(lambda ctl: ctl.pop("method"), id="missing"),
@@ -458,7 +493,7 @@ def test_integrate_emits_selfdescribing_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     comments = [ln for ln in lines if ln.startswith("#")]
     assert any("r=4" in ln for ln in comments)
-    assert "# method=rk4" in comments
+    assert "# method=taylor" in comments
     header = next(ln for ln in lines if not ln.startswith("#"))
     assert header.startswith("time,g,remainder,z_0_2")
     first = lines[lines.index(header) + 1].split(",")
@@ -470,9 +505,9 @@ def test_integrate_emits_selfdescribing_csv(tmp_path, capsys):
 # the bytes of the trajectory CSV, with and without a threshold
 @pytest.mark.parametrize("flags, digest", [
     (["--step", "0.01", "--threshold", "0.99999"],
-     "bae402d5dd669f53f040ac818e0854ff8e0ef0767ba2d14845b3a1c1041380da"),
+     "9a89031f53e342dca54b98527c7c096f90f06fe0382b05bbf5dc790fe07415b5"),
     (["--step", "0.05", "--max-time", "3"],
-     "27b52021fdb14d7c1005587399c8721b57909461ce88a33a136ddeb380ff7488"),
+     "0898dbbbfa345b5b601ff12fddc11e69e598940fde63414d538860e8813d0070"),
 ], ids=["threshold", "max-time"])
 def test_integrate_csv_pinned(tmp_path, flags, digest):
     out = tmp_path / "traj.csv"
@@ -803,10 +838,22 @@ def test_simulate_counts_every_bad_edge(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_proper",
                         lambda graph, colors: cli.ProperReport(violations=bad, red_red=[]))
     assert main(simulate_args(tmp_path)) == 1
-    flagged = [ln for ln in capsys.readouterr().out.splitlines() if "NOT proper" in ln]
+    flagged = [ln for ln in capsys.readouterr().err.splitlines() if "NOT proper" in ln]
     assert len(flagged) == 1
     assert "12 bad edges" in flagged[0]
     assert flagged[0].endswith(f"e.g. {bad[:10]}")
+
+
+# an improper coloring is reported on stderr, so stdout still parses as the
+# summary JSON alone
+def test_simulate_reports_an_improper_coloring_beside_its_json(tmp_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(cli, "verify_proper",
+                        lambda graph, colors: cli.ProperReport(violations=[(0, 1)], red_red=[]))
+    assert main(simulate_args(tmp_path)) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["violations"] == 1
+    assert "final coloring is NOT proper: 1 bad edges, e.g. [(0, 1)]" in err.splitlines()
 
 
 def test_sweep_cell_matches_simulate(tmp_path, capsys):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from treecolor.certify import _integrate
+from treecolor.certify import _euler
 from treecolor.dynamics import (
     PaletteConfig,
     TuningParams,
@@ -21,6 +21,7 @@ from treecolor.dynamics import (
     cascade_type_delta,
     default_tuning,
     drift,
+    drift_series,
     expected_cascade_size,
     remainder_growth,
     size_biased_law,
@@ -283,11 +284,48 @@ def test_drift_matches_padded_index_reference():
             assert np.abs(closed - _padded_index_drift(cfg, z.vec, wvec)).max() <= 1e-12
 
 
+# the series of random subcritical states, summed at a short time, lands on
+# DOP853's flow of the padded-index drift, which shares no code with the
+# recurrence; its first coefficient is that drift
+@pytest.mark.parametrize("cfg", [CFG43, CFG64], ids=str)
+def test_drift_series_sums_to_the_flow(cfg):
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    rng = np.random.default_rng(47)
+    wvec = default_tuning(cfg).vector()
+    series = drift_series(type_space(cfg), wvec, 16)
+    tau = 0.01
+    for _ in range(5):
+        z = random_subcritical(rng, cfg).vec
+        zs = series(z)
+        assert np.abs(zs[1] - _padded_index_drift(cfg, z, wvec)).max() <= 1e-12
+        flow = solve_ivp(lambda t, y: _padded_index_drift(cfg, y, wvec), (0.0, tau), z,
+                         method="DOP853", rtol=1e-13, atol=1e-16).y[:, -1]
+        assert np.abs(tau ** np.arange(17) @ zs - flow).max() <= 1e-13
+
+
+# `verify` expands a stack of states at once: each row's series is that
+# state's own, and one supercritical or massless row raises for the stack
+def test_drift_series_of_a_stack_is_each_rows_series():
+    rng = np.random.default_rng(53)
+    series = drift_series(type_space(CFG64), default_tuning(CFG64).vector(), 16)
+    stack = np.array([random_subcritical(rng, CFG64).vec for _ in range(7)])
+    rows = np.stack([series(z) for z in stack], axis=1)
+    # up to rounding: 1e-13 of each coefficient's largest entry
+    scale = np.abs(rows).max(axis=(1, 2))[:, None, None]
+    assert (np.abs(series(stack) - rows) <= 1e-13 * scale).all()
+    forced = np.zeros(type_space(CFG64).size)
+    forced[type_space(CFG64).index[VertexType(6, 2)]] = 1.0  # g = (2/4) * 5 > 1
+    with pytest.raises(SupercriticalError):
+        series(np.vstack([stack, forced]))
+    with pytest.raises(DegenerateDistributionError):
+        series(np.vstack([stack, np.zeros_like(forced)]))
+
+
 def test_euler_step_frozen():
     # one Euler step of size epsilon from the fresh state, on the
     # integrator's Euler branch: z + eps * F(z), nothing clamped
     tuning = default_tuning(CFG43, epsilon=0.01)
-    traj = _integrate(tuning, tuning.epsilon, tuning.epsilon, 1, None, euler=True)
+    traj = _euler(tuning, tuning.epsilon, tuning.epsilon)
     stepped = traj.state_at(1)
     assert stepped[(4, 3)] == pytest.approx(0.99921875, abs=1e-15)
     assert stepped[(3, 2)] == pytest.approx(0.000625, abs=1e-15)

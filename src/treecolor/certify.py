@@ -47,8 +47,8 @@ MAX_SAMPLE_GAP = 2 ** 16
 # Taylor steps (A. Jorba and M. Zou, Experimental Mathematics 14, 2005): the
 # order of each step's series; the local error that refinement k of
 # `certify` allows a step, relative to the state, _TOLERANCE / 10**k; and
-# the most entries one step holds at once: the states it evaluates, and in
-# `verify` the series of a block of gaps and two rates per grid point and gap
+# the most entries held at once: a chunk of a step's grid points times the
+# state, or the two rates of each gap, evaluated there, or a block's series
 _ORDER, _TOLERANCE, _BATCH = 16, 1e-14, 2 ** 16
 # how far from the next sample `verify` lets a re-integrated gap end
 GAP_TOLERANCE = 1e-13
@@ -95,10 +95,13 @@ class Trajectory:
     g_values: np.ndarray
     remainder_values: np.ndarray
     step_g_max: np.ndarray
-    aborted: bool = False
     abort_reason: str | None = None
     clamp_events: int = 0
     taylor_steps: int = 0
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
     def state_at(self, i: int) -> TypeDistribution:
         return TypeDistribution(self.cfg, self.states[i].copy())
@@ -133,51 +136,66 @@ def integrate(
     g, rem = growth_rates(space, z)
     held = z[None], g[None], rem[None]  # grid point j, where an error closes the run
     records = [(np.zeros(1, dtype=np.int64), *held, g[None])]
-    t, j, peak, steps, clamps, error = 0.0, 0, g, 0, 0, None
-    while j < last:
-        steps += 1
-        try:
-            zs = series(z)
-            length = _step_length(zs, _tolerance)
-            # the step ends on the last grid point it reaches, or short of the next
-            end = min(last, j + max(1, _BATCH // space.size), math.floor((t + length) / h))
-            idx = np.arange(j + 1, end + 1)
-            states = np.vander(idx * h - t if end > j else np.array([length]), _ORDER + 1,
-                               increasing=True) @ zs
+    j, peak, steps, clamps, error = 0, g, 0, 0, None
+    try:
+        for steps, idx, states in _taylor_steps(space, series, z.copy(), (last,), h, _tolerance):
             clamps += int(np.count_nonzero(states.min(axis=1) < -1e-9))
             np.clip(states, 0.0, None, out=states)
             g, rem = growth_rates(space, states)
-            if end == j and g[0] >= GROWTH_ABORT:
-                raise SupercriticalError("the flow nears g = 1 before the next grid point")
-        except (DegenerateDistributionError, SupercriticalError) as exc:
-            error = _reason(exc)
-            break
-        if end == j:
-            z, t = states[0], t + length
-            continue
-        stop = (g >= GROWTH_ABORT) | (idx == last) | ((idx % stride == 0) & (rem < below))
-        n = int(np.argmax(stop)) + 1 if stop.any() else len(idx)
-        keep = idx[:n] % (stride * _every) == 0
-        keep[-1] |= stop[n - 1]
-        rec = np.flatnonzero(keep)
-        if rec.size:
-            # the largest g since the record before, both records included
-            ext = np.r_[peak, g[:rec[-1] + 1]]
-            tops = np.maximum(np.maximum.reduceat(ext, np.r_[0, rec[:-1] + 1]), ext[rec + 1])
-            records.append((idx[rec], states[rec], g[rec], rem[rec], tops))
-            peak = g[rec[-1]:n].max()
-        else:
-            peak = max(peak, g.max())
-        if stop[n - 1]:
-            break
-        z, t, j = states[-1], end * h, end
-        held = states[-1:], g[-1:], rem[-1:]
+            stop = (g >= GROWTH_ABORT) | (idx == last) | ((idx % stride == 0) & (rem < below))
+            n = int(np.argmax(stop)) + 1 if stop.any() else len(idx)
+            keep = idx[:n] % (stride * _every) == 0
+            keep[-1] |= stop[n - 1]
+            rec = np.flatnonzero(keep)
+            # the largest g from the record before up to each record, then since the last
+            tops = np.maximum.reduceat(np.concatenate(([peak], g[:n])),
+                                       np.concatenate(([0], rec + 1)))
+            peak = tops[-1]
+            if rec.size:  # both records included
+                records.append((idx[rec], states[rec], g[rec], rem[rec],
+                                np.maximum(tops[:-1], g[rec])))
+            if stop[n - 1]:
+                break
+            j, held = idx[-1], (states[-1:], g[-1:], rem[-1:])
+    except (DegenerateDistributionError, SupercriticalError) as exc:
+        error = _reason(exc)
     if error is not None and records[-1][0][-1] != j:
         records.append((np.array([j]), *held, np.array([peak])))
     idx, states, g, rem, tops = (np.concatenate(c) for c in zip(*records))
     abort = "supercritical" if g[-1] >= GROWTH_ABORT else error
-    return Trajectory(tuning.cfg, idx * h, states, g, rem, tops, abort is not None, abort,
-                      clamps, steps)
+    return Trajectory(tuning.cfg, idx * h, states, g, rem, tops, abort, clamps, steps)
+
+
+def _taylor_steps(space, series, z, ends, h, tolerance, project=None):
+    """Taylor steps at local error `tolerance` from the state z, or from each
+    row of a stack z to grid point ends[i] of h (decreasing, so the rows
+    still running are a prefix), advancing z in place.  A step ends on the
+    last grid point it reaches, or short of the next, where g reaching
+    GROWTH_ABORT raises SupercriticalError.  For the grid points a step
+    covers it yields, in chunks of at most _BATCH values: the step's number,
+    the points, and the flow's value there, each state running or its
+    product with `project`."""
+    t, j, k, stack = 0.0, 0, 0, z.ndim > 1
+    while j < ends[0]:
+        k += 1
+        live = int(np.count_nonzero(ends > j)) if stack else 1
+        rows = z[:live] if stack else z
+        zs = series(rows)
+        length = _step_length(zs, tolerance)
+        end = min(int(ends[live - 1]), math.floor((t + length) / h))
+        coef = zs if project is None else zs @ project
+        flat = coef.reshape(_ORDER + 1, -1)
+        chunk = max(1, _BATCH // flat.shape[1])
+        for a in range(j, end, chunk):
+            idx = np.arange(a + 1, min(a + chunk, end) + 1)
+            at = np.vander(idx * h - t, _ORDER + 1, increasing=True) @ flat
+            yield k, idx, at.reshape(len(idx), *coef.shape[1:])
+        tau = end * h - t if end > j else length
+        state = tau ** np.arange(_ORDER + 1) @ zs.reshape(_ORDER + 1, -1)
+        np.maximum(state.reshape(rows.shape), 0.0, out=rows)
+        if end == j and (growth_rates(space, rows)[0] >= GROWTH_ABORT).any():
+            raise SupercriticalError("the flow nears g = 1 before the next grid point")
+        t, j = (end * h, end) if end > j else (t + length, j)
 
 
 def _reason(exc: Exception) -> str:
@@ -216,7 +234,7 @@ def _euler(tuning: TuningParams, h: float, max_time: float) -> Trajectory:
             break
     states, g, rem = (np.array(c) for c in zip(*rows))
     return Trajectory(tuning.cfg, np.arange(len(g)) * h, states, g, rem,
-                      np.maximum(g, np.r_[g[:1], g[:-1]]), error is not None, error, clamps)
+                      np.maximum(g, np.r_[g[:1], g[:-1]]), error, clamps)
 
 
 def _check_threshold(threshold: float | None) -> None:
@@ -326,8 +344,9 @@ def certify(
             f"samples {stride} steps apart, more than verify takes ({MAX_SAMPLE_GAP})")
     # refinements record on the multiple of the base grid that leaves at most
     # MAX_STORED_SAMPLES samples (its start and a last one off it included) in
-    # the horizon known before recording, the window for the first and the
-    # run of the one before for the others, with no gap over MAX_SAMPLE_GAP steps
+    # the horizon of the run before, with no gap over MAX_SAMPLE_GAP steps: the
+    # first refinement's is its window, and under halvings 0, which is stored,
+    # a first run of its own
     points = math.floor(control.max_time / control.step + 1e-9) // control.sample_stride
     refinements = []
     for k in range(control.halvings + 1):
@@ -335,10 +354,11 @@ def certify(
         refined = replace(control, step=control.step / (2 ** k),
                           sample_stride=control.sample_stride * (2 ** k))
         start = time.perf_counter()
-        every = max(1, min(-(-points // (MAX_STORED_SAMPLES - 2)), MAX_SAMPLE_GAP // stride))
-        traj = integrate(tuning, refined, stop_at_remainder_below=threshold, _every=every,
-                         _tolerance=_TOLERANCE / 10 ** k)
-        points = -(-round(traj.times[-1] / refined.step) // refined.sample_stride)
+        for _ in range(1 + (control.halvings == 0)):
+            every = max(1, min(-(-points // (MAX_STORED_SAMPLES - 2)), MAX_SAMPLE_GAP // stride))
+            traj = integrate(tuning, refined, stop_at_remainder_below=threshold, _every=every,
+                             _tolerance=_TOLERANCE / 10 ** k)
+            points = -(-round(traj.times[-1] / refined.step) // refined.sample_stride)
         print(f"certify: step {refined.step:g}: {traj.taylor_steps} Taylor steps, stop at "
               f"t = {traj.times[-1]:.6f}, {time.perf_counter() - start:.3f} s", file=sys.stderr)
         refinements.append({"step": refined.step, **find_stop_time(traj, threshold)})
@@ -355,12 +375,8 @@ def certify(
         **summary,
         samples=samples,
         refinements=refinements,
-        diagnostics={
-            "failure": failure,
-            "clamp_events": int(traj.clamp_events),
-            "aborted": bool(traj.aborted),
-            "abort_reason": traj.abort_reason,
-        },
+        diagnostics={"failure": failure, "clamp_events": int(traj.clamp_events),
+                     "aborted": traj.aborted, "abort_reason": traj.abort_reason},
         metadata={
             "generator": f"treecolor {_version}",
             "type_order": [str(t) for t in type_space(cfg).types],
@@ -617,60 +633,36 @@ def verify_certificate(cert: Certificate) -> None:
         if not rem_stored[idx] < cert.threshold:
             raise CertificateVerificationError("remainder at r not below threshold")
     # the samples must lie on the flow: each gap, re-integrated from its first
-    # sample by the finest refinement's Taylor steps (all gaps as one stack),
+    # sample by the finest refinement's Taylor steps (blocks of gaps as stacks),
     # must end within GAP_TOLERANCE of the next sample.  Every certificate
     # tried, the RK4-made ones included, ends its gaps within 3e-15; a weight
     # of (4,3) off by a relative 1e-9 moves them by up to 1.3e-12.  A
     # certified run, which ends at R, must keep g within 1e-9 of
     # max_g_on_0_r at every point of the grid of h
     order = np.argsort(-steps, kind="stable")  # so the rows still running are a prefix
+    z, gaps = states[:-1][order], steps[order]  # each gap's start, advanced to its end
     series = drift_series(space, TuningParams(cert.cfg, cert.tuning).vector(), _ORDER)
     tolerance = _TOLERANCE / 10 ** cert.control.halvings
     g_cap = cert.max_g_on_0_r + 1e-9 if cert.certified else math.inf
     # a row's series holds z_k and z_k's n + 3 products for each order k
     rows = max(1, _BATCH // ((_ORDER + 1) * (2 * space.size + 3)))
-    ends = np.empty_like(states[1:])
     try:
-        for block in (order[a:a + rows] for a in range(0, len(order), rows)):
-            ends[block] = _reintegrate(space, series, states[block], steps[block], h,
-                                       tolerance, g_cap, block)
+        for a in range(0, len(z), rows):
+            for _, _, rates in _taylor_steps(space, series, z[a:a + rows], gaps[a:a + rows],
+                                             h, tolerance, space.rate_rows[:2].T):
+                mass, growth = rates.T
+                high = ~(growth <= g_cap * mass)  # g = growth / mass
+                if high.any():
+                    raise CertificateVerificationError(
+                        f"sample {int(order[a + np.nonzero(high)[0].min()])}: g exceeds "
+                        "max_g_on_0_r before the next sample")
     except (DegenerateDistributionError, SupercriticalError) as exc:
         raise CertificateVerificationError(f"samples do not re-integrate: {exc}") from None
-    off = ~(np.abs(ends - states[1:]).max(axis=1, initial=0.0) <= GAP_TOLERANCE)
+    off = ~(np.abs(z - states[1:][order]).max(axis=1, initial=0.0) <= GAP_TOLERANCE)
     if off.any():
         raise CertificateVerificationError(
-            f"sample {int(np.argmax(off)) + 1}: state is off the flow from the sample "
+            f"sample {int(order[off].min()) + 1}: state is off the flow from the sample "
             "before it")
-
-
-def _reintegrate(space, series, z, steps, h, tolerance, g_cap, samples) -> np.ndarray:
-    """The states `steps` grid steps of h after the rows of z (steps in
-    decreasing order, so the rows still running are a prefix), by Taylor
-    steps at `tolerance` taken by all rows at once.  Raises
-    CertificateVerificationError naming the sample (of `samples`, one per
-    row) whose flow has g above g_cap at a grid point."""
-    t, j = 0.0, 0
-    while j < steps[0]:
-        live = int(np.count_nonzero(steps > j))
-        zs = series(z[:live])
-        length = _step_length(zs, tolerance)
-        end = min(int(steps[live - 1]), math.floor((t + length) / h))
-        rates, chunk = zs @ space.rate_rows[:2].T, max(1, _BATCH // (2 * live))
-        for a in range(j, end, chunk):  # g at the grid points a + 1 .. a + chunk
-            taus = np.arange(a + 1, min(a + chunk, end) + 1) * h - t
-            mass, growth = np.tensordot(np.vander(taus, _ORDER + 1, increasing=True),
-                                        rates, 1).T
-            high = ~(growth <= g_cap * mass)  # g = growth / mass
-            if high.any():
-                raise CertificateVerificationError(
-                    f"sample {int(samples[np.nonzero(high)[0].min()])}: g exceeds "
-                    "max_g_on_0_r before the next sample")
-        tau = end * h - t if end > j else length
-        z[:live] = np.clip(np.tensordot(tau ** np.arange(_ORDER + 1), zs, 1), 0.0, None)
-        if end == j and (growth_rates(space, z[:live])[0] >= GROWTH_ABORT).any():
-            raise SupercriticalError("the flow nears g = 1 before the next grid point")
-        t, j = (end * h, end) if end > j else (t + length, j)
-    return z
 
 
 def euler_ode_compare(
@@ -687,7 +679,7 @@ def euler_ode_compare(
     substeps = max(10, int(math.ceil(epsilon / control.step - 1e-12)))
     ref = integrate(tuning, replace(control, step=epsilon / substeps, sample_stride=1),
                     stop_at_remainder_below=DEFAULT_THRESHOLD)
-    if ref.aborted and ref.abort_reason == "supercritical":
+    if ref.abort_reason == "supercritical":
         raise ComparisonFailureError("reference trajectory went supercritical")
     # no crossing (e.g. zero weights) is not an error: compare over what ran
     stop_time = find_stop_time(ref, DEFAULT_THRESHOLD).get("r", float(ref.times[-1]))

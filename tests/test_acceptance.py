@@ -42,6 +42,7 @@ import acceptance_report
 from helpers import random_subcritical
 
 from treecolor import (
+    IntegrationControl,
     PaletteConfig,
     TypeDistribution,
     VertexType,
@@ -177,11 +178,11 @@ def test_acceptance_02_certify_6_4():
 # each pair once
 @pytest.mark.parametrize("key, r, max_g, remainder", [
     pytest.param((4, 3), 9.848,
-                 [0.933843253559733, 0.9338432535597323, 0.9338432535597326],
-                 [0.9997968322656181, 0.9997968322656203, 0.9997968322656187], id="4-3"),
+                 [0.9338432535597323, 0.9338432535597327, 0.9338432535597323],
+                 [0.9997968322656187, 0.9997968322656188, 0.9997968322656199], id="4-3"),
     pytest.param((6, 4), 113.153,
-                 [0.8085680836823916, 0.8085680836823917, 0.8085680840866184],
-                 [0.9999474849091646, 0.9999474849091663, 0.9999474849091449], id="6-4"),
+                 [0.8085680836823919, 0.8085680836823916, 0.8085680840866182],
+                 [0.9999474849091674, 0.9999474849091665, 0.9999474849091742], id="6-4"),
 ])
 def test_default_certificate_refinement_entries_pinned(key, r, max_g, remainder):
     cert, _ = _certified(key)
@@ -189,6 +190,17 @@ def test_default_certificate_refinement_entries_pinned(key, r, max_g, remainder)
     assert [e["r"] for e in cert.refinements] == [r] * 3
     assert [e["max_g_on_0_r"] for e in cert.refinements] == max_g
     assert [e["remainder_growth_at_r"] for e in cert.refinements] == remainder
+
+
+# with no refinement before it to bound its horizon, the one refinement of
+# `certify --halvings 0` first runs to find it, so it records on a multiple
+# sized from R, not from max_time: (4,3) stores about 2,000 samples 0.005
+# apart.  Its entry is the first refinement of the default certificate
+def test_halvings_0_certificate_records_on_its_own_horizon():
+    cert = certify(CFG43, default_tuning(CFG43), control=IntegrationControl(halvings=0))
+    assert 1000 <= len(cert.samples["times"]) <= 2048
+    assert cert.refinements == _certified((4, 3))[0].refinements[:1]
+    verify_certificate(cert)
 
 
 # the first pair past (6,4) that tier-1 certifies: (7,5) under the default

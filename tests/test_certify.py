@@ -300,8 +300,8 @@ def test_certificate_bytes_pinned(cert43):
     digests = [hashlib.sha256(certificate_to_json(c).encode()).hexdigest()
                for c in (cert43, failed)]
     assert digests == [
-        "1d3235bb15716e189aa0d698d7dda7fbc037b6a7c2f59cb5b0e504228e7862c1",
-        "b622587917afe0a83063b6f187c7c5e4aa84bfe75dcd3a5e242264723beb44f5",
+        "6fcab5ea82f6910fb53e0cd66bba92f0c042293413b43cc8cf8992b49cd4a48e",
+        "5e1e82338e071f74d57abf6f0fc1108a7b1f241b0d5271f9cb86b4e9f36f3f59",
     ]
     verify_certificate(failed)  # a failed status re-derives as well
 
@@ -639,3 +639,41 @@ def test_certify_reports_each_refinement_on_stderr(capsys):
         assert float(match[3]) == round(entry["r"], 6)
         steps.append(int(match[2]))
     assert 0 < steps[0] < steps[1]
+
+
+def _taylor_steps_per_refinement(cfg, capsys):
+    cert = certify(cfg, default_tuning(cfg))
+    err = capsys.readouterr().err
+    return cert, [int(n) for n in re.findall(r": (\d+) Taylor steps,", err)]
+
+
+# an order-16 step rule takes about 10^(1/16) = 1.155 times the steps at a
+# tenth of the local error, so each refinement takes at most 1.25 times the
+# steps of the one before; a step ended by anything else, such as a cap on
+# the grid points evaluated at once, breaks that for (6,4)
+@pytest.mark.parametrize("r, p", [(4, 3), (6, 4)])
+def test_taylor_steps_follow_the_tolerance(r, p, capsys):
+    _, steps = _taylor_steps_per_refinement(PaletteConfig(r, p), capsys)
+    assert len(steps) == 3
+    assert all(cur <= 1.25 * prev for prev, cur in zip(steps, steps[1:])), steps
+    if (r, p) == (4, 3):
+        assert steps == [50, 59, 68]
+
+
+# a step's grid points are evaluated in chunks of at most `_BATCH` entries,
+# and a chunk never ends a step: with chunks of 64 entries, (4,3) takes the
+# same steps to the same flow, and the certificate it writes verifies
+def test_chunk_size_does_not_change_the_flow(monkeypatch, capsys):
+    ref, ref_steps = _taylor_steps_per_refinement(CFG43, capsys)
+    monkeypatch.setattr(CERTIFY, "_BATCH", 64)
+    cert, steps = _taylor_steps_per_refinement(CFG43, capsys)
+    assert steps == ref_steps
+    assert cert.r == ref.r
+    for entry, ref_entry in zip(cert.refinements, ref.refinements, strict=True):
+        assert entry.keys() == ref_entry.keys() and entry["found"]
+        for key in ("step", "r", "max_g_on_0_r", "remainder_growth_at_r"):
+            assert abs(entry[key] - ref_entry[key]) <= 1e-15, key
+    assert cert.samples["times"] == ref.samples["times"]
+    states, ref_states = (np.array(c.samples["states"]) for c in (cert, ref))
+    assert np.abs(states - ref_states).max() <= 1e-15
+    verify_certificate(cert)

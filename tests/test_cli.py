@@ -49,8 +49,8 @@ def test_certify_writes_certificate_and_reports(cert_path, capsys):
 
 
 # max_time only bounds the run: it stops at its crossing, R = 9.9 at step 0.1.
-# With no refinement before it to bound its horizon, it records on the widest
-# multiple verify takes, so it stores 0 and 9.9, one gap of 99 steps
+# With no refinement before it, a first run finds that horizon, so it stores
+# all 100 samples from 0 to 9.9
 def test_certify_with_a_long_max_time_writes_a_certificate_that_verifies(tmp_path):
     path = str(tmp_path / "long.json")
     assert main(["certify", "--r", "4", "--p", "3", "--step", "0.1", "--halvings", "0",
@@ -505,9 +505,9 @@ def test_integrate_emits_selfdescribing_csv(tmp_path, capsys):
 # the bytes of the trajectory CSV, with and without a threshold
 @pytest.mark.parametrize("flags, digest", [
     (["--step", "0.01", "--threshold", "0.99999"],
-     "9a89031f53e342dca54b98527c7c096f90f06fe0382b05bbf5dc790fe07415b5"),
+     "8e9e10e1fa53ea366601b1f1a4c422f2556f751207d742a8c0e9f66271ed6e6f"),
     (["--step", "0.05", "--max-time", "3"],
-     "0898dbbbfa345b5b601ff12fddc11e69e598940fde63414d538860e8813d0070"),
+     "dfb7b9e71a977c7178abb1663d4ff92da53df2bd41dd8d4d7ec6664305e6f611"),
 ], ids=["threshold", "max-time"])
 def test_integrate_csv_pinned(tmp_path, flags, digest):
     out = tmp_path / "traj.csv"

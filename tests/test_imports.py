@@ -90,3 +90,13 @@ def test_all_is_what_init_imports():
     for name in treecolor.__all__:
         assert hasattr(treecolor, name), name
 
+
+def test_one_function_takes_taylor_steps():
+    """One integrator: a single function in the package calls `_step_length`,
+    so every Taylor step, in `integrate` and in `verify`, is taken by it."""
+    callers = [f"{path.stem}.{node.name}" for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                       and call.func.id == "_step_length" for call in ast.walk(node))]
+    assert len(callers) == 1, callers
